@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Time the kernel layer of pdbell, each case cold in a fresh process.
+
+Usage, from the repository root::
+
+    python3 scripts/bench.py                                  # this tree only
+    python3 scripts/bench.py old=/path/to/old/src new=src > BENCH_2.json
+
+Each positional argument is LABEL=DIR, a directory holding the ``pdbell``
+package (default: ``this=src``).  Every case runs REPEAT times, each
+time in a new interpreter with only DIR on ``PYTHONPATH``, so no memo starts
+warm; the child times the case alone, not its own start-up.  Repeats take
+the trees in turn, so a slow spell of a shared host falls on all of them.
+
+The report is canonical JSON (sorted keys, two-space indent): per tree and
+case, the median CPU and wall time and the CPU samples, and with two or more
+trees the ratio of each later tree's median CPU time to the first tree's.
+Timings are reported, never gated.  This is a development tool: nothing in
+the package imports it and it needs nothing outside the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 5
+
+# name -> (what it times, setup, timed body); only the body is timed.
+CASES: dict[str, tuple[str, str, str]] = {
+    "stirling_triangle_to_400": (
+        "grow the Stirling triangle to row 400",
+        "",
+        "seq.stirling2(400, 400)",
+    ),
+    "pdb_row_to_300": (
+        "pdb_row(n) for n = 0..300",
+        "",
+        "for n in range(301):\n    seq.pdb_row(n)",
+    ),
+    "pdb_poly_to_120": (
+        "pdb_poly(n, r) for n = 0..120, r = 0..n",
+        "",
+        "for n in range(121):\n    for r in range(n + 1):\n        poly.pdb_poly(n, r)",
+    ),
+    "truncated_ordered_bell_row_to_300": (
+        "the truncated_ordered_bell row r = 0..n for n = 0..300",
+        # A tree without the row function builds the row a cell at a time,
+        # as its table command does.
+        "row = getattr(seq, 'truncated_ordered_bell_row', None) or (\n"
+        "    lambda n: [seq.truncated_ordered_bell(n, r) for r in range(n + 1)])",
+        "for n in range(301):\n    row(n)",
+    ),
+}
+
+CHILD = """\
+import json, time
+from pdbell import polynomials as poly, sequences as seq
+{setup}
+cpu, wall = time.process_time(), time.perf_counter()
+{body}
+cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+print(json.dumps({{"cpu_s": cpu, "wall_s": wall}}))
+"""
+
+
+def time_case(src: Path, case: str) -> dict[str, float]:
+    _, setup, body = CASES[case]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD.format(setup=setup, body=body)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def parse_tree(text: str) -> tuple[str, Path]:
+    label, sep, directory = text.partition("=")
+    path = Path(directory)
+    if not sep or not label or not (path / "pdbell" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(
+            f"expected LABEL=DIR with DIR/pdbell/__init__.py, got {text!r}"
+        )
+    return label, path.resolve()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=parse_tree, metavar="LABEL=DIR")
+    args = parser.parse_args()
+    trees = dict(args.trees or [("this", ROOT / "src")])
+    if args.trees and len(trees) != len(args.trees):
+        parser.error("tree labels must be distinct")
+    cases = list(CASES)
+
+    samples = {label: {case: [] for case in cases} for label in trees}
+    for i in range(REPEAT):
+        for case in cases:
+            for label, src in trees.items():
+                sample = time_case(src, case)
+                samples[label][case].append(sample)
+                print(
+                    f"run {i + 1}/{REPEAT} {case} {label}: "
+                    f"cpu {sample['cpu_s']:.3f} s wall {sample['wall_s']:.3f} s",
+                    file=sys.stderr,
+                )
+
+    results = {
+        label: {
+            case: {
+                "cpu_s": round(statistics.median(s["cpu_s"] for s in runs), 4),
+                "wall_s": round(statistics.median(s["wall_s"] for s in runs), 4),
+                "cpu_s_samples": [round(s["cpu_s"], 4) for s in runs],
+            }
+            for case, runs in by_case.items()
+        }
+        for label, by_case in samples.items()
+    }
+    report: dict[str, object] = {
+        "cases": {case: CASES[case][0] for case in cases},
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "trees": results,
+    }
+    labels = list(trees)
+    if len(labels) > 1:
+        base = results[labels[0]]
+        report["cpu_ratio_to_" + labels[0]] = {
+            label: {
+                case: round(results[label][case]["cpu_s"] / base[case]["cpu_s"], 4)
+                for case in cases
+            }
+            for label in labels[1:]
+        }
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -39,6 +39,20 @@ __all__ = ["RunConfig", "canonical_json", "main"]
 # oracle has its own hard cap.
 MAX_TABLE_N = 1000
 MAX_ORDER = 256
+# The two families whose cost grows fastest have caps of their own, one on a
+# whole table (--max-n) and one on a single row (--n), set so that a request
+# at the cap stays within TABLE_BUDGET even on a vCPU running at half speed.
+# CPU time and peak RSS, shared 2-vCPU x86 host, Python 3.11 (a range is
+# the spread of repeated runs):
+#   pdb       --max-n 450: 20-26 s, 245 MB  (--max-n 500: 39 s)
+#             --n 1000:    13.4 s, 432 MB
+#   pdb_poly  --max-n 180: 3.2-3.5 s, 814 MB  (--max-n 200: 1.2 GB)
+#             --n 550:     5.1-5.4 s, 846 MB  (--n 600: 8.0 s, 1105 MB)
+TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
+FAMILY_TABLE_CAPS: dict[str, tuple[int, int]] = {
+    "pdb": (450, MAX_TABLE_N),
+    "pdb_poly": (180, 550),
+}
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -111,15 +125,15 @@ _SEQ_FAMILIES: dict[str, Callable[[int], object]] = {
     "bernoulli": bernoulli_number,
 }
 
+# The lambdas look the kernels up at call time, so a wrapper installed on the
+# sequences module after import (a profiler or tracer) sees these calls.
 _ROW_FAMILIES: dict[str, Callable[[int], list[object]]] = {
-    "stirling2": lambda n: [seq.stirling2(n, k) for k in range(n + 1)],
+    "stirling2": lambda n: seq.stirling2_row(n),
     "partial_derangement": lambda n: [
         seq.partial_derangement(n, r) for r in range(n + 1)
     ],
-    "truncated_ordered_bell": lambda n: [
-        seq.truncated_ordered_bell(n, r) for r in range(n + 1)
-    ],
-    "pdb": lambda n: list(seq.pdb_row(n)),
+    "truncated_ordered_bell": lambda n: seq.truncated_ordered_bell_row(n),
+    "pdb": lambda n: seq.pdb_row(n),
     "pdb_poly": lambda n: [str(poly.pdb_poly(n, r)) for r in range(n + 1)],
 }
 
@@ -221,11 +235,19 @@ def _render_table(cfg: RunConfig, rows: list[dict[str, object]]) -> str:
 
 
 def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.max_n > MAX_TABLE_N or (cfg.n is not None and cfg.n > MAX_TABLE_N):
-        return (
-            _EXIT_RESOURCE,
-            f"resource cap: table rows are limited to n <= {MAX_TABLE_N}\n",
-        )
+    table_cap, row_cap = FAMILY_TABLE_CAPS.get(
+        cfg.family or "", (MAX_TABLE_N, MAX_TABLE_N)
+    )
+    limits = [("--max-n", cfg.max_n, table_cap if cfg.n is None else MAX_TABLE_N)]
+    if cfg.n is not None:
+        limits.append(("--n", cfg.n, row_cap))
+    for flag, n, cap in limits:
+        if n > cap:
+            return (
+                _EXIT_RESOURCE,
+                f"resource cap: table {cfg.family} {flag} is limited to {cap}; "
+                f"pdb and pdb_poly are capped to stay within {TABLE_BUDGET}\n",
+            )
     rows = _table_rows(cfg)
     return _EXIT_PASS, _render_table(cfg, rows)
 

@@ -8,9 +8,9 @@ zero polynomial has an empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Union
 
 from . import sequences as seq
@@ -157,7 +157,7 @@ def exponential_poly(n: int) -> IntPolynomial:
     """Partition polynomial: coefficient of y**k is stirling2(n, k)."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return IntPolynomial(seq.stirling2(n, k) for k in range(n + 1))
+    return IntPolynomial(seq.stirling2_row(n))
 
 
 @lru_cache(maxsize=4096)
@@ -177,9 +177,7 @@ def geometric_poly(n: int) -> IntPolynomial:
     """Ordered partition polynomial: coefficient of y**k is stirling2(n, k)*k!."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return IntPolynomial(
-        seq.stirling2(n, k) * math.factorial(k) for k in range(n + 1)
-    )
+    return IntPolynomial(map(mul, seq.stirling2_row(n), seq._factorials(n)))
 
 
 @lru_cache(maxsize=4096)
@@ -192,7 +190,8 @@ def pdb_poly(n: int, r: int) -> IntPolynomial:
     """
     if n < 0 or r < 0:
         raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
-    return IntPolynomial(
-        seq.stirling2(n, k) * seq.partial_derangement(k, r)
-        for k in range(n + 1)
-    )
+    if r > n:
+        return IntPolynomial([])
+    row = seq.stirling2_row(n)
+    col = seq.partial_derangement_column(r, n)
+    return IntPolynomial([0] * r + list(map(mul, row[r:], col)))

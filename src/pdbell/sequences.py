@@ -2,9 +2,26 @@
 deranged blocks.
 
 Everything is computed with Python's arbitrary precision integers; there is
-no floating point anywhere in this module.  Triangles are memoized row at a
-time and may be read from several threads at once: a cell, once written,
-never changes, so concurrent callers always see the single-threaded values.
+no floating point anywhere in this module.
+
+The memos behind the kernels may be read from several threads at once.
+Each is append-only: an entry, once published, never changes, and growth
+happens under a lock.  The dot products below read three of them:
+
+* The Stirling triangles, one per ``r``, grow a whole row at a time.
+* ``_derangements`` holds D(0), D(1), ... .
+* ``_rencontres`` holds the columns of the rencontres matrix: column ``r``
+  lists ``partial_derangement(k, r) = C(k, r) * D(k - r)`` for
+  ``k = r, r + 1, ...``.  Each column grows on its own, on demand.
+
+A reader checks the length of the very list it is about to read and grows
+that list if it is short; the length of some other row or column says
+nothing about it.  Given that, concurrent callers always see the
+single-threaded values.
+
+The deranged-block numbers are dot products over these lists:
+``pdb_number(n, r)`` is Stirling row ``n`` from ``k = r`` on, times
+rencontres column ``r``, summed in C with ``sum(map(mul, ...))``.
 
 Conventions:
 
@@ -23,19 +40,24 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 __all__ = [
     "stirling2",
+    "stirling2_row",
     "stirling2_explicit",
     "r_stirling2",
     "derangement",
     "partial_derangement",
+    "partial_derangement_column",
     "bell",
     "complementary_bell",
     "complementary_r_bell",
     "ordered_bell",
     "r_ordered_bell",
     "truncated_ordered_bell",
+    "truncated_ordered_bell_row",
     "deranged_bell",
     "pdb_number",
     "pdb_row",
@@ -65,9 +87,13 @@ class _MemoTriangle:
         r = self.r
         if m < r or j < r or j > m:
             return 0
-        if m - r >= len(self._rows):
+        return self.row(m)[j - r]
+
+    def row(self, m: int) -> list[int]:
+        """The memo row m (m >= r), entries j = r..m; callers must not mutate it."""
+        if m - self.r >= len(self._rows):
             self._grow(m)
-        return self._rows[m - r][j - r]
+        return self._rows[m - self.r]
 
     def _grow(self, m: int) -> None:
         with self._lock:
@@ -102,6 +128,12 @@ def stirling2(n: int, k: int) -> int:
     return _triangle(0).value(n, k)
 
 
+def stirling2_row(n: int) -> list[int]:
+    """Row [stirling2(n, 0), ..., stirling2(n, n)], as a fresh list."""
+    _require_nonnegative(n=n)
+    return list(_triangle(0).row(n))
+
+
 def stirling2_explicit(n: int, k: int) -> int:
     """Alternating binomial sum for the Stirling partition number.
 
@@ -131,15 +163,20 @@ _derangements: list[int] = [1]
 _derangements_lock = threading.Lock()
 
 
-def derangement(n: int) -> int:
-    """Permutations of n items with no fixed point (1 for n = 0)."""
-    _require_nonnegative(n=n)
+def _derangements_to(n: int) -> list[int]:
+    """The memo list ``_derangements``, grown to hold at least D(0..n)."""
     if n >= len(_derangements):
         with _derangements_lock:
             while len(_derangements) <= n:
                 m = len(_derangements)
                 _derangements.append(m * _derangements[m - 1] + (-1) ** m)
-    return _derangements[n]
+    return _derangements
+
+
+def derangement(n: int) -> int:
+    """Permutations of n items with no fixed point (1 for n = 0)."""
+    _require_nonnegative(n=n)
+    return _derangements_to(n)[n]
 
 
 def partial_derangement(n: int, r: int) -> int:
@@ -150,10 +187,50 @@ def partial_derangement(n: int, r: int) -> int:
     return math.comb(n, r) * derangement(n - r)
 
 
+_rencontres: list[list[int]] = []
+_rencontres_lock = threading.Lock()
+
+
+def _rencontres_column(r: int, n: int) -> list[int]:
+    """Memo column r (r <= n): entry i is C(r + i, r) * D(i), for at least
+    i = 0..n - r.  The column may be longer; callers must not mutate it.
+
+    The length test is on column r itself: another column being long enough
+    says nothing about this one, which another thread may still be growing.
+    """
+    cols = _rencontres
+    if r < len(cols) and len(cols[r]) > n - r:
+        return cols[r]
+    with _rencontres_lock:
+        while len(cols) <= r:
+            cols.append([])
+        col = cols[r]
+        start = len(col)
+        if start <= n - r:
+            d = _derangements_to(n - r)
+            # One extend with a finished list: a reader sees the column
+            # either before or after the new entries, never a gap.
+            col.extend([math.comb(r + i, r) * d[i] for i in range(start, n - r + 1)])
+    return col
+
+
+def partial_derangement_column(r: int, n: int) -> list[int]:
+    """[partial_derangement(k, r) for k = r..n], as a fresh list ([] if r > n)."""
+    _require_nonnegative(n=n, r=r)
+    if r > n:
+        return []
+    return _rencontres_column(r, n)[: n - r + 1]
+
+
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!]."""
+    return list(accumulate(range(1, n + 1), mul, initial=1))
+
+
 def bell(n: int) -> int:
     """Number of partitions of an n-set."""
     _require_nonnegative(n=n)
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(_triangle(0).row(n))
 
 
 _comp_bell: list[int] = [1]
@@ -167,9 +244,8 @@ def complementary_bell(n: int) -> int:
         with _comp_bell_lock:
             while len(_comp_bell) <= n:
                 m = len(_comp_bell)
-                _comp_bell.append(
-                    sum((-1) ** k * stirling2(m, k) for k in range(m + 1))
-                )
+                row = _triangle(0).row(m)
+                _comp_bell.append(sum(row[0::2]) - sum(row[1::2]))
     return _comp_bell[n]
 
 
@@ -188,7 +264,7 @@ def complementary_r_bell(n: int, r: int) -> int:
 def ordered_bell(n: int) -> int:
     """Number of ordered partitions (partitions with ordered blocks)."""
     _require_nonnegative(n=n)
-    return sum(stirling2(n, k) * math.factorial(k) for k in range(n + 1))
+    return sum(map(mul, _triangle(0).row(n), _factorials(n)))
 
 
 def r_ordered_bell(n: int, r: int) -> int:
@@ -207,7 +283,18 @@ def truncated_ordered_bell(n: int, r: int) -> int:
     _require_nonnegative(n=n, r=r)
     if r > n:
         return 0
-    return sum(stirling2(n, k) * math.factorial(k) for k in range(r, n + 1))
+    return sum(map(mul, _triangle(0).row(n)[r:], _factorials(n)[r:]))
+
+
+def truncated_ordered_bell_row(n: int) -> list[int]:
+    """Row [truncated_ordered_bell(n, r) for r = 0..n]: suffix sums of
+    stirling2(n, k) * k!, so O(n) additions for the whole row."""
+    _require_nonnegative(n=n)
+    terms = list(map(mul, _triangle(0).row(n), _factorials(n)))
+    terms.reverse()
+    row = list(accumulate(terms))
+    row.reverse()
+    return row
 
 
 def deranged_bell(n: int) -> int:
@@ -217,7 +304,7 @@ def deranged_bell(n: int) -> int:
     each k-block partition by the derangement number of k.
     """
     _require_nonnegative(n=n)
-    return sum(stirling2(n, k) * derangement(k) for k in range(n + 1))
+    return sum(map(mul, _triangle(0).row(n), _derangements_to(n)))
 
 
 def pdb_number(n: int, r: int) -> int:
@@ -228,12 +315,15 @@ def pdb_number(n: int, r: int) -> int:
     positions.  ``pdb_number(n, 0)`` equals ``deranged_bell(n)``.
     """
     _require_nonnegative(n=n, r=r)
-    return sum(
-        stirling2(n, k) * partial_derangement(k, r) for k in range(r, n + 1)
-    )
+    if r > n:
+        return 0
+    return sum(map(mul, _triangle(0).row(n)[r:], _rencontres_column(r, n)))
 
 
 def pdb_row(n: int) -> list[int]:
     """Row [pdb_number(n, 0), ..., pdb_number(n, n)]; sums to ordered_bell(n)."""
     _require_nonnegative(n=n)
-    return [pdb_number(n, r) for r in range(n + 1)]
+    row = _triangle(0).row(n)
+    return [
+        sum(map(mul, row[r:], _rencontres_column(r, n))) for r in range(n + 1)
+    ]

@@ -7,10 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from pdbell import checks
+from pdbell import checks, cli
 from pdbell.bernoulli import bernoulli
 from pdbell.checks import CheckReport, Status, SuiteConfig, SuiteReport
-from pdbell.cli import _check_exit_code, canonical_json, main
+from pdbell.cli import (
+    FAMILY_TABLE_CAPS,
+    MAX_TABLE_N,
+    _check_exit_code,
+    canonical_json,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +102,25 @@ def test_table_resource_cap(capsys):
     code, out, _ = run_cli(capsys, "table", "bell", "--max-n", "1001")
     assert code == 3
     assert "resource cap" in out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_TABLE_CAPS))
+def test_table_family_caps(capsys, monkeypatch, family):
+    table_cap, row_cap = FAMILY_TABLE_CAPS[family]
+    assert table_cap < row_cap <= MAX_TABLE_N
+    computed = []
+    monkeypatch.setattr(cli, "_table_rows", lambda cfg: computed.append(cfg) or [])
+    for flag, cap in (("--max-n", table_cap), ("--n", row_cap)):
+        code, out, _ = run_cli(capsys, "table", family, flag, str(cap + 1))
+        assert code == 3
+        assert f"resource cap: table {family} {flag} is limited to {cap};" in out
+        assert "60 s" in out
+        assert computed == []  # refused before any work
+    # The whole-table cap does not apply to a single row.
+    for flag, n in (("--max-n", table_cap), ("--n", table_cap + 1), ("--n", row_cap)):
+        code, _, _ = run_cli(capsys, "table", family, flag, str(n))
+        assert code == 0
+    assert len(computed) == 3
 
 
 def test_table_unknown_family_is_usage_error(capsys):

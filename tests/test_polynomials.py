@@ -117,6 +117,25 @@ def test_pdb_poly_frozen():
     assert pdb_poly(3, 2).coefficients == (0, 0, 3)
 
 
+def test_pdb_poly_matches_definition_to_80():
+    # Coefficient of y**k is S(n, k) * C(k, r) * D(k - r), one kernel call
+    # per term, and 0 below y**r.
+    for n in range(81):
+        for r in range(n + 3):
+            expected = IntPolynomial(
+                seq.stirling2(n, k) * math.comb(k, r) * seq.derangement(k - r)
+                if k >= r
+                else 0
+                for k in range(n + 1)
+            )
+            assert pdb_poly(n, r) == expected, (n, r)
+
+
+def test_pdb_poly_past_the_row_is_zero_without_work():
+    # r > n is the zero polynomial at once, however large r is.
+    assert pdb_poly(2, 10**8) == IntPolynomial([])
+
+
 def test_family_negative_arguments_raise():
     for call in (
         lambda: exponential_poly(-1),

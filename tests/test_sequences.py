@@ -1,6 +1,7 @@
 """Integer sequence kernel: frozen values, closed laws, and recurrences."""
 
 import math
+import sys
 import threading
 
 import pytest
@@ -11,6 +12,14 @@ from pdbell import sequences as seq
 small_n = st.integers(min_value=0, max_value=18)
 small_k = st.integers(min_value=0, max_value=18)
 small_r = st.integers(min_value=0, max_value=10)
+
+
+def pdb_by_definition(n, r):
+    """w(n, r) = sum_k S(n, k) * C(k, r) * D(k - r), one kernel call per term."""
+    return sum(
+        seq.stirling2(n, k) * math.comb(k, r) * seq.derangement(k - r)
+        for k in range(r, n + 1)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +121,7 @@ def test_pdb_frozen():
 def test_stirling_row_sums_to_30():
     for n in range(31):
         row = [seq.stirling2(n, k) for k in range(n + 1)]
+        assert seq.stirling2_row(n) == row
         assert sum(row) == seq.bell(n)
         assert sum((-1) ** k * v for k, v in enumerate(row)) == seq.complementary_bell(n)
         assert sum(math.factorial(k) * v for k, v in enumerate(row)) == seq.ordered_bell(n)
@@ -128,6 +138,10 @@ def test_partial_derangement_laws_to_25():
         assert sum(seq.partial_derangement(n, r) for r in range(n + 1)) == math.factorial(n)
         for r in range(n + 1):
             assert seq.partial_derangement(n, r) == math.comb(n, r) * seq.derangement(n - r)
+            assert seq.partial_derangement_column(r, n) == [
+                seq.partial_derangement(k, r) for k in range(r, n + 1)
+            ]
+        assert seq.partial_derangement_column(n + 1, n) == []
 
 
 def test_pdb_laws_to_25():
@@ -151,6 +165,62 @@ def test_r_zero_reductions_to_20():
         assert seq.pdb_number(n, 0) == seq.deranged_bell(n)
         assert seq.complementary_r_bell(n, 0) == seq.complementary_bell(n)
         assert seq.partial_derangement(n, 0) == seq.derangement(n)
+
+
+def test_pdb_kernels_match_definition_to_80():
+    for n in range(81):
+        expected = [pdb_by_definition(n, r) for r in range(n + 3)]
+        assert [seq.pdb_number(n, r) for r in range(n + 3)] == expected
+        assert seq.pdb_row(n) == expected[: n + 1]
+        terms = [seq.stirling2(n, k) * math.factorial(k) for k in range(n + 1)]
+        assert seq.truncated_ordered_bell_row(n) == [
+            sum(terms[r:]) for r in range(n + 1)
+        ]
+
+
+def test_pdb_kernels_do_not_depend_on_query_order(monkeypatch):
+    # A fresh column memo, grown high first, then read lower, then grown
+    # again from the middle, by both entry points.
+    monkeypatch.setattr(seq, "_rencontres", [])
+    queries = [
+        ("number", 70, 5),
+        ("row", 12, None),
+        ("number", 40, 5),
+        ("number", 71, 5),
+        ("number", 71, 6),
+        ("row", 75, None),
+        ("number", 3, 0),
+        ("row", 0, None),
+        ("number", 76, 70),
+        ("row", 76, None),
+        ("number", 80, 80),
+        ("number", 79, 2),
+    ]
+    for kind, n, r in queries:
+        if kind == "number":
+            assert seq.pdb_number(n, r) == pdb_by_definition(n, r), (n, r)
+        else:
+            expected = [pdb_by_definition(n, j) for j in range(n + 1)]
+            assert seq.pdb_row(n) == expected, n
+
+
+def test_pdb_number_past_the_diagonal_grows_no_memo(monkeypatch):
+    monkeypatch.setattr(seq, "_rencontres", [])
+    assert seq.pdb_number(3, 7) == 0
+    assert seq.partial_derangement_column(7, 3) == []
+    assert seq._rencontres == []
+
+
+def test_row_accessors_return_copies():
+    row = seq.stirling2_row(6)
+    row[2] = -1
+    col = seq.partial_derangement_column(2, 6)
+    col[0] = -1
+    pdb = seq.pdb_row(6)
+    pdb[0] = -1
+    assert seq.stirling2(6, 2) == 31
+    assert seq.partial_derangement(2, 2) == 1
+    assert seq.pdb_number(6, 0) == seq.deranged_bell(6)
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +313,10 @@ def test_truncated_ordered_bell_partial_sum(n, r):
         lambda: seq.pdb_number(-1, 0),
         lambda: seq.pdb_number(0, -1),
         lambda: seq.pdb_row(-1),
+        lambda: seq.stirling2_row(-1),
+        lambda: seq.partial_derangement_column(-1, 0),
+        lambda: seq.partial_derangement_column(0, -1),
+        lambda: seq.truncated_ordered_bell_row(-1),
     ],
 )
 def test_negative_arguments_raise(call):
@@ -266,4 +340,35 @@ def test_concurrent_readers_match_single_threaded():
         t.start()
     for t in threads:
         t.join()
+    assert failures == []
+
+
+def test_concurrent_pdb_readers_match_definition(monkeypatch):
+    # Four threads read pdb_number at interleaved n while every column of a
+    # fresh rencontres memo grows under them; a reader that trusted some
+    # other column's length would return a short sum here.
+    max_n = 64
+    expected = {
+        (n, r): pdb_by_definition(n, r) for n in range(max_n + 1) for r in range(n + 1)
+    }
+    monkeypatch.setattr(seq, "_rencontres", [])
+    failures = []
+
+    def worker(shift):
+        for n in range(shift, max_n + 1, 4):
+            for r in range(n, -1, -1) if shift % 2 else range(n + 1):
+                if seq.pdb_number(n, r) != expected[n, r]:
+                    failures.append((n, r))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
     assert failures == []

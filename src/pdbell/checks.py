@@ -9,6 +9,15 @@ source display even though the stated form is wrong, and each is paired
 run is an overall pass exactly when every check that is not known-failing
 passes.
 
+A check is declared as a :class:`Grid` plus a compare function.  The grid
+lists the index axes in scan order, outermost first; the ends of an axis
+may be expressions in the outer indices, such as ``"min(n,8)"``.  The
+bounds a report prints are rendered from the same grid, so they always
+describe the loop that ran.  ``compare(cfg, **point)`` yields one
+``(extra_params, lhs, rhs)`` triple per statement checked at a point, and
+:func:`scan` reports the first triple whose sides differ, with the point's
+indices followed by the extra params.
+
 Grid bounds live in :class:`SuiteConfig`.  Checks never use floats; the
 two series checks compare rationals against a rational tolerance and
 certify their truncation tails with explicit remainder bounds, reporting
@@ -17,12 +26,14 @@ certify their truncation tails with explicit remainder bounds, reporting
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from types import CodeType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import oracle
 from . import polynomials as poly
@@ -177,6 +188,98 @@ def _json_scalar(value: object) -> object:
 
 
 # ----------------------------------------------------------------------
+# grids
+
+
+# Axis ends and constraints are expressions written in this module; they
+# see the outer indices, the axis helpers, min and max, and nothing else.
+_EXPR_GLOBALS: dict[str, object] = {"__builtins__": {}, "min": min, "max": max}
+
+
+def _term(end: int | str) -> int | CodeType:
+    return end if isinstance(end, int) else compile(end, end, "eval")
+
+
+def _value(term: int | CodeType, env: dict[str, int]) -> int:
+    return term if isinstance(term, int) else eval(term, _EXPR_GLOBALS, env)
+
+
+class Grid:
+    """Ordered index axes for one scan, and the bounds they render.
+
+    Each keyword ``name=(lo, hi, *defs)`` adds an axis that runs over the
+    integers ``lo..hi`` inside the axes before it.  ``lo`` and ``hi`` are
+    ints or expressions in the outer indices; each def ``"name=expr"``
+    binds a helper they may use.  The axis renders as ``"lo..hi"`` followed
+    by its defs.  ``constraint`` is an expression that skips the points
+    where it is false, rendered under the key ``constraint``, and ``notes``
+    are further bounds entries.  ``params`` lists the indices a witness
+    reports, in order; by default every axis, outermost first.
+    """
+
+    def __init__(
+        self,
+        *,
+        constraint: str | None = None,
+        notes: Mapping[str, str] | None = None,
+        params: tuple[str, ...] | None = None,
+        **axes: tuple[int | str, ...],
+    ) -> None:
+        self._axes = []
+        self.bounds: dict[str, str] = {}
+        for name, (lo, hi, *defs) in axes.items():
+            helpers = [(h, _term(expr)) for h, _, expr in (d.partition("=") for d in defs)]
+            self._axes.append((name, _term(lo), _term(hi), helpers))
+            self.bounds[name] = ", ".join([f"{lo}..{hi}", *defs])
+        self._constraint = None if constraint is None else _term(constraint)
+        if constraint is not None:
+            self.bounds["constraint"] = constraint
+        self.bounds.update(notes or {})
+        self.params = tuple(axes) if params is None else params
+
+    def points(self) -> Iterator[dict[str, int]]:
+        """The grid points in scan order, each as {axis name: value}."""
+        env: dict[str, int] = {}
+
+        def walk(depth: int) -> Iterator[dict[str, int]]:
+            if depth == len(self._axes):
+                if self._constraint is None or _value(self._constraint, env):
+                    yield {name: env[name] for name, *_ in self._axes}
+                return
+            name, lo, hi, helpers = self._axes[depth]
+            for helper, term in helpers:
+                env[helper] = _value(term, env)
+            for value in range(_value(lo, env), _value(hi, env) + 1):
+                env[name] = value
+                yield from walk(depth + 1)
+
+        return walk(0)
+
+
+Comparisons = Iterable[tuple[Mapping[str, object], object, object]]
+
+
+def scan(
+    grid: Grid,
+    compare: Callable[..., Comparisons],
+    show: Callable[..., str] = str,
+) -> Witness | None:
+    """The first comparison on the grid, in scan order, whose sides differ.
+
+    ``compare(**point)`` yields ``(extra_params, lhs, rhs)`` triples.  The
+    witness params are the point's ``grid.params`` followed by the extras,
+    and ``show`` renders its two sides.
+    """
+    for point in grid.points():
+        for extra, lhs, rhs in compare(**point):
+            if lhs != rhs:
+                params: dict[str, object] = {key: point[key] for key in grid.params}
+                params.update(extra)
+                return Witness(params, show(lhs), show(rhs))
+    return None
+
+
+# ----------------------------------------------------------------------
 # registry
 
 
@@ -206,6 +309,43 @@ def _register(
             raise ValueError(f"duplicate check id {check_id!r}")
         _REGISTRY[check_id] = _CheckDef(check_id, summary, fn, known_failing, corrected_id)
         return fn
+
+    return deco
+
+
+def _check(
+    check_id: str,
+    summary: str,
+    grids: Callable[[SuiteConfig], Grid | tuple[Grid, ...]],
+    known_failing: bool = False,
+    corrected_id: str | None = None,
+    show: Callable[..., str] = str,
+) -> Callable[[Callable[..., Comparisons]], Callable[..., Comparisons]]:
+    """Register ``compare(cfg, **point)`` as a check over ``grids(cfg)``.
+
+    Several grids are scanned one after another and report their bounds
+    together.
+    """
+
+    def deco(compare: Callable[..., Comparisons]) -> Callable[..., Comparisons]:
+        def fn(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
+            scans = grids(cfg)
+            scans = scans if isinstance(scans, tuple) else (scans,)
+            bounds: dict[str, str] = {}
+            for grid in scans:
+                bounds.update(grid.bounds)
+            try:
+                for grid in scans:
+                    witness = scan(grid, functools.partial(compare, cfg), show)
+                    if witness is not None:
+                        return bounds, witness
+            except InconclusiveError as exc:
+                exc.bounds = bounds
+                raise
+            return bounds, None
+
+        _register(check_id, summary, known_failing, corrected_id)(fn)
+        return compare
 
     return deco
 
@@ -258,28 +398,6 @@ def approx_e(eps: Fraction) -> Fraction:
             return total
 
 
-def _fp_add_scaled(acc: list[Fraction], p: poly.IntPolynomial, scalar: Fraction) -> None:
-    coeffs = p.coefficients
-    if len(acc) < len(coeffs):
-        acc.extend([Fraction(0)] * (len(coeffs) - len(acc)))
-    for i, c in enumerate(coeffs):
-        if c:
-            acc[i] += scalar * c
-
-
-def _fp_trim(acc: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = list(acc)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _fp_str(coeffs: tuple[Fraction, ...]) -> str:
-    if not coeffs:
-        return "y-coeffs []"
-    return "y-coeffs [" + ", ".join(str(c) for c in coeffs) + "]"
-
-
 def _poly_sum(parts: Iterable[poly.IntPolynomial]) -> poly.IntPolynomial:
     total = poly.IntPolynomial()
     for p in parts:
@@ -287,8 +405,10 @@ def _poly_sum(parts: Iterable[poly.IntPolynomial]) -> poly.IntPolynomial:
     return total
 
 
-def _witness(params: Mapping[str, object], lhs: object, rhs: object) -> Witness:
-    return Witness(dict(params), str(lhs), str(rhs))
+def _scaled(weights: list[Fraction]) -> tuple[int, list[int]]:
+    """The lcm L of the weights' denominators, and the integers L*w."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def _dec_str(x: Fraction, places: int = 40) -> str:
@@ -314,58 +434,45 @@ def _tol_str(x: Fraction) -> str:
 # number-level identities
 
 
-@_register(
+@_check(
     "thm_2_3",
     "pdb_number(n,r) = sum_k C(n,k)*stirling2(k,r)*deranged_bell(n-k)",
+    lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
-def _thm_2_3(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"0..{cfg.max_r}"}
-    for n in range(cfg.max_n + 1):
-        for r in range(cfg.max_r + 1):
-            lhs = seq.pdb_number(n, r)
-            rhs = sum(
-                math.comb(n, k) * seq.stirling2(k, r) * seq.deranged_bell(n - k)
-                for k in range(r, n + 1)
-            )
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "r": r}, lhs, rhs)
-    return bounds, None
+def _thm_2_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    rhs = sum(
+        math.comb(n, k) * seq.stirling2(k, r) * seq.deranged_bell(n - k)
+        for k in range(r, n + 1)
+    )
+    yield {}, seq.pdb_number(n, r), rhs
 
 
-@_register(
+@_check(
     "thm_2_4",
     "deranged_bell(n) = sum_r (-1)^r/r! * truncated_ordered_bell(n,r)",
+    lambda c: Grid(n=(0, c.max_n)),
 )
-def _thm_2_4(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}"}
-    for n in range(cfg.max_n + 1):
-        lhs = Fraction(seq.deranged_bell(n))
-        rhs = sum(
-            Fraction((-1) ** r * seq.truncated_ordered_bell(n, r), math.factorial(r))
-            for r in range(n + 1)
-        )
-        if lhs != rhs:
-            return bounds, _witness({"n": n}, lhs, rhs)
-    return bounds, None
+def _thm_2_4(cfg: SuiteConfig, n: int) -> Comparisons:
+    rhs = sum(
+        Fraction((-1) ** r * seq.truncated_ordered_bell(n, r), math.factorial(r))
+        for r in range(n + 1)
+    )
+    yield {}, Fraction(seq.deranged_bell(n)), rhs
 
 
-@_register(
+@_check(
     "thm_2_7",
     "pdb_number(n,r)-(r+1)*pdb_number(n,r+1) = "
     "sum_k C(n,k)*stirling2(k,r)*complementary_bell(n-k)",
+    lambda c: Grid(n=(0, c.max_n), r=(0, f"min(n,{c.max_r})")),
 )
-def _thm_2_7(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"0..min(n,{cfg.max_r})"}
-    for n in range(cfg.max_n + 1):
-        for r in range(min(n, cfg.max_r) + 1):
-            lhs = seq.pdb_number(n, r) - (r + 1) * seq.pdb_number(n, r + 1)
-            rhs = sum(
-                math.comb(n, k) * seq.stirling2(k, r) * seq.complementary_bell(n - k)
-                for k in range(r, n + 1)
-            )
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "r": r}, lhs, rhs)
-    return bounds, None
+def _thm_2_7(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    lhs = seq.pdb_number(n, r) - (r + 1) * seq.pdb_number(n, r + 1)
+    rhs = sum(
+        math.comb(n, k) * seq.stirling2(k, r) * seq.complementary_bell(n - k)
+        for k in range(r, n + 1)
+    )
+    yield {}, lhs, rhs
 
 
 def _remark_2_8_terms(n: int, cfg: SuiteConfig) -> tuple[int, int, int]:
@@ -378,72 +485,52 @@ def _remark_2_8_terms(n: int, cfg: SuiteConfig) -> tuple[int, int, int]:
     return seq.pdb_number(n, 0), seq.pdb_number(n, 1), seq.pdb_number(n, 2)
 
 
-@_register(
+@_check(
     "remark_2_8_printed",
     "stated forms pdb(n,1)-2*pdb(n,2) = comp_bell(n+1)-comp_bell(n) and "
     "pdb(n,0)-2*pdb(n,2) = comp_bell(n+1); scanned from n = 3, the first n "
     "where every term of both statements is nonzero (fails as stated)",
+    lambda c: Grid(n=(3, max(c.max_n, 3))),
     known_failing=True,
     corrected_id="remark_2_8_corrected",
 )
-def _remark_2_8_printed(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"3..{max(cfg.max_n, 3)}"}
-    for n in range(3, max(cfg.max_n, 3) + 1):
-        w0, w1, w2 = _remark_2_8_terms(n, cfg)
-        phi_n = seq.complementary_bell(n)
-        phi_n1 = seq.complementary_bell(n + 1)
-        if w1 - 2 * w2 != phi_n1 - phi_n:
-            return bounds, _witness(
-                {"n": n, "statement": 1}, w1 - 2 * w2, phi_n1 - phi_n
-            )
-        if w0 - 2 * w2 != phi_n1:
-            return bounds, _witness({"n": n, "statement": 2}, w0 - 2 * w2, phi_n1)
-    return bounds, None
+def _remark_2_8_printed(cfg: SuiteConfig, n: int) -> Comparisons:
+    w0, w1, w2 = _remark_2_8_terms(n, cfg)
+    phi_n = seq.complementary_bell(n)
+    phi_n1 = seq.complementary_bell(n + 1)
+    yield {"statement": 1}, w1 - 2 * w2, phi_n1 - phi_n
+    yield {"statement": 2}, w0 - 2 * w2, phi_n1
 
 
-@_register(
+@_check(
     "remark_2_8_corrected",
     "sign-corrected forms pdb(n,1)-2*pdb(n,2) = -(comp_bell(n+1)+comp_bell(n)) "
     "and pdb(n,0)-2*pdb(n,2) = -comp_bell(n+1), anchored to brute_pdb_row "
     "within the oracle cap",
+    lambda c: Grid(n=(0, c.max_n), notes={"oracle_anchor": f"n<={c.oracle_cap}"}),
 )
-def _remark_2_8_corrected(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {
-        "n": f"0..{cfg.max_n}",
-        "oracle_anchor": f"n<={cfg.oracle_cap}",
-    }
-    for n in range(cfg.max_n + 1):
-        w0, w1, w2 = _remark_2_8_terms(n, cfg)
-        phi_n = seq.complementary_bell(n)
-        phi_n1 = seq.complementary_bell(n + 1)
-        if w1 - 2 * w2 != -(phi_n1 + phi_n):
-            return bounds, _witness(
-                {"n": n, "statement": 1}, w1 - 2 * w2, -(phi_n1 + phi_n)
-            )
-        if w0 - 2 * w2 != -phi_n1:
-            return bounds, _witness({"n": n, "statement": 2}, w0 - 2 * w2, -phi_n1)
-    return bounds, None
+def _remark_2_8_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
+    w0, w1, w2 = _remark_2_8_terms(n, cfg)
+    phi_n = seq.complementary_bell(n)
+    phi_n1 = seq.complementary_bell(n + 1)
+    yield {"statement": 1}, w1 - 2 * w2, -(phi_n1 + phi_n)
+    yield {"statement": 2}, w0 - 2 * w2, -phi_n1
 
 
-@_register(
+@_check(
     "thm_2_9",
     "(r+1)*pdb_number(n,r+1) = sum_{j=r}^{n-1} C(n,j)*ordered_bell(n-j)"
     "*(pdb_number(j,r)-(r+1)*pdb_number(j,r+1))",
+    lambda c: Grid(n=(1, c.max_n), r=(0, f"min(n-1,{c.max_r})")),
 )
-def _thm_2_9(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"1..{cfg.max_n}", "r": f"0..min(n-1,{cfg.max_r})"}
-    for n in range(1, cfg.max_n + 1):
-        for r in range(min(n - 1, cfg.max_r) + 1):
-            lhs = (r + 1) * seq.pdb_number(n, r + 1)
-            rhs = sum(
-                math.comb(n, j)
-                * seq.ordered_bell(n - j)
-                * (seq.pdb_number(j, r) - (r + 1) * seq.pdb_number(j, r + 1))
-                for j in range(r, n)
-            )
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "r": r}, lhs, rhs)
-    return bounds, None
+def _thm_2_9(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    rhs = sum(
+        math.comb(n, j)
+        * seq.ordered_bell(n - j)
+        * (seq.pdb_number(j, r) - (r + 1) * seq.pdb_number(j, r + 1))
+        for j in range(r, n)
+    )
+    yield {}, (r + 1) * seq.pdb_number(n, r + 1), rhs
 
 
 # ----------------------------------------------------------------------
@@ -452,12 +539,43 @@ def _thm_2_9(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
 _J_MAX = 512
 
 
-def _series_grid(cfg: SuiteConfig) -> tuple[int, int]:
-    return min(cfg.max_n, 8), min(cfg.max_r, 3)
+def _series_grid(cfg: SuiteConfig, **notes: str) -> Grid:
+    notes = {"tolerance": _tol_str(cfg.tolerance), **notes}
+    return Grid(n=(1, min(cfg.max_n, 8)), r=(0, min(cfg.max_r, 3)), notes=notes)
 
 
-def _certify_tail_a(n: int, r: int, cfg: SuiteConfig, bounds: dict[str, str]) -> int:
-    """Cutoff J for the alternating series sum_j (-1)^j r_ordered_bell(n,i+j)/j!.
+def _certify(n: int, r: int, cfg: SuiteConfig, tail: Callable[[int], Fraction | None]) -> int:
+    """First cutoff J on the schedule 8, 12, 18, 27, ... up to _J_MAX whose
+    proven tail bound ``tail(J)`` is below a tenth of the tolerance.
+
+    ``tail(J)`` is None where its proof does not apply at J.  The
+    InconclusiveError raised past _J_MAX gets its bounds from the check.
+    """
+    tol = cfg.tolerance
+    J = 8
+    while J <= _J_MAX:
+        bound = tail(J)
+        if bound is not None and bound < tol / 10:
+            return J
+        J += max(4, J // 2)
+    raise InconclusiveError(
+        {},
+        {"n": n, "r": r, "J_max": _J_MAX},
+        f"no cutoff J <= {_J_MAX} certified",
+        f"tail bound below {_tol_str(tol / 10)}",
+    )
+
+
+def _alternating(r: int, J: int, term: Callable[[int, int], Fraction]) -> Fraction:
+    """sum_i (-1)^(r-i) C(r,i) * sum_{j<J} term(i, j)."""
+    return sum(
+        (-1) ** (r - i) * math.comb(r, i) * sum(term(i, j) for j in range(J))
+        for i in range(r + 1)
+    )
+
+
+def _tail_a(n: int, r: int, cfg: SuiteConfig, J: int) -> Fraction | None:
+    """Tail bound past J for the alternating series sum_j (-1)^j r_ordered_bell(n,i+j)/j!.
 
     The term ratio t_{j+1}/t_j = r_ordered_bell(n,i+j+1)/((j+1)*r_ordered_bell
     (n,i+j)) is at most 2/(j+1) because consecutive r_ordered_bell values grow
@@ -466,350 +584,222 @@ def _certify_tail_a(n: int, r: int, cfg: SuiteConfig, bounds: dict[str, str]) ->
     is certified independently by the r_ordered_bell_geometric check and
     guarded again here at the cutoff.
     """
-    tol = cfg.tolerance
-    J = 8
-    while J <= _J_MAX:
-        ok = True
-        total_tail = Fraction(0)
-        for i in range(r + 1):
-            w_prev = seq.r_ordered_bell(n, i + J - 1)
-            w_last = seq.r_ordered_bell(n, i + J)
-            w_next = seq.r_ordered_bell(n, i + J + 1)
-            t_prev = Fraction(w_prev, math.factorial(J - 1))
-            t_last = Fraction(w_last, math.factorial(J))
-            if t_last >= t_prev or w_next > 2 * w_last:
-                ok = False
-                break
-            if t_prev >= tol / 100:
-                ok = False
-                break
-            total_tail += math.comb(r, i) * 2 * t_last
-        if ok and total_tail < tol / 10:
-            return J
-        J += max(4, J // 2)
-    raise InconclusiveError(
-        bounds,
-        {"n": n, "r": r, "J_max": _J_MAX},
-        f"no cutoff J <= {_J_MAX} certified",
-        f"tail bound below {_tol_str(tol / 10)}",
-    )
+    total_tail = Fraction(0)
+    for i in range(r + 1):
+        w_prev = seq.r_ordered_bell(n, i + J - 1)
+        w_last = seq.r_ordered_bell(n, i + J)
+        w_next = seq.r_ordered_bell(n, i + J + 1)
+        t_prev = Fraction(w_prev, math.factorial(J - 1))
+        t_last = Fraction(w_last, math.factorial(J))
+        if t_last >= t_prev or w_next > 2 * w_last or t_prev >= cfg.tolerance / 100:
+            return None
+        total_tail += math.comb(r, i) * 2 * t_last
+    return total_tail
 
 
-@_register(
-    "thm_2_10_a",
-    "sum_i (-1)^(r-i) C(r,i) * sum_j (-1)^j r_ordered_bell(n,i+j)/j! equals "
-    "r!*pdb_number(n,r)/e within tolerance, with a certified series tail",
-)
-def _thm_2_10_a(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    N, R = _series_grid(cfg)
+def _e_error(cfg: SuiteConfig) -> Fraction:
     # The e approximation error enters the right side scaled by
     # r!*pdb_number(n,r) < 4*10**6 on the capped grid, so holding it nine
     # orders below the tolerance keeps its share under tolerance/1000.  The
     # 1e-30 floor keeps the default configuration at full precision.
-    eps_e = min(Fraction(1, 10**30), cfg.tolerance / 10**9)
-    bounds = {
-        "n": f"1..{N}",
-        "r": f"0..{R}",
-        "tolerance": _tol_str(cfg.tolerance),
-        "e_error_below": _tol_str(eps_e),
-    }
-    inv_e = 1 / approx_e(eps_e)
-    for n in range(1, N + 1):
-        for r in range(R + 1):
-            J = _certify_tail_a(n, r, cfg, bounds)
-            lhs = Fraction(0)
-            for i in range(r + 1):
-                partial = Fraction(0)
-                fact = 1
-                for j in range(J):
-                    if j:
-                        fact *= j
-                    partial += Fraction((-1) ** j * seq.r_ordered_bell(n, i + j), fact)
-                lhs += (-1) ** (r - i) * math.comb(r, i) * partial
-            rhs = math.factorial(r) * seq.pdb_number(n, r) * inv_e
-            if abs(lhs - rhs) >= cfg.tolerance:
-                return bounds, _witness(
-                    {"n": n, "r": r, "J": J}, _dec_str(lhs), _dec_str(rhs)
-                )
-    return bounds, None
+    return min(Fraction(1, 10**30), cfg.tolerance / 10**9)
 
 
-def _certify_tail_b(
-    n: int, r: int, cfg: SuiteConfig, bounds: dict[str, str], M: int
-) -> int:
-    """Cutoff J for sum_j complementary_r_bell(n,j+i)/2^(j+1).
+@_check(
+    "thm_2_10_a",
+    "sum_i (-1)^(r-i) C(r,i) * sum_j (-1)^j r_ordered_bell(n,i+j)/j! equals "
+    "r!*pdb_number(n,r)/e within tolerance, with a certified series tail",
+    lambda c: _series_grid(c, e_error_below=_tol_str(_e_error(c))),
+    show=_dec_str,
+)
+def _thm_2_10_a(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    J = _certify(n, r, cfg, functools.partial(_tail_a, n, r, cfg))
+    lhs = _alternating(
+        r, J, lambda i, j: Fraction((-1) ** j * seq.r_ordered_bell(n, i + j), math.factorial(j))
+    )
+    rhs = math.factorial(r) * seq.pdb_number(n, r) / approx_e(_e_error(cfg))
+    # Sides within the tolerance count as equal.
+    yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
+
+
+def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
+    """Tail bound past J for sum_j complementary_r_bell(n,j+i)/2^(j+1).
 
     Uses |complementary_r_bell(n,m)| <= M*(m+1)^n with M the largest
     |complementary_bell| value up to n, giving a convergent dominating
     series with ratio ((m+2)/(m+1))^n / 2 < 1 once m is large.  The bound
     is re-checked against the actual term at the cutoff.
     """
-    tol = cfg.tolerance
-    J = 8
-    while J <= _J_MAX:
-        ok = True
-        total = Fraction(0)
-        for i in range(r + 1):
-            base = J + i + 1
-            ratio = Fraction((base + 1) ** n, 2 * base**n)
-            if ratio >= 1:
-                ok = False
-                break
-            if abs(seq.complementary_r_bell(n, J + i)) > M * base**n:
-                ok = False
-                break
-            first = Fraction(M * base**n, 2 ** (J + 1))
-            total += math.comb(r, i) * first / (1 - ratio)
-        if ok and total < tol / 10:
-            return J
-        J += max(4, J // 2)
-    raise InconclusiveError(
-        bounds,
-        {"n": n, "r": r, "J_max": _J_MAX},
-        f"no cutoff J <= {_J_MAX} certified",
-        f"tail bound below {_tol_str(tol / 10)}",
-    )
+    total = Fraction(0)
+    for i in range(r + 1):
+        base = J + i + 1
+        ratio = Fraction((base + 1) ** n, 2 * base**n)
+        if ratio >= 1 or abs(seq.complementary_r_bell(n, J + i)) > M * base**n:
+            return None
+        first = Fraction(M * base**n, 2 ** (J + 1))
+        total += math.comb(r, i) * first / (1 - ratio)
+    return total
 
 
-@_register(
+@_check(
     "thm_2_10_b",
     "sum_i (-1)^(r-i) C(r,i) * sum_j complementary_r_bell(n,j+i)/2^(j+1) "
     "equals r!*pdb_number(n,r) within tolerance, with a certified tail",
+    _series_grid,
+    show=_dec_str,
 )
-def _thm_2_10_b(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    N, R = _series_grid(cfg)
-    bounds = {"n": f"1..{N}", "r": f"0..{R}", "tolerance": _tol_str(cfg.tolerance)}
-    for n in range(1, N + 1):
-        M = max(abs(seq.complementary_bell(m)) for m in range(n + 1))
-        for r in range(R + 1):
-            J = _certify_tail_b(n, r, cfg, bounds, M)
-            lhs = Fraction(0)
-            for i in range(r + 1):
-                partial = sum(
-                    Fraction(seq.complementary_r_bell(n, j + i), 2 ** (j + 1))
-                    for j in range(J)
-                )
-                lhs += (-1) ** (r - i) * math.comb(r, i) * partial
-            rhs = Fraction(math.factorial(r) * seq.pdb_number(n, r))
-            if abs(lhs - rhs) >= cfg.tolerance:
-                return bounds, _witness(
-                    {"n": n, "r": r, "J": J}, _dec_str(lhs), str(rhs)
-                )
-    return bounds, None
+def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    M = max(abs(seq.complementary_bell(m)) for m in range(n + 1))
+    J = _certify(n, r, cfg, functools.partial(_tail_b, n, r, M))
+    lhs = _alternating(
+        r, J, lambda i, j: Fraction(seq.complementary_r_bell(n, j + i), 2 ** (j + 1))
+    )
+    rhs = Fraction(math.factorial(r) * seq.pdb_number(n, r))
+    # Sides within the tolerance count as equal.
+    yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
 
 
 # ----------------------------------------------------------------------
 # polynomial identities
 
 
-@_register(
+@_check(
     "thm_3_1",
     "C(m+r,m)*pdb_poly(n,m+r) = y^r * sum_k C(n,k)*stirling2(n-k,r)*pdb_poly(k,m)",
+    lambda c: Grid(
+        n=(0, c.max_n), m=(0, c.max_m), r=(0, c.max_r), constraint="m+r<=n"
+    ),
 )
-def _thm_3_1(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {
-        "n": f"0..{cfg.max_n}",
-        "m": f"0..{cfg.max_m}",
-        "r": f"0..{cfg.max_r}",
-        "constraint": "m+r<=n",
-    }
-    for n in range(cfg.max_n + 1):
-        for m in range(min(n, cfg.max_m) + 1):
-            for r in range(min(n - m, cfg.max_r) + 1):
-                lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
-                rhs = _poly_sum(
-                    math.comb(n, k) * seq.stirling2(n - k, r) * poly.pdb_poly(k, m)
-                    for k in range(m, n + 1)
-                ).times_y_power(r)
-                if lhs != rhs:
-                    return bounds, _witness({"n": n, "m": m, "r": r}, lhs, rhs)
-    return bounds, None
+def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
+    lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
+    rhs = _poly_sum(
+        math.comb(n, k) * seq.stirling2(n - k, r) * poly.pdb_poly(k, m)
+        for k in range(m, n + 1)
+    ).times_y_power(r)
+    yield {}, lhs, rhs
 
 
-def _cor_3_2_grid(cfg: SuiteConfig) -> tuple[int, dict[str, str]]:
-    cap_n = min(cfg.max_n, 12)
-    bounds = {
-        "n": f"0..{cap_n}",
-        "m": f"0..{cfg.max_m}",
-        "r": f"0..{cfg.max_r}",
-        "constraint": "m+r<=n",
-    }
-    return cap_n, bounds
+def _cor_3_2_grid(cfg: SuiteConfig, j: tuple[int | str, str], **notes: str) -> Grid:
+    return Grid(
+        n=(0, min(cfg.max_n, 12)),
+        m=(0, cfg.max_m),
+        r=(0, cfg.max_r),
+        j=j,
+        constraint="m+r<=n",
+        notes=notes,
+    )
 
 
-@_register(
+def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
+    """Both sides of the division-free form from the sequence kernels."""
+    lhs = sum(
+        math.comb(n, k)
+        * seq.stirling2(n - k, r)
+        * seq.stirling2(k, j)
+        * seq.partial_derangement(j, m)
+        for k in range(j, n + 1)
+    )
+    rhs = math.comb(m + r, m) * seq.stirling2(n, j + r) * seq.partial_derangement(j + r, r + m)
+    return lhs, rhs
+
+
+@_check(
     "cor_3_2_printed",
     "stated ratio form: sum_k C(n,k)*stirling2(n-k,r)*stirling2(k,j)"
     "*partial_derangement(j,m) = C(m+r,m)*stirling2(n,j+r)"
     "*partial_derangement(j+r,r+m)/partial_derangement(j-r,r), whose divisor "
-    "is zero at every grid point (fails as stated)",
+    "vanishes at grid points such as n = 1, m = 0, r = 0, j = 1, the first "
+    "witness (fails as stated)",
+    lambda c: _cor_3_2_grid(c, j=("r", "n")),
     known_failing=True,
     corrected_id="cor_3_2_corrected",
 )
-def _cor_3_2_printed(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    cap_n, bounds = _cor_3_2_grid(cfg)
-    bounds = dict(bounds, j="r..n")
-    for n in range(cap_n + 1):
-        for m in range(min(n, cfg.max_m) + 1):
-            for r in range(min(n - m, cfg.max_r) + 1):
-                for j in range(r, n + 1):
-                    lhs = sum(
-                        math.comb(n, k)
-                        * seq.stirling2(n - k, r)
-                        * seq.stirling2(k, j)
-                        * seq.partial_derangement(j, m)
-                        for k in range(j, n + 1)
-                    )
-                    denom = seq.partial_derangement(j - r, r)
-                    if denom == 0:
-                        return bounds, _witness(
-                            {"n": n, "m": m, "r": r, "j": j},
-                            lhs,
-                            f"undefined: division by partial_derangement({j - r},{r}) = 0",
-                        )
-                    rhs = Fraction(
-                        math.comb(m + r, m)
-                        * seq.stirling2(n, j + r)
-                        * seq.partial_derangement(j + r, r + m),
-                        denom,
-                    )
-                    if lhs != rhs:
-                        return bounds, _witness(
-                            {"n": n, "m": m, "r": r, "j": j}, lhs, rhs
-                        )
-    return bounds, None
+def _cor_3_2_printed(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comparisons:
+    lhs, numerator = _cor_3_2_sides(n, m, r, j)
+    denom = seq.partial_derangement(j - r, r)
+    if denom == 0:
+        yield {}, lhs, f"undefined: division by partial_derangement({j - r},{r}) = 0"
+    else:
+        yield {}, lhs, Fraction(numerator, denom)
 
 
-@_register(
+@_check(
     "cor_3_2_corrected",
     "division-free form: sum_k C(n,k)*stirling2(n-k,r)*stirling2(k,j)"
     "*partial_derangement(j,m) = C(m+r,m)*stirling2(n,j+r)"
     "*partial_derangement(j+r,r+m), anchored to brute enumeration within "
     "the oracle cap",
+    lambda c: _cor_3_2_grid(c, j=(0, "n"), oracle_anchor=f"n<={c.oracle_cap}"),
 )
-def _cor_3_2_corrected(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    cap_n, bounds = _cor_3_2_grid(cfg)
-    bounds = dict(bounds, j="0..n", oracle_anchor=f"n<={cfg.oracle_cap}")
-    perm_cap = min(cfg.oracle_cap, oracle.PERMUTATION_CAP)
-    for n in range(cap_n + 1):
-        anchored = n <= cfg.oracle_cap and n <= perm_cap
-        for m in range(min(n, cfg.max_m) + 1):
-            for r in range(min(n - m, cfg.max_r) + 1):
-                for j in range(n + 1):
-                    if anchored:
-                        lhs = 0
-                        for k in range(j, n + 1):
-                            s1 = oracle.brute_stirling2(n - k, r, cfg.oracle_cap)
-                            if not s1:
-                                continue
-                            s2 = oracle.brute_stirling2(k, j, cfg.oracle_cap)
-                            if not s2:
-                                continue
-                            lhs += (
-                                math.comb(n, k)
-                                * s1
-                                * s2
-                                * oracle.brute_partial_derangement(j, m, perm_cap)
-                            )
-                        s3 = oracle.brute_stirling2(n, j + r, cfg.oracle_cap)
-                        rhs = (
-                            math.comb(m + r, m)
-                            * s3
-                            * oracle.brute_partial_derangement(j + r, r + m, perm_cap)
-                            if s3
-                            else 0
-                        )
-                    else:
-                        lhs = sum(
-                            math.comb(n, k)
-                            * seq.stirling2(n - k, r)
-                            * seq.stirling2(k, j)
-                            * seq.partial_derangement(j, m)
-                            for k in range(j, n + 1)
-                        )
-                        rhs = (
-                            math.comb(m + r, m)
-                            * seq.stirling2(n, j + r)
-                            * seq.partial_derangement(j + r, r + m)
-                        )
-                    if lhs != rhs:
-                        return bounds, _witness(
-                            {"n": n, "m": m, "r": r, "j": j}, lhs, rhs
-                        )
-    return bounds, None
+def _cor_3_2_corrected(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comparisons:
+    cap = cfg.oracle_cap
+    perm_cap = min(cap, oracle.PERMUTATION_CAP)
+    if n > perm_cap:
+        yield {}, *_cor_3_2_sides(n, m, r, j)
+        return
+    # Zero Stirling factors skip the enumeration of their partner terms.
+    lhs = sum(
+        math.comb(n, k) * s1 * s2 * oracle.brute_partial_derangement(j, m, perm_cap)
+        for k in range(j, n + 1)
+        if (s1 := oracle.brute_stirling2(n - k, r, cap))
+        and (s2 := oracle.brute_stirling2(k, j, cap))
+    )
+    s3 = oracle.brute_stirling2(n, j + r, cap)
+    rhs = (
+        math.comb(m + r, m) * s3 * oracle.brute_partial_derangement(j + r, r + m, perm_cap)
+        if s3
+        else 0
+    )
+    yield {}, lhs, rhs
 
 
-@_register(
+@_check(
     "thm_3_3",
     "pdb_poly(n,r)-(r+1)*pdb_poly(n,r+1) = "
     "y^r * sum_k C(n,k)*stirling2(k,r)*exponential_poly(n-k) at -y",
+    lambda c: Grid(n=(0, c.max_n), r=(0, f"min(n,{c.max_r})")),
 )
-def _thm_3_3(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"0..min(n,{cfg.max_r})"}
-    for n in range(cfg.max_n + 1):
-        for r in range(min(n, cfg.max_r) + 1):
-            lhs = poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
-            rhs = _poly_sum(
-                math.comb(n, k) * seq.stirling2(k, r) * poly.exponential_poly(n - k).reflected()
-                for k in range(r, n + 1)
-            ).times_y_power(r)
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "r": r}, lhs, rhs)
-    return bounds, None
+def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    lhs = poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
+    rhs = _poly_sum(
+        math.comb(n, k) * seq.stirling2(k, r) * poly.exponential_poly(n - k).reflected()
+        for k in range(r, n + 1)
+    ).times_y_power(r)
+    yield {}, lhs, rhs
 
 
-@_register(
+@_check(
     "cor_3_4",
     "r!*(pdb_poly(n,r)-(r+1)*pdb_poly(n,r+1)) = "
     "y^r * sum_i (-1)^(r-i)*C(r,i)*r_exponential_poly(n,i) at -y",
+    lambda c: Grid(n=(0, c.max_n), r=(0, f"min(n,{c.max_r})")),
 )
-def _cor_3_4(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"0..min(n,{cfg.max_r})"}
-    for n in range(cfg.max_n + 1):
-        for r in range(min(n, cfg.max_r) + 1):
-            lhs = math.factorial(r) * (
-                poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
-            )
-            rhs = _poly_sum(
-                (-1) ** (r - i) * math.comb(r, i) * poly.r_exponential_poly(n, i).reflected()
-                for i in range(r + 1)
-            ).times_y_power(r)
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "r": r}, lhs, rhs)
-    return bounds, None
+def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    lhs = math.factorial(r) * (poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1))
+    rhs = _poly_sum(
+        (-1) ** (r - i) * math.comb(r, i) * poly.r_exponential_poly(n, i).reflected()
+        for i in range(r + 1)
+    ).times_y_power(r)
+    yield {}, lhs, rhs
 
 
-@_register(
+@_check(
     "cor_3_5_a",
     "sum_k C(n,k)*stirling2(n-k,r-1)*stirling2(k,j-r+1) = (-1)^(j-r+1)"
     "*stirling2(n,j)*(partial_derangement(j,r-1)-r*partial_derangement(j,r))",
+    lambda c: Grid(n=(0, c.max_n), r=(1, c.max_r), j=("max(0,r-1)", "n")),
 )
-def _cor_3_5_a(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {
-        "n": f"0..{cfg.max_n}",
-        "r": f"1..{cfg.max_r}",
-        "j": f"max(0,r-1)..n",
-    }
-    for n in range(cfg.max_n + 1):
-        for r in range(1, cfg.max_r + 1):
-            for j in range(max(0, r - 1), n + 1):
-                lhs = sum(
-                    math.comb(n, k)
-                    * seq.stirling2(n - k, r - 1)
-                    * seq.stirling2(k, j - r + 1)
-                    for k in range(max(0, j - r + 1), n + 1)
-                )
-                rhs = (
-                    (-1) ** (j - r + 1)
-                    * seq.stirling2(n, j)
-                    * (
-                        seq.partial_derangement(j, r - 1)
-                        - r * seq.partial_derangement(j, r)
-                    )
-                )
-                if lhs != rhs:
-                    return bounds, _witness({"n": n, "r": r, "j": j}, lhs, rhs)
-    return bounds, None
+def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
+    lhs = sum(
+        math.comb(n, k) * seq.stirling2(n - k, r - 1) * seq.stirling2(k, j - r + 1)
+        for k in range(max(0, j - r + 1), n + 1)
+    )
+    rhs = (
+        (-1) ** (j - r + 1)
+        * seq.stirling2(n, j)
+        * (seq.partial_derangement(j, r - 1) - r * seq.partial_derangement(j, r))
+    )
+    yield {}, lhs, rhs
 
 
 def _cor_3_5_b_sides(n: int, r: int, j: int) -> tuple[int, int]:
@@ -829,247 +819,188 @@ def _cor_3_5_b_sides(n: int, r: int, j: int) -> tuple[int, int]:
     return lhs, base
 
 
-@_register(
+def _cor_3_5_b_grid(cfg: SuiteConfig) -> Grid:
+    return Grid(n=(0, cfg.max_n), r=(1, cfg.max_r), j=(0, "n"))
+
+
+@_check(
     "cor_3_5_b_printed",
     "stated alternating r_stirling2 form: sum_i (-1)^i*C(r-1,i)"
     "*r_stirling2(n+i,j-(r-1-i),i) = (-1)^j*stirling2(n,j)"
     "*(partial_derangement(j,r-1)-r*partial_derangement(j,r)); a factor "
     "(r-1)! is missing on the right (fails as stated from r = 3 on)",
+    _cor_3_5_b_grid,
     known_failing=True,
     corrected_id="cor_3_5_b",
 )
-def _cor_3_5_b_printed(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"1..{cfg.max_r}", "j": "0..n"}
-    for n in range(cfg.max_n + 1):
-        for r in range(1, cfg.max_r + 1):
-            for j in range(n + 1):
-                lhs, base = _cor_3_5_b_sides(n, r, j)
-                if lhs != base:
-                    return bounds, _witness({"n": n, "r": r, "j": j}, lhs, base)
-    return bounds, None
+def _cor_3_5_b_printed(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
+    yield {}, *_cor_3_5_b_sides(n, r, j)
 
 
-@_register(
+@_check(
     "cor_3_5_b",
     "alternating r_stirling2 form with the missing factorial restored: "
     "sum_i (-1)^i*C(r-1,i)*r_stirling2(n+i,j-(r-1-i),i) = (r-1)!*(-1)^j"
     "*stirling2(n,j)*(partial_derangement(j,r-1)-r*partial_derangement(j,r))",
+    _cor_3_5_b_grid,
 )
-def _cor_3_5_b(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"1..{cfg.max_r}", "j": "0..n"}
-    for n in range(cfg.max_n + 1):
-        for r in range(1, cfg.max_r + 1):
-            for j in range(n + 1):
-                lhs, base = _cor_3_5_b_sides(n, r, j)
-                rhs = math.factorial(r - 1) * base
-                if lhs != rhs:
-                    return bounds, _witness({"n": n, "r": r, "j": j}, lhs, rhs)
-    return bounds, None
+def _cor_3_5_b(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
+    lhs, base = _cor_3_5_b_sides(n, r, j)
+    yield {}, lhs, math.factorial(r - 1) * base
 
 
-def _prop_3_6_points(n: int) -> range:
-    zmax = max(3, (n + 2) // 2)
-    return range(-zmax, zmax + 1)
+def _prop_3_6_grid(cfg: SuiteConfig) -> Grid:
+    return Grid(n=(0, cfg.max_n), z=("-zmax", "zmax", "zmax=max(3,(n+2)//2)"))
 
 
-@_register(
+def _row_poly_at(n: int, z: int) -> poly.IntPolynomial:
+    return _poly_sum(z**r * poly.pdb_poly(n, r) for r in range(n + 1))
+
+
+@_check(
     "prop_3_6_a",
     "sum_r pdb_poly(n,r)*z^r = sum_r C(n,r)*exponential_poly(r) at (z-1)y "
     "times geometric_poly(n-r), checked at 2*zmax+1 >= n+2 integer z",
+    _prop_3_6_grid,
 )
-def _prop_3_6_a(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "z": "-zmax..zmax, zmax=max(3,(n+2)//2)"}
-    for n in range(cfg.max_n + 1):
-        rows = [poly.pdb_poly(n, r) for r in range(n + 1)]
-        for z in _prop_3_6_points(n):
-            lhs = _poly_sum(z**r * rows[r] for r in range(n + 1))
-            rhs = _poly_sum(
-                math.comb(n, r)
-                * poly.exponential_poly(r).scale_variable(z - 1)
-                * poly.geometric_poly(n - r)
-                for r in range(n + 1)
-            )
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "z": z}, lhs, rhs)
-    return bounds, None
+def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
+    rhs = _poly_sum(
+        math.comb(n, r)
+        * poly.exponential_poly(r).scale_variable(z - 1)
+        * poly.geometric_poly(n - r)
+        for r in range(n + 1)
+    )
+    yield {}, _row_poly_at(n, z), rhs
 
 
-@_register(
+@_check(
     "prop_3_6_b",
     "sum_r pdb_poly(n,r)*z^r = sum_r C(n,r)*exponential_poly(r) at z*y "
     "times pdb_poly(n-r,0), checked at 2*zmax+1 >= n+2 integer z",
+    _prop_3_6_grid,
 )
-def _prop_3_6_b(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "z": "-zmax..zmax, zmax=max(3,(n+2)//2)"}
-    for n in range(cfg.max_n + 1):
-        rows = [poly.pdb_poly(n, r) for r in range(n + 1)]
-        for z in _prop_3_6_points(n):
-            lhs = _poly_sum(z**r * rows[r] for r in range(n + 1))
-            rhs = _poly_sum(
-                math.comb(n, r)
-                * poly.exponential_poly(r).scale_variable(z)
-                * poly.pdb_poly(n - r, 0)
-                for r in range(n + 1)
-            )
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "z": z}, lhs, rhs)
-    return bounds, None
+def _prop_3_6_b(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
+    rhs = _poly_sum(
+        math.comb(n, r)
+        * poly.exponential_poly(r).scale_variable(z)
+        * poly.pdb_poly(n - r, 0)
+        for r in range(n + 1)
+    )
+    yield {}, _row_poly_at(n, z), rhs
 
 
-@_register(
+@_check(
     "cor_3_7",
     "sum_r pdb_poly(n,r) = geometric_poly(n), and the same value through "
     "sum_r C(n,r)*exponential_poly(r)*pdb_poly(n-r,0)",
+    lambda c: Grid(n=(0, c.max_n)),
 )
-def _cor_3_7(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}"}
-    for n in range(cfg.max_n + 1):
-        target = poly.geometric_poly(n)
-        direct = _poly_sum(poly.pdb_poly(n, r) for r in range(n + 1))
-        if direct != target:
-            return bounds, _witness({"n": n, "form": 1}, direct, target)
-        convolved = _poly_sum(
-            math.comb(n, r) * poly.exponential_poly(r) * poly.pdb_poly(n - r, 0)
-            for r in range(n + 1)
-        )
-        if convolved != target:
-            return bounds, _witness({"n": n, "form": 2}, convolved, target)
-    return bounds, None
+def _cor_3_7(cfg: SuiteConfig, n: int) -> Comparisons:
+    target = poly.geometric_poly(n)
+    yield {"form": 1}, _poly_sum(poly.pdb_poly(n, r) for r in range(n + 1)), target
+    convolved = _poly_sum(
+        math.comb(n, r) * poly.exponential_poly(r) * poly.pdb_poly(n - r, 0)
+        for r in range(n + 1)
+    )
+    yield {"form": 2}, convolved, target
 
 
-@_register(
+@_check(
     "cor_3_8",
     "2*sum_r (-1)^r*derangement(r)*pdb_poly(n,r) = geometric_poly(n) plus its "
     "reflection; particular values at y = 1 and y = -1; and the alternating "
     "derangement convolution sum_i (-1)^i*C(k,i)*d_i*d_(k-i) in {0, k!}",
+    lambda c: (Grid(n=(0, c.max_n)), Grid(k=(0, c.max_n))),
 )
-def _cor_3_8(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "k": f"0..{cfg.max_n}"}
-    for n in range(cfg.max_n + 1):
-        lhs = 2 * _poly_sum(
-            (-1) ** r * seq.derangement(r) * poly.pdb_poly(n, r)
-            for r in range(n + 1)
-        )
-        g = poly.geometric_poly(n)
-        rhs = g + g.reflected()
-        if lhs != rhs:
-            return bounds, _witness({"n": n, "part": 1}, lhs, rhs)
-        even_value = seq.ordered_bell(n) + (-1) ** n
-        at_plus = 2 * sum(
-            (-1) ** r * seq.derangement(r) * seq.pdb_number(n, r)
-            for r in range(n + 1)
-        )
-        if at_plus != even_value:
-            return bounds, _witness({"n": n, "part": 2, "y": 1}, at_plus, even_value)
-        at_minus = 2 * sum(
-            (-1) ** r * seq.derangement(r) * poly.pdb_poly(n, r).evaluate(-1)
-            for r in range(n + 1)
-        )
-        if at_minus != even_value:
-            return bounds, _witness({"n": n, "part": 2, "y": -1}, at_minus, even_value)
-    for k in range(cfg.max_n + 1):
+def _cor_3_8(cfg: SuiteConfig, n: int | None = None, k: int | None = None) -> Comparisons:
+    if k is not None:  # part 3, on the second grid
         conv = sum(
             (-1) ** i * math.comb(k, i) * seq.derangement(i) * seq.derangement(k - i)
             for i in range(k + 1)
         )
-        expected = 0 if k % 2 else math.factorial(k)
-        if conv != expected:
-            return bounds, _witness({"k": k, "part": 3}, conv, expected)
-    return bounds, None
+        yield {"part": 3}, conv, 0 if k % 2 else math.factorial(k)
+        return
+    lhs = 2 * _poly_sum(
+        (-1) ** r * seq.derangement(r) * poly.pdb_poly(n, r) for r in range(n + 1)
+    )
+    g = poly.geometric_poly(n)
+    yield {"part": 1}, lhs, g + g.reflected()
+    even_value = seq.ordered_bell(n) + (-1) ** n
+    at_plus = 2 * sum(
+        (-1) ** r * seq.derangement(r) * seq.pdb_number(n, r) for r in range(n + 1)
+    )
+    yield {"part": 2, "y": 1}, at_plus, even_value
+    at_minus = 2 * sum(
+        (-1) ** r * seq.derangement(r) * poly.pdb_poly(n, r).evaluate(-1)
+        for r in range(n + 1)
+    )
+    yield {"part": 2, "y": -1}, at_minus, even_value
 
 
-@_register(
+@_check(
     "cor_3_9",
     "sum_{r>=1} r*pdb_poly(n,r) = geometric_poly(n) for n >= 1",
+    lambda c: Grid(n=(1, c.max_n)),
 )
-def _cor_3_9(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"1..{cfg.max_n}"}
-    for n in range(1, cfg.max_n + 1):
-        lhs = _poly_sum(r * poly.pdb_poly(n, r) for r in range(1, n + 1))
-        rhs = poly.geometric_poly(n)
-        if lhs != rhs:
-            return bounds, _witness({"n": n}, lhs, rhs)
-    return bounds, None
+def _cor_3_9(cfg: SuiteConfig, n: int) -> Comparisons:
+    lhs = _poly_sum(r * poly.pdb_poly(n, r) for r in range(1, n + 1))
+    yield {}, lhs, poly.geometric_poly(n)
 
 
 # ----------------------------------------------------------------------
 # Bernoulli-weighted identities
+#
+# Both sides are multiplied by the lcm of the denominators of the Bernoulli
+# weights in the sum (reported as the witness param "scale"), so every
+# comparison is between integers or integer polynomials.
 
 
-@_register(
+@_check(
     "thm_3_10",
     "C(m+r,m)*sum_k C(n+r,k+r)*higher_bernoulli(n-k,r)*pdb_poly(k+r,m+r) = "
     "C(n+r,r)*y^r*pdb_poly(n,m), coefficient-wise in y, plus the first-order "
     "form m*sum_k C(n,k)*bernoulli(n-k)*pdb_poly(k,m) = n*y*pdb_poly(n-1,m-1)",
+    lambda c: (
+        Grid(r=(1, c.max_r), m=(1, c.max_m), n=("m", c.max_n), params=("n", "m", "r")),
+        Grid(m=(1, c.max_m), n=("m", c.max_n), params=("n", "m")),
+    ),
 )
-def _thm_3_10(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {
-        "n": f"m..{cfg.max_n}",
-        "m": f"1..{cfg.max_m}",
-        "r": f"1..{cfg.max_r}",
-    }
-    for r in range(1, cfg.max_r + 1):
-        for m in range(1, cfg.max_m + 1):
-            for n in range(m, cfg.max_n + 1):
-                acc: list[Fraction] = []
-                for k in range(m, n + 1):
-                    b = higher_bernoulli(n - k, r)
-                    if b:
-                        _fp_add_scaled(
-                            acc,
-                            poly.pdb_poly(k + r, m + r),
-                            math.comb(n + r, k + r) * b,
-                        )
-                lhs = _fp_trim(math.comb(m + r, m) * c for c in acc)
-                rhs_poly = math.comb(n + r, r) * poly.pdb_poly(n, m).times_y_power(r)
-                rhs = _fp_trim(Fraction(c) for c in rhs_poly.coefficients)
-                if lhs != rhs:
-                    return bounds, _witness(
-                        {"n": n, "m": m, "r": r}, _fp_str(lhs), _fp_str(rhs)
-                    )
-    for m in range(1, cfg.max_m + 1):
-        for n in range(m, cfg.max_n + 1):
-            acc = []
-            for k in range(m, n + 1):
-                b = bernoulli_number(n - k)
-                if b:
-                    _fp_add_scaled(acc, poly.pdb_poly(k, m), math.comb(n, k) * b)
-            lhs = _fp_trim(m * c for c in acc)
-            rhs_poly = n * poly.pdb_poly(n - 1, m - 1).times_y_power(1)
-            rhs = _fp_trim(Fraction(c) for c in rhs_poly.coefficients)
-            if lhs != rhs:
-                return bounds, _witness(
-                    {"n": n, "m": m, "r": 1, "form": "first-order"},
-                    _fp_str(lhs),
-                    _fp_str(rhs),
-                )
-    return bounds, None
+def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Comparisons:
+    ks = range(m, n + 1)
+    if r is None:  # the first-order form, on the second grid
+        scale, weights = _scaled([bernoulli_number(n - k) for k in ks])
+        lhs = m * _poly_sum(
+            math.comb(n, k) * w * poly.pdb_poly(k, m) for k, w in zip(ks, weights) if w
+        )
+        rhs = scale * n * poly.pdb_poly(n - 1, m - 1).times_y_power(1)
+        yield {"r": 1, "form": "first-order", "scale": scale}, lhs, rhs
+        return
+    scale, weights = _scaled([higher_bernoulli(n - k, r) for k in ks])
+    lhs = math.comb(m + r, m) * _poly_sum(
+        math.comb(n + r, k + r) * w * poly.pdb_poly(k + r, m + r)
+        for k, w in zip(ks, weights)
+        if w
+    )
+    rhs = scale * math.comb(n + r, r) * poly.pdb_poly(n, m).times_y_power(r)
+    yield {"scale": scale}, lhs, rhs
 
 
-@_register(
+@_check(
     "cor_3_11",
     "C(j+r,r)*sum_k C(n+r,k+r)*stirling2(k+r,j+r)*higher_bernoulli(n-k,r) = "
     "C(n+r,r)*stirling2(n,j); at r = 1 this is the classic Bernoulli-Stirling "
     "inversion (j+1)*sum_k C(n+1,k+1)*stirling2(k+1,j+1)*bernoulli(n-k) = "
     "(n+1)*stirling2(n,j)",
+    lambda c: Grid(r=(1, c.max_r), n=(1, c.max_n), j=(0, "n"), params=("n", "r", "j")),
 )
-def _cor_3_11(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"1..{cfg.max_n}", "r": f"1..{cfg.max_r}", "j": "0..n"}
-    for r in range(1, cfg.max_r + 1):
-        for n in range(1, cfg.max_n + 1):
-            for j in range(n + 1):
-                lhs = math.comb(j + r, r) * sum(
-                    (
-                        math.comb(n + r, k + r)
-                        * seq.stirling2(k + r, j + r)
-                        * higher_bernoulli(n - k, r)
-                    )
-                    for k in range(j, n + 1)
-                )
-                rhs = Fraction(math.comb(n + r, r) * seq.stirling2(n, j))
-                if lhs != rhs:
-                    return bounds, _witness({"n": n, "r": r, "j": j}, lhs, rhs)
-    return bounds, None
+def _cor_3_11(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
+    ks = range(j, n + 1)
+    scale, weights = _scaled([higher_bernoulli(n - k, r) for k in ks])
+    lhs = math.comb(j + r, r) * sum(
+        math.comb(n + r, k + r) * seq.stirling2(k + r, j + r) * w
+        for k, w in zip(ks, weights)
+    )
+    yield {"scale": scale}, lhs, scale * math.comb(n + r, r) * seq.stirling2(n, j)
 
 
 # ----------------------------------------------------------------------
@@ -1082,56 +1013,46 @@ def _cor_3_11(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
     "values once coefficient n is scaled by n!",
 )
 def _egf_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
+    # One scan of n per series, so each series is expanded once; the witness
+    # names the series around n, so the comparisons carry every param.
     order = min(cfg.max_n, cfg.series_order)
-    bounds = {"n": f"0..{order}", "order": str(order)}
-
-    def scan(family: str, param: int | None, direct) -> Witness | None:
+    grid = Grid(n=(0, order), notes={"order": str(order)}, params=())
+    families = (
+        [
+            ("partial_derangement", r, lambda n, r=r: seq.partial_derangement(n, r))
+            for r in range(4)
+        ]
+        + [("ordered_bell", None, seq.ordered_bell), ("deranged_bell", None, seq.deranged_bell)]
+        + [("stirling_column", k, lambda n, k=k: seq.stirling2(n, k)) for k in range(6)]
+        + [("higher_bernoulli", r, lambda n, r=r: higher_bernoulli(n, r)) for r in range(5)]
+    )
+    for family, param, direct in families:
         s = ser.egf_family(family, order, param)
-        fact = 1
-        for n in range(order + 1):
-            if n:
-                fact *= n
-            got = fact * s.coeff(n)
-            want = direct(n)
-            if got != want:
-                params: dict[str, object] = {"family": family, "n": n}
-                if param is not None:
-                    params["param"] = param
-                return _witness(params, got, want)
-        return None
-
-    for r in range(4):
-        w = scan("partial_derangement", r, lambda n, r=r: seq.partial_derangement(n, r))
-        if w:
-            return bounds, w
-    w = scan("ordered_bell", None, seq.ordered_bell)
-    if w:
-        return bounds, w
-    w = scan("deranged_bell", None, seq.deranged_bell)
-    if w:
-        return bounds, w
-    for k in range(6):
-        w = scan("stirling_column", k, lambda n, k=k: seq.stirling2(n, k))
-        if w:
-            return bounds, w
-    for r in range(5):
-        w = scan("higher_bernoulli", r, lambda n, r=r: higher_bernoulli(n, r))
-        if w:
-            return bounds, w
+        tail = {} if param is None else {"param": param}
+        witness = scan(
+            grid,
+            lambda n: [
+                ({"family": family, "n": n, **tail}, math.factorial(n) * s.coeff(n), direct(n))
+            ],
+        )
+        if witness is not None:
+            return grid.bounds, witness
     for r in range(4):
         for y in (Fraction(1), Fraction(-1), Fraction(1, 2)):
             s = ser.egf_pdb(r, y, order)
-            fact = 1
-            for n in range(order + 1):
-                if n:
-                    fact *= n
-                got = fact * s.coeff(n)
-                want = poly.pdb_poly(n, r).evaluate(y)
-                if got != want:
-                    return bounds, _witness(
-                        {"family": "pdb", "param": r, "y": str(y), "n": n}, got, want
+            witness = scan(
+                grid,
+                lambda n: [
+                    (
+                        {"family": "pdb", "param": r, "y": str(y), "n": n},
+                        math.factorial(n) * s.coeff(n),
+                        poly.pdb_poly(n, r).evaluate(y),
                     )
-    return bounds, None
+                ],
+            )
+            if witness is not None:
+                return grid.bounds, witness
+    return grid.bounds, None
 
 
 @_register(
@@ -1140,136 +1061,99 @@ def _egf_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
     "orderings, and permutations within the oracle cap",
 )
 def _oracle_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
+    # Two scans: the partition kernels up to the oracle cap, then the
+    # permutation kernel up to its own cap, reported as "permutations".
     cap = min(cfg.oracle_cap, oracle.DEFAULT_CAP)
     perm_cap = min(cap, oracle.PERMUTATION_CAP)
-    bounds = {"n": f"0..{cap}", "permutations": f"0..{perm_cap}"}
-    for n in range(cap + 1):
-        brute_row = oracle.brute_pdb_row(n, cap)
-        if brute_row != seq.pdb_row(n):
-            return bounds, _witness({"n": n, "kind": "pdb_row"}, list(brute_row), seq.pdb_row(n))
-        if oracle.brute_bell(n, cap) != seq.bell(n):
-            return bounds, _witness(
-                {"n": n, "kind": "bell"}, oracle.brute_bell(n, cap), seq.bell(n)
-            )
-        if oracle.brute_complementary_bell(n, cap) != seq.complementary_bell(n):
-            return bounds, _witness(
-                {"n": n, "kind": "complementary_bell"},
-                oracle.brute_complementary_bell(n, cap),
-                seq.complementary_bell(n),
-            )
-        if oracle.brute_ordered_bell(n, cap) != seq.ordered_bell(n):
-            return bounds, _witness(
-                {"n": n, "kind": "ordered_bell"},
-                oracle.brute_ordered_bell(n, cap),
-                seq.ordered_bell(n),
-            )
+    perms = Grid(n=(0, perm_cap), r=(0, "n"))
+    rows = Grid(n=(0, cap), notes={"permutations": perms.bounds["n"]})
+
+    def kernels(n: int) -> Comparisons:
+        yield {"kind": "pdb_row"}, oracle.brute_pdb_row(n, cap), seq.pdb_row(n)
+        yield {"kind": "bell"}, oracle.brute_bell(n, cap), seq.bell(n)
+        yield (
+            {"kind": "complementary_bell"},
+            oracle.brute_complementary_bell(n, cap),
+            seq.complementary_bell(n),
+        )
+        yield {"kind": "ordered_bell"}, oracle.brute_ordered_bell(n, cap), seq.ordered_bell(n)
         for k in range(n + 1):
-            if oracle.brute_stirling2(n, k, cap) != seq.stirling2(n, k):
-                return bounds, _witness(
-                    {"n": n, "k": k, "kind": "stirling2"},
-                    oracle.brute_stirling2(n, k, cap),
-                    seq.stirling2(n, k),
-                )
-    for n in range(perm_cap + 1):
-        for r in range(n + 1):
-            if oracle.brute_partial_derangement(n, r, perm_cap) != seq.partial_derangement(n, r):
-                return bounds, _witness(
-                    {"n": n, "r": r, "kind": "partial_derangement"},
-                    oracle.brute_partial_derangement(n, r, perm_cap),
-                    seq.partial_derangement(n, r),
-                )
-    return bounds, None
+            brute = oracle.brute_stirling2(n, k, cap)
+            yield {"k": k, "kind": "stirling2"}, brute, seq.stirling2(n, k)
+
+    def permutations(n: int, r: int) -> Comparisons:
+        yield (
+            {"kind": "partial_derangement"},
+            oracle.brute_partial_derangement(n, r, perm_cap),
+            seq.partial_derangement(n, r),
+        )
+
+    return rows.bounds, scan(rows, kernels) or scan(perms, permutations)
 
 
-@_register(
+@_check(
     "wilf_scan",
     "complementary_bell(n) = 0 only at n = 2 within the scan bound",
+    lambda c: Grid(n=(1, c.wilf_bound)),
 )
-def _wilf_scan(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"1..{cfg.wilf_bound}"}
-    for n in range(1, cfg.wilf_bound + 1):
-        value = seq.complementary_bell(n)
-        if value == 0 and n != 2:
-            return bounds, _witness({"n": n}, value, "nonzero expected for n != 2")
-        if value != 0 and n == 2:
-            return bounds, _witness({"n": n}, value, 0)
-    return bounds, None
+def _wilf_scan(cfg: SuiteConfig, n: int) -> Comparisons:
+    value = seq.complementary_bell(n)
+    if n == 2 or value == 0:
+        yield {}, value, 0 if n == 2 else "nonzero expected for n != 2"
 
 
 # ----------------------------------------------------------------------
 # exponential-polynomial recurrences
 
 
-@_register(
+@_check(
     "eq_14_printed",
     "stated recurrence sum_k C(n,k)*exponential_poly(k) = exponential_poly(n+1) "
     "without the leading factor y (fails as stated, already at n = 0)",
+    lambda c: Grid(n=(0, c.max_n)),
     known_failing=True,
     corrected_id="eq_14_corrected",
 )
-def _eq_14_printed(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}"}
-    for n in range(cfg.max_n + 1):
-        lhs = _poly_sum(math.comb(n, k) * poly.exponential_poly(k) for k in range(n + 1))
-        rhs = poly.exponential_poly(n + 1)
-        if lhs != rhs:
-            return bounds, _witness({"n": n}, lhs, rhs)
-    return bounds, None
+def _eq_14_printed(cfg: SuiteConfig, n: int) -> Comparisons:
+    lhs = _poly_sum(math.comb(n, k) * poly.exponential_poly(k) for k in range(n + 1))
+    yield {}, lhs, poly.exponential_poly(n + 1)
 
 
-@_register(
+@_check(
     "eq_14_corrected",
     "y*sum_k C(n,k)*exponential_poly(k) = exponential_poly(n+1)",
+    lambda c: Grid(n=(0, c.max_n)),
 )
-def _eq_14_corrected(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}"}
-    for n in range(cfg.max_n + 1):
-        lhs = _poly_sum(
-            math.comb(n, k) * poly.exponential_poly(k) for k in range(n + 1)
-        ).times_y_power(1)
-        rhs = poly.exponential_poly(n + 1)
-        if lhs != rhs:
-            return bounds, _witness({"n": n}, lhs, rhs)
-    return bounds, None
+def _eq_14_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
+    lhs = _poly_sum(math.comb(n, k) * poly.exponential_poly(k) for k in range(n + 1))
+    yield {}, lhs.times_y_power(1), poly.exponential_poly(n + 1)
 
 
-@_register(
+@_check(
     "eq_15",
     "r_exponential_poly(n,r) = sum_k C(n,k)*r^k*exponential_poly(n-k)",
+    lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
-def _eq_15(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"0..{cfg.max_r}"}
-    for n in range(cfg.max_n + 1):
-        for r in range(cfg.max_r + 1):
-            lhs = poly.r_exponential_poly(n, r)
-            rhs = _poly_sum(
-                math.comb(n, k) * r**k * poly.exponential_poly(n - k)
-                for k in range(n + 1)
-            )
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "r": r}, lhs, rhs)
-    return bounds, None
+def _eq_15(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    rhs = _poly_sum(
+        math.comb(n, k) * r**k * poly.exponential_poly(n - k) for k in range(n + 1)
+    )
+    yield {}, poly.r_exponential_poly(n, r), rhs
 
 
-@_register(
+@_check(
     "r_ordered_bell_geometric",
     "r_ordered_bell(n,r) = sum_m sum_i (-1)^(m-i)*C(m,i)*(i+r)^n, the exact "
     "finite form of the binary-weighted series sum_k (k+r)^n/2^(k+1)",
+    lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
-def _r_ordered_bell_geometric(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    bounds = {"n": f"0..{cfg.max_n}", "r": f"0..{cfg.max_r}"}
-    for n in range(cfg.max_n + 1):
-        for r in range(cfg.max_r + 1):
-            lhs = seq.r_ordered_bell(n, r)
-            rhs = sum(
-                (-1) ** (m - i) * math.comb(m, i) * (i + r) ** n
-                for m in range(n + 1)
-                for i in range(m + 1)
-            )
-            if lhs != rhs:
-                return bounds, _witness({"n": n, "r": r}, lhs, rhs)
-    return bounds, None
-
+def _r_ordered_bell_geometric(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    rhs = sum(
+        (-1) ** (m - i) * math.comb(m, i) * (i + r) ** n
+        for m in range(n + 1)
+        for i in range(m + 1)
+    )
+    yield {}, seq.r_ordered_bell(n, r), rhs
 
 # ----------------------------------------------------------------------
 # runners
@@ -1328,24 +1212,14 @@ def run_all(
     for cid in selected:
         try:
             results.append(check(cid, cfg))
-        except oracle.CapExceededError as exc:
-            results.append(
-                CheckReport(
-                    check_id=cid,
-                    status=Status.ERROR,
-                    bounds={},
-                    ms=0,
-                    error=f"resource-cap: {exc}",
-                )
-            )
         except Exception as exc:
+            if isinstance(exc, oracle.CapExceededError):
+                kind = "resource-cap"
+            else:
+                kind = type(exc).__name__
             results.append(
                 CheckReport(
-                    check_id=cid,
-                    status=Status.ERROR,
-                    bounds={},
-                    ms=0,
-                    error=f"{type(exc).__name__}: {exc}",
+                    check_id=cid, status=Status.ERROR, bounds={}, ms=0, error=f"{kind}: {exc}"
                 )
             )
     return SuiteReport(results=tuple(results), config=cfg)

@@ -164,73 +164,57 @@ EGF_FAMILY_CHOICES = (
 )
 
 
-def _table_rows(cfg: RunConfig) -> list[dict[str, object]]:
-    """Rows of {family, n, k?, value} covering the requested bounds."""
+def _table_rows(cfg: RunConfig) -> list[tuple[int, object]]:
+    """One (n, cells) row per n: the list of the row's values for k = 0, 1,
+    ..., or the one value of a family that has a single value per n."""
     family = cfg.family or ""
     r = cfg.r if cfg.r is not None else 0
-    rows: list[dict[str, object]] = []
-
-    def add(n: int, k: int | None, value: object) -> None:
-        rows.append({"family": family, "n": n, "k": k, "value": str(value)})
-
+    ns = range(cfg.max_n + 1)
     if family in _SEQ_FAMILIES:
-        fn = _SEQ_FAMILIES[family]
-        for n in range(cfg.max_n + 1):
-            add(n, None, fn(n))
-    elif family in _ROW_FAMILIES:
-        fn_row = _ROW_FAMILIES[family]
-        ns = [cfg.n] if cfg.n is not None else list(range(cfg.max_n + 1))
-        for n in ns:
-            for k, value in enumerate(fn_row(n)):
-                add(n, k, value)
-    elif family == "r_stirling2":
-        for n in range(cfg.max_n + 1):
-            for k in range(n + 1):
-                add(n, k, seq.r_stirling2(n, k, r))
-    elif family == "r_ordered_bell":
+        return [(n, _SEQ_FAMILIES[family](n)) for n in ns]
+    if family in _ROW_FAMILIES:
+        return [(n, _ROW_FAMILIES[family](n)) for n in ([cfg.n] if cfg.n is not None else ns)]
+    if family == "r_stirling2":
+        return [(n, [seq.r_stirling2(n, k, r) for k in range(n + 1)]) for n in ns]
+    if family == "r_ordered_bell":
         if cfg.n is not None:
-            for k in range(cfg.max_r + 1):
-                add(cfg.n, k, seq.r_ordered_bell(cfg.n, k))
-        else:
-            for n in range(cfg.max_n + 1):
-                add(n, None, seq.r_ordered_bell(n, r))
-    elif family == "higher_bernoulli":
+            return [(cfg.n, [seq.r_ordered_bell(cfg.n, k) for k in range(cfg.max_r + 1)])]
+        return [(n, seq.r_ordered_bell(n, r)) for n in ns]
+    if family == "higher_bernoulli":
         shift = cfg.r if cfg.r is not None else 1
-        for n in range(cfg.max_n + 1):
-            add(n, None, higher_bernoulli(n, shift))
-    else:
-        raise ValueError(f"unknown table family {family!r}")
-    return rows
+        return [(n, higher_bernoulli(n, shift)) for n in ns]
+    raise ValueError(f"unknown table family {family!r}")
 
 
-def _render_table(cfg: RunConfig, rows: list[dict[str, object]]) -> str:
+def _render_table(cfg: RunConfig, rows: list[tuple[int, object]]) -> str:
+    family = cfg.family
     if cfg.fmt == "json":
-        results = [
-            {k: v for k, v in row.items() if not (k == "k" and v is None)}
-            for row in rows
-        ]
+        results: list[dict[str, object]] = []
+        for n, cells in rows:
+            if isinstance(cells, list):
+                results += [
+                    {"family": family, "n": n, "k": k, "value": str(v)}
+                    for k, v in enumerate(cells)
+                ]
+            else:
+                results.append({"family": family, "n": n, "value": str(cells)})
         return canonical_json(
             {"command": "table", "config": _config_echo(cfg), "results": results}
         )
     if cfg.fmt == "csv":
-        data = [
-            [row["family"], row["n"], "" if row["k"] is None else row["k"], row["value"]]
-            for row in rows
-        ]
+        data = []
+        for n, cells in rows:
+            if isinstance(cells, list):
+                data += [[family, n, k, v] for k, v in enumerate(cells)]
+            else:
+                data.append([family, n, "", cells])
         return _csv_text(["family", "n", "k", "value"], data)
-    lines = [f"table {cfg.family}"]
-    by_n: dict[int, list[dict[str, object]]] = {}
-    for row in rows:
-        by_n.setdefault(int(row["n"]), []).append(row)
-    for n in sorted(by_n):
-        group = by_n[n]
-        if len(group) == 1 and group[0]["k"] is None:
-            lines.append(f"n={n}: {group[0]['value']}")
-        else:
-            joined = " | ".join(str(g["value"]) for g in group)
-            if all("y" not in str(g["value"]) for g in group):
-                joined = " ".join(str(g["value"]) for g in group)
-            lines.append(f"n={n}: {joined}")
+    # Polynomial cells contain spaces, so their row uses a wider separator.
+    sep = " | " if family == "pdb_poly" else " "
+    lines = [f"table {family}"]
+    for n, cells in rows:
+        text = sep.join(map(str, cells)) if isinstance(cells, list) else cells
+        lines.append(f"n={n}: {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -491,32 +475,42 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag sets the RunConfig field named by its dest.  A subcommand
+    # takes only the flags it reads; a field whose flag is not given keeps
+    # its RunConfig default, or the subcommand's own default for --max-n.
+    flags: dict[str, dict[str, object]] = {
+        "--max-n": {"dest": "max_n", "type": _nonneg},
+        "--max-r": {"dest": "max_r", "type": _nonneg},
+        "--n": {"dest": "n", "type": _nonneg},
+        "--r": {"dest": "r", "type": _nonneg},
+        "--order": {"dest": "order", "type": _nonneg},
+        "--tol": {"dest": "tolerance", "type": _parse_tol, "metavar": "TOL"},
+        "--format": {"dest": "fmt", "choices": ("text", "json", "csv")},
+        "--out": {"dest": "out"},
+        "--oracle-cap": {"dest": "oracle_cap", "type": _nonneg},
+    }
 
-    def common(p: argparse.ArgumentParser, default_max_n: int) -> None:
-        p.add_argument("--max-n", type=_nonneg, default=default_max_n)
-        p.add_argument("--max-r", type=_nonneg, default=8)
-        p.add_argument("--n", type=_nonneg, default=None)
-        p.add_argument("--r", type=_nonneg, default=None)
-        p.add_argument("--order", type=_nonneg, default=24)
-        p.add_argument("--tol", type=_parse_tol, default=Fraction(1, 10**9))
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", default=None)
-        p.add_argument("--oracle-cap", type=_nonneg, default=8)
+    def add(name: str, help_text: str, *names: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in names + ("--format", "--out"):
+            p.add_argument(flag, **flags[flag])
+        return p
 
-    p_table = sub.add_parser("table", help="print a sequence or polynomial family")
+    p_table = add(
+        "table", "print a sequence or polynomial family", "--max-n", "--max-r", "--n", "--r"
+    )
     p_table.add_argument("family", choices=TABLE_FAMILIES)
-    common(p_table, default_max_n=10)
 
-    p_check = sub.add_parser("check", help="run identity checks")
+    p_check = add(
+        "check", "run identity checks", "--max-n", "--max-r", "--order", "--tol", "--oracle-cap"
+    )
     p_check.add_argument("ids", nargs="*", default=["all"])
-    common(p_check, default_max_n=20)
+    p_check.set_defaults(max_n=20)
 
-    p_oracle = sub.add_parser("oracle", help="compare kernels against enumeration")
-    common(p_oracle, default_max_n=6)
+    add("oracle", "compare kernels against enumeration", "--max-n").set_defaults(max_n=6)
 
-    p_egf = sub.add_parser("egf", help="list generating series coefficients")
+    p_egf = add("egf", "list generating series coefficients", "--r", "--order")
     p_egf.add_argument("family", choices=EGF_FAMILY_CHOICES)
-    common(p_egf, default_max_n=10)
     return parser
 
 
@@ -540,20 +534,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else _EXIT_USAGE
         return code
-    cfg = RunConfig(
-        command=args.command,
-        max_n=args.max_n,
-        max_r=args.max_r,
-        n=args.n,
-        r=args.r,
-        order=args.order,
-        tolerance=args.tol,
-        fmt=args.format,
-        out=args.out,
-        oracle_cap=args.oracle_cap,
-        family=getattr(args, "family", None),
-        ids=tuple(getattr(args, "ids", ()) or ()),
-    )
+    fields = vars(args)
+    if "ids" in fields:
+        fields["ids"] = tuple(fields["ids"])
+    cfg = RunConfig(**fields)
     try:
         code, text = _run(cfg)
     except ValueError as exc:

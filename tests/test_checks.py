@@ -1,10 +1,12 @@
 """Identity suite: registry shape, witnesses, statuses, and determinism."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from pdbell import checks
+from pdbell import checks, cli
 from pdbell import sequences as seq
 from pdbell.checks import Status, SuiteConfig
 
@@ -183,6 +185,89 @@ def test_eq_14_printed_witness(small_run):
     assert rep.witness.rhs == "y"
 
 
+# ----------------------------------------------------------------------
+# the grid primitive
+
+
+def test_grid_walks_axes_in_order_and_renders_its_bounds():
+    grid = checks.Grid(
+        m=(0, 2), r=(0, "min(m,1)"), constraint="m+r<=2", notes={"cap": "x"}, params=("r", "m")
+    )
+    assert grid.bounds == {"m": "0..2", "r": "0..min(m,1)", "constraint": "m+r<=2", "cap": "x"}
+    assert [(p["m"], p["r"]) for p in grid.points()] == [(0, 0), (1, 0), (1, 1), (2, 0)]
+    witness = checks.scan(grid, lambda m, r: [({"part": 1}, m * r, 0)])
+    assert list(witness.params.items()) == [("r", 1), ("m", 1), ("part", 1)]
+    assert (witness.lhs, witness.rhs) == ("1", "0")
+
+    helpers = checks.Grid(n=(0, 1), z=("-w", "w", "w=n+1"))
+    assert helpers.bounds == {"n": "0..1", "z": "-w..w, w=n+1"}
+    assert [p["z"] for p in helpers.points()] == [-1, 0, 1, -2, -1, 0, 1, 2]
+
+
+# ----------------------------------------------------------------------
+# golden reports: the sha256 of the check JSON (``ms`` removed) and the
+# known-failing witness lines of the default and the SMALL suite, so any
+# change of bounds, witnesses or scan order shows
+
+
+GOLDEN_JSON_SHA256 = {
+    "default": "b923c830ac131c4b4a5322a9123f6ad1ed6a1e24378d87fb2751ac504b815c9b",
+    "small": "97ebc022b40b60625db02fbae32095b34c94045b02f1ae9c3aad1e596f316ca5",
+}
+
+GOLDEN_WITNESS_LINES = {
+    "default": [
+        "check remark_2_8_printed: known-failing-as-printed (n=3..20)",
+        "  witness n=3 statement=1: lhs=-2 rhs=0",
+        "check cor_3_2_printed: known-failing-as-printed "
+        "(constraint=m+r<=n, j=r..n, m=0..8, n=0..12, r=0..8)",
+        "  witness n=1 m=0 r=0 j=1: lhs=0 "
+        "rhs=undefined: division by partial_derangement(1,0) = 0",
+        "check cor_3_5_b_printed: known-failing-as-printed (j=0..n, n=0..20, r=1..8)",
+        "  witness n=2 r=3 j=2: lhs=2 rhs=1",
+        "check eq_14_printed: known-failing-as-printed (n=0..20)",
+        "  witness n=0: lhs=1 rhs=y",
+    ],
+    "small": [
+        "check remark_2_8_printed: known-failing-as-printed (n=3..8)",
+        "  witness n=3 statement=1: lhs=-2 rhs=0",
+        "check cor_3_2_printed: known-failing-as-printed "
+        "(constraint=m+r<=n, j=r..n, m=0..3, n=0..8, r=0..3)",
+        "  witness n=1 m=0 r=0 j=1: lhs=0 "
+        "rhs=undefined: division by partial_derangement(1,0) = 0",
+        "check cor_3_5_b_printed: known-failing-as-printed (j=0..n, n=0..8, r=1..3)",
+        "  witness n=2 r=3 j=2: lhs=2 rhs=1",
+        "check eq_14_printed: known-failing-as-printed (n=0..8)",
+        "  witness n=0: lhs=1 rhs=y",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def golden_runs(small_run):
+    return {"default": checks.run_all(SuiteConfig()), "small": small_run}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON_SHA256))
+def test_golden_check_json(golden_runs, name):
+    out = cli._render_check(golden_runs[name], cli.RunConfig("check", fmt="json"))
+    doc = json.loads(out)
+    for result in doc["results"]:
+        del result["ms"]
+    digest = hashlib.sha256(cli.canonical_json(doc).encode("ascii")).hexdigest()
+    assert digest == GOLDEN_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WITNESS_LINES))
+def test_golden_known_failing_text(golden_runs, name):
+    lines = cli._render_check(golden_runs[name], cli.RunConfig("check")).splitlines()
+    picked = []
+    for i, line in enumerate(lines):
+        if line.startswith("check ") and "known-failing-as-printed" in line:
+            picked += [line.rsplit(" [", 1)[0], lines[i + 1]]
+    assert picked == GOLDEN_WITNESS_LINES[name]
+
+
 def test_witnesses_are_deterministic():
     first = checks.check("remark_2_8_printed", SMALL)
     second = checks.check("remark_2_8_printed", SMALL)
@@ -198,6 +283,38 @@ def test_known_failing_with_grid_too_small_to_witness_passes():
     rep = checks.check("cor_3_5_b_printed", tiny)
     assert rep.status is Status.PASS
     assert rep.witness is None
+
+
+# ----------------------------------------------------------------------
+# division-free Bernoulli checks: one perturbed Bernoulli value must fail
+# the check at the first point whose sum uses it, with the scale reported
+
+
+@pytest.mark.parametrize(
+    "check_id, kernel, at, params",
+    [
+        ("thm_3_10", "higher_bernoulli", (2, 2), {"n": 3, "m": 1, "r": 2, "scale": 42}),
+        (
+            "thm_3_10",
+            "bernoulli_number",
+            (4,),
+            {"n": 5, "m": 1, "r": 1, "form": "first-order", "scale": 210},
+        ),
+        ("cor_3_11", "higher_bernoulli", (2, 2), {"n": 2, "r": 2, "j": 0, "scale": 42}),
+    ],
+)
+def test_bernoulli_fault_injection(monkeypatch, check_id, kernel, at, params):
+    original = getattr(checks, kernel)
+
+    def perturbed(*args):
+        return original(*args) + (Fraction(1, 7) if args == at else 0)
+
+    monkeypatch.setattr(checks, kernel, perturbed)
+    rep = checks.check(check_id, SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == list(params.items())
+    # Both sides are scaled to integers, so neither shows a fraction.
+    assert "/" not in rep.witness.lhs + rep.witness.rhs
 
 
 # ----------------------------------------------------------------------

@@ -332,6 +332,65 @@ def test_egf_json_round_trip(capsys):
 
 
 # ----------------------------------------------------------------------
+# per-subcommand flags
+
+POSITIONAL = {"table": ["bell"], "egf": ["deranged_bell"]}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check", "--n"),
+        ("check", "--r"),
+        ("table", "--order"),
+        ("table", "--tol"),
+        ("table", "--oracle-cap"),
+        ("oracle", "--max-r"),
+        ("oracle", "--n"),
+        ("oracle", "--r"),
+        ("oracle", "--order"),
+        ("oracle", "--tol"),
+        ("oracle", "--oracle-cap"),
+        ("egf", "--max-n"),
+        ("egf", "--max-r"),
+        ("egf", "--n"),
+        ("egf", "--tol"),
+        ("egf", "--oracle-cap"),
+    ],
+)
+def test_subcommand_refuses_flags_it_does_not_read(capsys, command, flag):
+    value = "1e-9" if flag == "--tol" else "1"
+    code, out, err = run_cli(capsys, command, *POSITIONAL.get(command, []), flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, max_n",
+    [
+        (["table", "bell", "--max-n", "2"], 2),
+        (["oracle", "--max-n", "2"], 2),
+        (["oracle"], 6),
+        (["egf", "deranged_bell", "--order", "2"], 10),
+    ],
+)
+def test_json_config_echo_keeps_defaults_of_dropped_flags(capsys, argv, max_n):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config == {
+        "format": "json",
+        "max_n": max_n,
+        "max_r": 8,
+        "n": None,
+        "order": 2 if argv[0] == "egf" else 24,
+        "oracle_cap": 8,
+        "r": None,
+    }
+
+
+# ----------------------------------------------------------------------
 # output redirection and process entry
 
 

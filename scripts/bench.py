@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Time the kernel layer of pdbell, each case cold in a fresh process.
+"""Time the kernel and series layers of pdbell, each case cold in a new process.
 
 Usage, from the repository root::
 
     python3 scripts/bench.py                                  # this tree only
-    python3 scripts/bench.py old=/path/to/old/src new=src > BENCH_2.json
+    python3 scripts/bench.py old=/path/to/old/src new=src > BENCH_4.json
 
 Each positional argument is LABEL=DIR, a directory holding the ``pdbell``
 package (default: ``this=src``).  Every case runs REPEAT times, each
@@ -58,11 +58,36 @@ CASES: dict[str, tuple[str, str, str]] = {
         "    lambda n: [seq.truncated_ordered_bell(n, r) for r in range(n + 1)])",
         "for n in range(301):\n    row(n)",
     ),
+    "egf_deranged_bell_64": (
+        "egf_family('deranged_bell', 64)",
+        "",
+        "ser.egf_family('deranged_bell', 64)",
+    ),
+    "egf_deranged_bell_256": (
+        "egf_family('deranged_bell', 256)",
+        "",
+        "ser.egf_family('deranged_bell', 256)",
+    ),
+    "egf_ordered_bell_64": (
+        "egf_family('ordered_bell', 64)",
+        "",
+        "ser.egf_family('ordered_bell', 64)",
+    ),
+    "egf_ordered_bell_256": (
+        "egf_family('ordered_bell', 256)",
+        "",
+        "ser.egf_family('ordered_bell', 256)",
+    ),
+    "egf_higher_bernoulli_r3_128": (
+        "egf_family('higher_bernoulli', 128, 3)",
+        "",
+        "ser.egf_family('higher_bernoulli', 128, 3)",
+    ),
 }
 
 CHILD = """\
 import json, time
-from pdbell import polynomials as poly, sequences as seq
+from pdbell import polynomials as poly, sequences as seq, series as ser
 {setup}
 cpu, wall = time.process_time(), time.perf_counter()
 {body}

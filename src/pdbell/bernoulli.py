@@ -7,7 +7,6 @@ source of truth: ``bernoulli(n)`` is the first power and uses the convention
 
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
 
@@ -41,7 +40,7 @@ def higher_bernoulli(n: int, r: int) -> Fraction:
     """
     if n < 0 or r < 0:
         raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
-    return _power_series(r, n).coeff(n) * math.factorial(n)
+    return Fraction(_power_series(r, n).egf_coeff(n))
 
 
 def bernoulli(n: int) -> Fraction:

@@ -1032,7 +1032,7 @@ def _egf_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
         witness = scan(
             grid,
             lambda n: [
-                ({"family": family, "n": n, **tail}, math.factorial(n) * s.coeff(n), direct(n))
+                ({"family": family, "n": n, **tail}, s.egf_coeff(n), direct(n))
             ],
         )
         if witness is not None:
@@ -1045,7 +1045,7 @@ def _egf_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
                 lambda n: [
                     (
                         {"family": "pdb", "param": r, "y": str(y), "n": n},
-                        math.factorial(n) * s.coeff(n),
+                        s.egf_coeff(n),
                         poly.pdb_poly(n, r).evaluate(y),
                     )
                 ],
@@ -1061,9 +1061,9 @@ def _egf_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
     "orderings, and permutations within the oracle cap",
 )
 def _oracle_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    # Two scans: the partition kernels up to the oracle cap, then the
-    # permutation kernel up to its own cap, reported as "permutations".
-    cap = min(cfg.oracle_cap, oracle.DEFAULT_CAP)
+    # Two scans: the partition kernels up to max_n and the oracle cap, then
+    # the permutation kernel up to its own cap, reported as "permutations".
+    cap = min(cfg.max_n, cfg.oracle_cap, oracle.DEFAULT_CAP)
     perm_cap = min(cap, oracle.PERMUTATION_CAP)
     perms = Grid(n=(0, perm_cap), r=(0, "n"))
     rows = Grid(n=(0, cap), notes={"permutations": perms.bounds["n"]})

@@ -439,13 +439,10 @@ def _cmd_egf(cfg: RunConfig) -> tuple[int, str]:
         series = ser.egf_family(family, order)
     else:
         raise ValueError(f"unknown egf family {family!r}")
-    rows = []
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        c = series.coeff(n)
-        rows.append({"n": n, "c_n": str(c), "n_factorial_c_n": str(fact * c)})
+    rows = [
+        {"n": n, "c_n": str(series.coeff(n)), "n_factorial_c_n": str(series.egf_coeff(n))}
+        for n in range(order + 1)
+    ]
     if cfg.fmt == "json":
         return _EXIT_PASS, canonical_json(
             {"command": "egf", "config": _config_echo(cfg), "results": rows}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdbell import checks, cli
+from pdbell import checks, cli, oracle
 from pdbell import sequences as seq
 from pdbell.checks import Status, SuiteConfig
 
@@ -434,3 +434,18 @@ def test_approx_e_error_bounds():
 def test_approx_e_requires_positive_eps():
     with pytest.raises(ValueError):
         checks.approx_e(Fraction(0))
+
+
+def test_oracle_all_enumerates_no_further_than_max_n(monkeypatch):
+    seen = []
+    brute_pdb_row = oracle.brute_pdb_row
+    monkeypatch.setattr(
+        oracle, "brute_pdb_row", lambda n, cap: seen.append(n) or brute_pdb_row(n, cap)
+    )
+    report = checks.check("oracle_all", SuiteConfig(max_n=0))
+    assert report.status is Status.PASS
+    assert dict(report.bounds) == {"n": "0..0", "permutations": "0..0"}
+    assert seen == [0]
+    # max_n at or above the oracle cap scans to the cap, as before
+    report = checks.check("oracle_all", SuiteConfig(max_n=20))
+    assert dict(report.bounds) == {"n": "0..8", "permutations": "0..8"}

@@ -134,6 +134,108 @@ def test_equality_and_hash():
     assert a != TruncatedSeries.one(4)
 
 
+def test_equal_series_from_constructor_and_arithmetic_hash_alike():
+    # EGF values 1, 1, 3, built from int and from integral-Fraction entries,
+    # and by arithmetic on a series whose EGF values 1/2, 1/2, 3/2 are not
+    # integral.
+    by_ints = TruncatedSeries([1, 1, Fraction(3, 2)])
+    by_fractions = TruncatedSeries([Fraction(2, 2), Fraction(3, 3), Fraction(6, 4)])
+    half = TruncatedSeries([Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)])
+    assert half.egf_coeff(2) == Fraction(3, 2)
+    for s in (by_fractions, half + half, half.scale(2)):
+        assert s == by_ints and hash(s) == hash(by_ints)
+        assert [type(s.egf_coeff(n)) for n in range(3)] == [int, int, int]
+    assert len({by_ints, by_fractions, half + half}) == 1
+
+
+def test_egf_coeff_is_n_factorial_times_coeff():
+    cases = [
+        egf_family("deranged_bell", 30),
+        egf_family("higher_bernoulli", 30, 2),
+        egf_pdb(1, Fraction(1, 2), 30),
+        make_series([Fraction(1, 3), Fraction(-2, 5), 7]),
+    ]
+    for s in cases:
+        for n in range(s.order + 1):
+            value = s.egf_coeff(n)
+            assert value == math.factorial(n) * s.coeff(n)
+            # stored as an int exactly when integral
+            assert (type(value) is int) == (Fraction(value).denominator == 1)
+        assert all(type(c) is Fraction for c in s.coefficients)
+    with pytest.raises(ValueError):
+        cases[0].egf_coeff(31)
+    with pytest.raises(ValueError):
+        cases[0].egf_coeff(-1)
+
+
+# ----------------------------------------------------------------------
+# differential test against schoolbook arithmetic on the raw coefficients
+
+
+def _ref_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)) for m in range(n)]
+
+
+def _ref_div(a, b):
+    out = []
+    for m in range(min(len(a), len(b))):
+        acc = a[m] - sum((b[i] * out[m - i] for i in range(1, m + 1)), Fraction(0))
+        out.append(acc / b[0])
+    return out
+
+
+def _ref_exp(a):
+    out = [Fraction(1)]
+    for m in range(1, len(a)):
+        out.append(sum((k * a[k] * out[m - k] for k in range(1, m + 1)), Fraction(0)) / m)
+    return out
+
+
+def _ref_pow(a, k):
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _assert_matches(series, reference):
+    assert series.order == len(reference) - 1
+    assert series.coefficients == tuple(reference)
+    assert all(type(c) is Fraction for c in series.coefficients)
+    for n, c in enumerate(reference):
+        value = series.egf_coeff(n)
+        assert value == c * math.factorial(n)
+        assert (type(value) is int) == ((c * math.factorial(n)).denominator == 1)
+
+
+nonzero_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+
+
+@given(
+    a=series_coeffs,
+    b=series_coeffs,
+    b0=nonzero_rationals,
+    c=rationals,
+    k=st.integers(min_value=0, max_value=4),
+    r=st.integers(min_value=0, max_value=10),
+)
+def test_arithmetic_matches_schoolbook_fraction_reference(a, b, b0, c, k, r):
+    b = [b0] + b[1:]
+    sa, sb = make_series(a), make_series(b)
+    _assert_matches(sa, a)
+    _assert_matches(sa + sb, [x + y for x, y in zip(a, b)])
+    _assert_matches(sa - sb, [x - y for x, y in zip(a, b)])
+    _assert_matches(-sa, [-x for x in a])
+    _assert_matches(sa * sb, _ref_mul(a, b))
+    _assert_matches(sa / sb, _ref_div(a, b))
+    _assert_matches(sa.scale(c), [c * x for x in a])
+    _assert_matches(sa.shift(r), ([Fraction(0)] * r + a)[: len(a)])
+    _assert_matches(sa.pow(k), _ref_pow(a, k))
+    tail = [Fraction(0)] + a[1:]
+    _assert_matches(make_series(tail).exp(), _ref_exp(tail))
+
+
 # ----------------------------------------------------------------------
 # composition with exp(t) - 1, two independent ways
 

@@ -4,13 +4,16 @@
 Usage, from the repository root::
 
     python3 scripts/bench.py                                  # this tree only
-    python3 scripts/bench.py old=/path/to/old/src new=src > BENCH_4.json
+    python3 scripts/bench.py old=/path/to/old/src new=src > BENCH_5.json
 
 Each positional argument is LABEL=DIR, a directory holding the ``pdbell``
-package (default: ``this=src``).  Every case runs REPEAT times, each
-time in a new interpreter with only DIR on ``PYTHONPATH``, so no memo starts
-warm; the child times the case alone, not its own start-up.  Repeats take
-the trees in turn, so a slow spell of a shared host falls on all of them.
+package (default: ``this=src``).  Every sample of a case runs in a new
+interpreter with only DIR on ``PYTHONPATH``, so no memo starts warm; the
+child times the case alone, not its own start-up.  A case takes samples
+until every tree has at least REPEAT of them and MIN_CPU_S of summed CPU
+time, up to MAX_SAMPLES, so a case of a few tens of milliseconds gets
+enough samples for its median to be compared.  Samples take the trees in
+turn, so a slow spell of a shared host falls on all of them.
 
 The report is canonical JSON (sorted keys, two-space indent): per tree and
 case, the median CPU and wall time and the CPU samples, and with two or more
@@ -32,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5
+MIN_CPU_S = 1.0
+MAX_SAMPLES = 25
 
 # name -> (what it times, setup, timed body); only the body is timed.
 CASES: dict[str, tuple[str, str, str]] = {
@@ -39,6 +44,16 @@ CASES: dict[str, tuple[str, str, str]] = {
         "grow the Stirling triangle to row 400",
         "",
         "seq.stirling2(400, 400)",
+    ),
+    "ordered_bell_to_300": (
+        "ordered_bell(n) for n = 0..300",
+        "",
+        "for n in range(301):\n    seq.ordered_bell(n)",
+    ),
+    "r_ordered_bell_to_60_r_to_20": (
+        "r_ordered_bell(n, r) for n = 0..60, r = 0..20",
+        "",
+        "for n in range(61):\n    for r in range(21):\n        seq.r_ordered_bell(n, r)",
     ),
     "pdb_row_to_300": (
         "pdb_row(n) for n = 0..300",
@@ -129,13 +144,21 @@ def main() -> int:
     cases = list(CASES)
 
     samples = {label: {case: [] for case in cases} for label in trees}
-    for i in range(REPEAT):
-        for case in cases:
+
+    def wants_more(case: str) -> bool:
+        return any(
+            len(by_case[case]) < REPEAT
+            or sum(s["cpu_s"] for s in by_case[case]) < MIN_CPU_S
+            for by_case in samples.values()
+        )
+
+    for i in range(MAX_SAMPLES):
+        for case in filter(wants_more, cases):
             for label, src in trees.items():
                 sample = time_case(src, case)
                 samples[label][case].append(sample)
                 print(
-                    f"run {i + 1}/{REPEAT} {case} {label}: "
+                    f"run {i + 1} {case} {label}: "
                     f"cpu {sample['cpu_s']:.3f} s wall {sample['wall_s']:.3f} s",
                     file=sys.stderr,
                 )

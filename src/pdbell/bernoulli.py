@@ -25,8 +25,9 @@ def _power_series(r: int, order: int) -> ser.TruncatedSeries:
     with _cache_lock:
         cached = _cache.get(r)
         if cached is None or cached.order < order:
-            # grow in blocks of 16 so repeated scalar queries reuse one series
-            target = max(16, -(-order // 16) * 16)
+            # Grow at least by doubling, so an ascending scan of scalar
+            # queries builds O(log n) series, not one per block.
+            target = max(16, order, 2 * cached.order if cached is not None else 0)
             cached = ser.egf_family("higher_bernoulli", target, r)
             _cache[r] = cached
     return cached

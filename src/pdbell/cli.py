@@ -329,8 +329,7 @@ def _cmd_check(cfg: RunConfig) -> tuple[int, str]:
         return (
             _EXIT_RESOURCE,
             f"resource cap: --oracle-cap is limited to {oracle.DEFAULT_CAP}; "
-            "the enumeration visits every block permutation of every partition "
-            "(545835 at n = 8, 7087261 at n = 9, 102247563 at n = 10)\n",
+            f"{oracle._COST_HINT}\n",
         )
     ids = None if not cfg.ids or "all" in cfg.ids else list(cfg.ids)
     report = checks.run_all(_suite_config(cfg), ids)
@@ -388,8 +387,7 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
         return (
             _EXIT_RESOURCE,
             f"resource cap: oracle enumeration is limited to n <= {oracle.DEFAULT_CAP}; "
-            "the enumeration visits every block permutation of every partition "
-            "(545835 at n = 8, 7087261 at n = 9, 102247563 at n = 10)\n",
+            f"{oracle._COST_HINT}\n",
         )
     cells = _oracle_cells(cap)
     all_equal = all(c["equal"] for c in cells)

@@ -177,7 +177,7 @@ def geometric_poly(n: int) -> IntPolynomial:
     """Ordered partition polynomial: coefficient of y**k is stirling2(n, k)*k!."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return IntPolynomial(map(mul, seq.stirling2_row(n), seq._factorials(n)))
+    return IntPolynomial(map(mul, seq.stirling2_row(n), seq._factorials.upto(n)))
 
 
 @lru_cache(maxsize=4096)

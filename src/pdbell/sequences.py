@@ -4,24 +4,33 @@ deranged blocks.
 Everything is computed with Python's arbitrary precision integers; there is
 no floating point anywhere in this module.
 
-The memos behind the kernels may be read from several threads at once.
-Each is append-only: an entry, once published, never changes, and growth
-happens under a lock.  The dot products below read three of them:
+Every kernel is a sum over a few memoized tables, and every table is one
+type, ``_Memo``: an append-only list whose entry ``m`` is
+``step(entries, m)``, computed from the entries before it.
+``memo.upto(n)`` returns the list itself, grown under the memo's own lock
+until it holds at least entries ``0..n``.  An entry, once published, never
+changes.  The tables are:
 
-* The Stirling triangles, one per ``r``, grow a whole row at a time.
-* ``_derangements`` holds D(0), D(1), ... .
-* ``_rencontres`` holds the columns of the rencontres matrix: column ``r``
-  lists ``partial_derangement(k, r) = C(k, r) * D(k - r)`` for
-  ``k = r, r + 1, ...``.  Each column grows on its own, on demand.
+* ``_triangles[r]``: the Stirling triangle for ``r`` (the ordinary one is
+  ``r = 0``); entry ``i`` is the whole row ``m = r + i``, ``j = r..m``.
+* ``_derangements``: D(0), D(1), ... .
+* ``_rencontres[r]``: column ``r`` of the rencontres matrix; entry ``i`` is
+  ``partial_derangement(r + i, r) = C(r + i, r) * D(i)``.
+* ``_comp_bell``: the alternating Bell numbers.
+* ``_factorials``: 0!, 1!, ... .
 
-A reader checks the length of the very list it is about to read and grows
-that list if it is short; the length of some other row or column says
-nothing about it.  Given that, concurrent callers always see the
+The per-``r`` memos are made on first use.  The memos may be read from
+several threads at once, under one rule: a reader calls ``upto`` on the
+very memo it is about to read, with the largest index it will read.  The
+length of some other memo says nothing about this one, which another
+thread may still be growing.  The list returned may be longer than asked
+and must not be mutated.  Given that, concurrent callers always see the
 single-threaded values.
 
-The deranged-block numbers are dot products over these lists:
-``pdb_number(n, r)`` is Stirling row ``n`` from ``k = r`` on, times
-rencontres column ``r``, summed in C with ``sum(map(mul, ...))``.
+The kernels are dot products over these lists, summed in C with
+``sum(map(mul, ...))``: ``pdb_number(n, r)`` is Stirling row ``n`` from
+``k = r`` on times rencontres column ``r``, and ``ordered_bell(n)`` is the
+same row times the factorials.
 
 Conventions:
 
@@ -40,8 +49,10 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
+from typing import Any, Callable
 
 __all__ = [
     "stirling2",
@@ -70,68 +81,58 @@ def _require_nonnegative(**values: int) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-class _MemoTriangle:
-    """Append-only triangle for T(m, j) = T(m-1, j-1) + j*T(m-1, j).
+class _Memo:
+    """Append-only list: entry 0 is ``first``, entry m is ``step(entries, m)``."""
 
-    Seeded with T(r, r) = 1; row m (m >= r) stores entries j = r..m.  The
-    ordinary Stirling triangle is the r = 0 instance.  Rows grow on demand
-    under a lock and existing cells are never rewritten.
-    """
-
-    def __init__(self, r: int = 0) -> None:
-        self.r = r
-        self._rows: list[list[int]] = [[1]]
+    def __init__(self, step: Callable[[list, int], Any], first: Any) -> None:
+        self._rows = [first]
+        self._step = step
         self._lock = threading.Lock()
 
-    def value(self, m: int, j: int) -> int:
-        r = self.r
-        if m < r or j < r or j > m:
-            return 0
-        return self.row(m)[j - r]
-
-    def row(self, m: int) -> list[int]:
-        """The memo row m (m >= r), entries j = r..m; callers must not mutate it."""
-        if m - self.r >= len(self._rows):
-            self._grow(m)
-        return self._rows[m - self.r]
-
-    def _grow(self, m: int) -> None:
-        with self._lock:
-            while len(self._rows) <= m - self.r:
-                prev = self._rows[-1]
-                row_m = self.r + len(self._rows)
-                row = []
-                for j in range(self.r, row_m + 1):
-                    idx = j - self.r
-                    v = prev[idx - 1] if 0 <= idx - 1 < len(prev) else 0
-                    if idx < len(prev):
-                        v += j * prev[idx]
-                    row.append(v)
-                self._rows.append(row)
+    def upto(self, n: int) -> list:
+        """The memo list itself, grown to hold at least entries 0..n."""
+        rows = self._rows
+        if n >= len(rows):
+            with self._lock:
+                while len(rows) <= n:
+                    rows.append(self._step(rows, len(rows)))
+        return rows
 
 
-_triangles: dict[int, _MemoTriangle] = {}
-_triangles_lock = threading.Lock()
+def _per_r(memos: dict[int, _Memo], r: int, step: Callable, first: Any) -> _Memo:
+    """The memo ``memos[r]``, made on first use with step ``step(r, entries, m)``."""
+    memo = memos.get(r)
+    if memo is None:
+        # setdefault is one atomic dict operation: racing callers all get
+        # the memo that was stored first.
+        memo = memos.setdefault(r, _Memo(partial(step, r), first))
+    return memo
 
 
-def _triangle(r: int) -> _MemoTriangle:
-    tri = _triangles.get(r)
-    if tri is None:
-        with _triangles_lock:
-            tri = _triangles.setdefault(r, _MemoTriangle(r))
-    return tri
+def _triangle_row(r: int, rows: list[list[int]], i: int) -> list[int]:
+    # T(m, j) = T(m-1, j-1) + j*T(m-1, j) for row m = r + i, j = r..m.
+    prev = rows[i - 1]
+    return list(map(add, [0, *prev], map(mul, range(r, r + i + 1), [*prev, 0])))
+
+
+_triangles: dict[int, _Memo] = {}
+
+
+def _row(r: int, m: int) -> list[int]:
+    """Row m (m >= r) of triangle r, entries j = r..m; callers must not mutate it."""
+    return _per_r(_triangles, r, _triangle_row, [1]).upto(m - r)[m - r]
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling partition number: partitions of an n-set into k blocks."""
     _require_nonnegative(n=n, k=k)
-    return _triangle(0).value(n, k)
+    return _row(0, n)[k] if k <= n else 0
 
 
 def stirling2_row(n: int) -> list[int]:
     """Row [stirling2(n, 0), ..., stirling2(n, n)], as a fresh list."""
     _require_nonnegative(n=n)
-    return list(_triangle(0).row(n))
+    return list(_row(0, n))
 
 
 def stirling2_explicit(n: int, k: int) -> int:
@@ -156,27 +157,17 @@ def r_stirling2(m: int, j: int, r: int) -> int:
     ``stirling2(m, j)``.
     """
     _require_nonnegative(m=m, j=j, r=r)
-    return _triangle(r).value(m, j)
+    return _row(r, m)[j - r] if r <= j <= m else 0
 
 
-_derangements: list[int] = [1]
-_derangements_lock = threading.Lock()
-
-
-def _derangements_to(n: int) -> list[int]:
-    """The memo list ``_derangements``, grown to hold at least D(0..n)."""
-    if n >= len(_derangements):
-        with _derangements_lock:
-            while len(_derangements) <= n:
-                m = len(_derangements)
-                _derangements.append(m * _derangements[m - 1] + (-1) ** m)
-    return _derangements
+_derangements = _Memo(lambda d, m: m * d[m - 1] + (-1) ** m, 1)
+_factorials = _Memo(lambda f, m: m * f[m - 1], 1)
 
 
 def derangement(n: int) -> int:
     """Permutations of n items with no fixed point (1 for n = 0)."""
     _require_nonnegative(n=n)
-    return _derangements_to(n)[n]
+    return _derangements.upto(n)[n]
 
 
 def partial_derangement(n: int, r: int) -> int:
@@ -184,34 +175,20 @@ def partial_derangement(n: int, r: int) -> int:
     _require_nonnegative(n=n, r=r)
     if r > n:
         return 0
-    return math.comb(n, r) * derangement(n - r)
+    return math.comb(n, r) * _derangements.upto(n - r)[n - r]
 
 
-_rencontres: list[list[int]] = []
-_rencontres_lock = threading.Lock()
+def _rencontres_entry(r: int, _: list[int], i: int) -> int:
+    return math.comb(r + i, r) * _derangements.upto(i)[i]
 
 
-def _rencontres_column(r: int, n: int) -> list[int]:
-    """Memo column r (r <= n): entry i is C(r + i, r) * D(i), for at least
-    i = 0..n - r.  The column may be longer; callers must not mutate it.
+_rencontres: dict[int, _Memo] = {}
 
-    The length test is on column r itself: another column being long enough
-    says nothing about this one, which another thread may still be growing.
-    """
-    cols = _rencontres
-    if r < len(cols) and len(cols[r]) > n - r:
-        return cols[r]
-    with _rencontres_lock:
-        while len(cols) <= r:
-            cols.append([])
-        col = cols[r]
-        start = len(col)
-        if start <= n - r:
-            d = _derangements_to(n - r)
-            # One extend with a finished list: a reader sees the column
-            # either before or after the new entries, never a gap.
-            col.extend([math.comb(r + i, r) * d[i] for i in range(start, n - r + 1)])
-    return col
+
+def _column(r: int, n: int) -> list[int]:
+    """Rencontres column r (r <= n), entry i = C(r + i, r) * D(i) for at least
+    i = 0..n - r; callers must not mutate it."""
+    return _per_r(_rencontres, r, _rencontres_entry, 1).upto(n - r)
 
 
 def partial_derangement_column(r: int, n: int) -> list[int]:
@@ -219,34 +196,27 @@ def partial_derangement_column(r: int, n: int) -> list[int]:
     _require_nonnegative(n=n, r=r)
     if r > n:
         return []
-    return _rencontres_column(r, n)[: n - r + 1]
-
-
-def _factorials(n: int) -> list[int]:
-    """[0!, 1!, ..., n!]."""
-    return list(accumulate(range(1, n + 1), mul, initial=1))
+    return _column(r, n)[: n - r + 1]
 
 
 def bell(n: int) -> int:
     """Number of partitions of an n-set."""
     _require_nonnegative(n=n)
-    return sum(_triangle(0).row(n))
+    return sum(_row(0, n))
 
 
-_comp_bell: list[int] = [1]
-_comp_bell_lock = threading.Lock()
+def _alternating_row_sum(_: list[int], m: int) -> int:
+    row = _row(0, m)
+    return sum(row[0::2]) - sum(row[1::2])
+
+
+_comp_bell = _Memo(_alternating_row_sum, 1)
 
 
 def complementary_bell(n: int) -> int:
     """Alternating Bell number: sum of (-1)^k * stirling2(n, k) over k."""
     _require_nonnegative(n=n)
-    if n >= len(_comp_bell):
-        with _comp_bell_lock:
-            while len(_comp_bell) <= n:
-                m = len(_comp_bell)
-                row = _triangle(0).row(m)
-                _comp_bell.append(sum(row[0::2]) - sum(row[1::2]))
-    return _comp_bell[n]
+    return _comp_bell.upto(n)[n]
 
 
 def complementary_r_bell(n: int, r: int) -> int:
@@ -256,15 +226,14 @@ def complementary_r_bell(n: int, r: int) -> int:
     so each query is O(n) once the base sequence exists.
     """
     _require_nonnegative(n=n, r=r)
-    return sum(
-        math.comb(n, k) * r**k * complementary_bell(n - k) for k in range(n + 1)
-    )
+    comp = _comp_bell.upto(n)
+    return sum(math.comb(n, k) * r**k * comp[n - k] for k in range(n + 1))
 
 
 def ordered_bell(n: int) -> int:
     """Number of ordered partitions (partitions with ordered blocks)."""
     _require_nonnegative(n=n)
-    return sum(map(mul, _triangle(0).row(n), _factorials(n)))
+    return sum(map(mul, _row(0, n), _factorials.upto(n)))
 
 
 def r_ordered_bell(n: int, r: int) -> int:
@@ -273,9 +242,7 @@ def r_ordered_bell(n: int, r: int) -> int:
     Defined as the sum over k of ``r_stirling2(n + r, k + r, r) * k!``.
     """
     _require_nonnegative(n=n, r=r)
-    return sum(
-        r_stirling2(n + r, k + r, r) * math.factorial(k) for k in range(n + 1)
-    )
+    return sum(map(mul, _row(r, n + r), _factorials.upto(n)))
 
 
 def truncated_ordered_bell(n: int, r: int) -> int:
@@ -283,14 +250,14 @@ def truncated_ordered_bell(n: int, r: int) -> int:
     _require_nonnegative(n=n, r=r)
     if r > n:
         return 0
-    return sum(map(mul, _triangle(0).row(n)[r:], _factorials(n)[r:]))
+    return sum(map(mul, _row(0, n)[r:], _factorials.upto(n)[r:]))
 
 
 def truncated_ordered_bell_row(n: int) -> list[int]:
     """Row [truncated_ordered_bell(n, r) for r = 0..n]: suffix sums of
     stirling2(n, k) * k!, so O(n) additions for the whole row."""
     _require_nonnegative(n=n)
-    terms = list(map(mul, _triangle(0).row(n), _factorials(n)))
+    terms = list(map(mul, _row(0, n), _factorials.upto(n)))
     terms.reverse()
     row = list(accumulate(terms))
     row.reverse()
@@ -304,7 +271,7 @@ def deranged_bell(n: int) -> int:
     each k-block partition by the derangement number of k.
     """
     _require_nonnegative(n=n)
-    return sum(map(mul, _triangle(0).row(n), _derangements_to(n)))
+    return sum(map(mul, _row(0, n), _derangements.upto(n)))
 
 
 def pdb_number(n: int, r: int) -> int:
@@ -317,13 +284,11 @@ def pdb_number(n: int, r: int) -> int:
     _require_nonnegative(n=n, r=r)
     if r > n:
         return 0
-    return sum(map(mul, _triangle(0).row(n)[r:], _rencontres_column(r, n)))
+    return sum(map(mul, _row(0, n)[r:], _column(r, n)))
 
 
 def pdb_row(n: int) -> list[int]:
     """Row [pdb_number(n, 0), ..., pdb_number(n, n)]; sums to ordered_bell(n)."""
     _require_nonnegative(n=n)
-    row = _triangle(0).row(n)
-    return [
-        sum(map(mul, row[r:], _rencontres_column(r, n))) for r in range(n + 1)
-    ]
+    row = _row(0, n)
+    return [sum(map(mul, row[r:], _column(r, n))) for r in range(n + 1)]

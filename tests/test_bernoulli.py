@@ -1,6 +1,7 @@
 """Exact rational Bernoulli numbers, plain and higher order."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,25 @@ def test_higher_order_matches_repeated_cauchy_products():
         power = _cauchy_power(base, r, order)
         for n in range(order + 1):
             assert higher_bernoulli(n, r) == math.factorial(n) * power[n]
+
+
+def test_ascending_scan_grows_the_cache_by_doubling(monkeypatch):
+    # ``pdbell.bernoulli`` is the re-exported function, so reach the module
+    # through sys.modules.
+    module = sys.modules["pdbell.bernoulli"]
+    egf_family = module.ser.egf_family
+    builds = []
+
+    def counting_egf_family(family, order, *params):
+        builds.append(order)
+        return egf_family(family, order, *params)
+
+    monkeypatch.setattr(module, "_cache", {})
+    monkeypatch.setattr(module.ser, "egf_family", counting_egf_family)
+    values = [higher_bernoulli(n, 3) for n in range(257)]
+    assert len(builds) <= 5, builds
+    reference = egf_family("higher_bernoulli", 256, 3)
+    assert values == [Fraction(reference.egf_coeff(n)) for n in range(257)]
 
 
 def test_values_are_reduced_fractions():

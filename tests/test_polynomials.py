@@ -131,6 +131,14 @@ def test_pdb_poly_matches_definition_to_80():
             assert pdb_poly(n, r) == expected, (n, r)
 
 
+def test_geometric_poly_matches_factorial_sums_to_80():
+    for n in range(81):
+        expected = IntPolynomial(
+            seq.stirling2(n, k) * math.factorial(k) for k in range(n + 1)
+        )
+        assert geometric_poly(n) == expected, n
+
+
 def test_pdb_poly_past_the_row_is_zero_without_work():
     # r > n is the zero polynomial at once, however large r is.
     assert pdb_poly(2, 10**8) == IntPolynomial([])

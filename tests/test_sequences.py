@@ -178,10 +178,34 @@ def test_pdb_kernels_match_definition_to_80():
         ]
 
 
+def test_ordered_bell_kernels_match_factorial_sums_to_80():
+    for n in range(81):
+        terms = [seq.stirling2(n, k) * math.factorial(k) for k in range(n + 1)]
+        assert seq.ordered_bell(n) == sum(terms), n
+        for r in range(n + 3):
+            assert seq.truncated_ordered_bell(n, r) == sum(terms[r:]), (n, r)
+
+
+def test_r_ordered_bell_matches_definition():
+    for n in range(41):
+        for r in range(13):
+            expected = sum(
+                seq.r_stirling2(n + r, k + r, r) * math.factorial(k)
+                for k in range(n + 1)
+            )
+            assert seq.r_ordered_bell(n, r) == expected, (n, r)
+
+
+def test_complementary_bell_matches_alternating_stirling_sum_to_80():
+    for n in range(81):
+        expected = sum((-1) ** k * seq.stirling2(n, k) for k in range(n + 1))
+        assert seq.complementary_bell(n) == expected, n
+
+
 def test_pdb_kernels_do_not_depend_on_query_order(monkeypatch):
     # A fresh column memo, grown high first, then read lower, then grown
     # again from the middle, by both entry points.
-    monkeypatch.setattr(seq, "_rencontres", [])
+    monkeypatch.setattr(seq, "_rencontres", {})
     queries = [
         ("number", 70, 5),
         ("row", 12, None),
@@ -205,10 +229,10 @@ def test_pdb_kernels_do_not_depend_on_query_order(monkeypatch):
 
 
 def test_pdb_number_past_the_diagonal_grows_no_memo(monkeypatch):
-    monkeypatch.setattr(seq, "_rencontres", [])
+    monkeypatch.setattr(seq, "_rencontres", {})
     assert seq.pdb_number(3, 7) == 0
     assert seq.partial_derangement_column(7, 3) == []
-    assert seq._rencontres == []
+    assert seq._rencontres == {}
 
 
 def test_row_accessors_return_copies():
@@ -351,7 +375,7 @@ def test_concurrent_pdb_readers_match_definition(monkeypatch):
     expected = {
         (n, r): pdb_by_definition(n, r) for n in range(max_n + 1) for r in range(n + 1)
     }
-    monkeypatch.setattr(seq, "_rencontres", [])
+    monkeypatch.setattr(seq, "_rencontres", {})
     failures = []
 
     def worker(shift):
@@ -372,3 +396,43 @@ def test_concurrent_pdb_readers_match_definition(monkeypatch):
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
+    # Four threads read r_stirling2 for r = 0..6 and complementary_bell at
+    # interleaved indices while fresh triangle and alternating Bell memos
+    # grow under them; every value must be the single-threaded one.
+    max_m, max_r = 60, 6
+    expected_stirling = {
+        (m, j, r): seq.r_stirling2(m, j, r)
+        for m in range(max_m + 1)
+        for j in range(m + 2)
+        for r in range(max_r + 1)
+    }
+    expected_comp = [seq.complementary_bell(m) for m in range(max_m + 1)]
+    monkeypatch.setattr(seq, "_triangles", {})
+    monkeypatch.setattr(seq, "_comp_bell", seq._Memo(seq._comp_bell._step, 1))
+    failures = []
+
+    def worker(shift):
+        for m in range(shift, max_m + 1, 4):
+            if seq.complementary_bell(m) != expected_comp[m]:
+                failures.append(("comp", m))
+            for r in range(max_r, -1, -1) if shift % 2 else range(max_r + 1):
+                for j in range(m + 2):
+                    if seq.r_stirling2(m, j, r) != expected_stirling[m, j, r]:
+                        failures.append((m, j, r))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert sorted(seq._triangles) == list(range(max_r + 1))

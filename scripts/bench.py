@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time the kernel and series layers of pdbell, each case cold in a new process.
+"""Time the kernel, polynomial and series layers and the polynomial checks of
+pdbell, each case cold in a new process.
 
 Usage, from the repository root::
 
     python3 scripts/bench.py                                  # this tree only
-    python3 scripts/bench.py old=/path/to/old/src new=src > BENCH_5.json
+    python3 scripts/bench.py old=/path/to/old/src new=src > BENCH_6.json
 
 Each positional argument is LABEL=DIR, a directory holding the ``pdbell``
 package (default: ``this=src``).  Every sample of a case runs in a new
@@ -73,6 +74,24 @@ CASES: dict[str, tuple[str, str, str]] = {
         "    lambda n: [seq.truncated_ordered_bell(n, r) for r in range(n + 1)])",
         "for n in range(301):\n    row(n)",
     ),
+    "int_poly_mul_deg_40": (
+        "200 products of two IntPolynomials of degree 40",
+        "a, b = poly.geometric_poly(40), poly.pdb_poly(40, 0)",
+        "for _ in range(200):\n    a * b",
+    ),
+    "int_poly_mul_deg_120": (
+        "20 products of two IntPolynomials of degree 120",
+        "a, b = poly.geometric_poly(120), poly.pdb_poly(120, 0)",
+        "for _ in range(20):\n    a * b",
+    ),
+    "weighted_sum_pdb_poly_row_60": (
+        "100 sums of r*pdb_poly(60, r) over r = 0..60, the polynomials built once",
+        # A tree without weighted_sum folds + over w*p, as its checks did.
+        "row = [(r, poly.pdb_poly(60, r)) for r in range(61)]\n"
+        "weighted_sum = getattr(poly, 'weighted_sum', None) or (\n"
+        "    lambda pairs: sum((w * p for w, p in pairs), poly.IntPolynomial()))",
+        "for _ in range(100):\n    weighted_sum(row)",
+    ),
     "egf_deranged_bell_64": (
         "egf_family('deranged_bell', 64)",
         "",
@@ -99,10 +118,23 @@ CASES: dict[str, tuple[str, str, str]] = {
         "ser.egf_family('higher_bernoulli', 128, 3)",
     ),
 }
+# The polynomial checks, cold: grids, kernels and polynomial arithmetic.
+CASES.update(
+    (
+        f"check_{check_id}_n{n}",
+        (
+            f"checks.check('{check_id}', SuiteConfig(max_n={n}))",
+            "",
+            f"checks.check('{check_id}', checks.SuiteConfig(max_n={n}))",
+        ),
+    )
+    for check_id in ("prop_3_6_a", "prop_3_6_b", "thm_3_1", "thm_3_10")
+    for n in (20, 40)
+)
 
 CHILD = """\
 import json, time
-from pdbell import polynomials as poly, sequences as seq, series as ser
+from pdbell import checks, polynomials as poly, sequences as seq, series as ser
 {setup}
 cpu, wall = time.process_time(), time.perf_counter()
 {body}

@@ -11,6 +11,12 @@ A brute-force enumeration oracle recounts the small cases from the
 definitions, and a registry of identity checks verifies every stated
 relation between the families on finite grids, reporting a first
 counterexample with deterministic witnesses where a stated form fails.
+
+``pdbell.bernoulli`` is the function ``bernoulli(n)``, the public spelling
+for Bernoulli numbers; it shadows the submodule of the same name as a
+package attribute.  The submodule stays importable by its full name:
+``from pdbell.bernoulli import higher_bernoulli`` or
+``importlib.import_module("pdbell.bernoulli")``.
 """
 
 from .bernoulli import bernoulli, higher_bernoulli

@@ -398,13 +398,6 @@ def approx_e(eps: Fraction) -> Fraction:
             return total
 
 
-def _poly_sum(parts: Iterable[poly.IntPolynomial]) -> poly.IntPolynomial:
-    total = poly.IntPolynomial()
-    for p in parts:
-        total = total + p
-    return total
-
-
 def _scaled(weights: list[Fraction]) -> tuple[int, list[int]]:
     """The lcm L of the weights' denominators, and the integers L*w."""
     scale = math.lcm(*(w.denominator for w in weights))
@@ -463,7 +456,9 @@ def _thm_2_4(cfg: SuiteConfig, n: int) -> Comparisons:
 @_check(
     "thm_2_7",
     "pdb_number(n,r)-(r+1)*pdb_number(n,r+1) = "
-    "sum_k C(n,k)*stirling2(k,r)*complementary_bell(n-k)",
+    "sum_k C(n,k)*stirling2(k,r)*complementary_bell(n-k); at r = 0 this is the "
+    "first equality of the abstract's headline identity, "
+    "complementary_bell(n) = pdb_number(n,0)-pdb_number(n,1)",
     lambda c: Grid(n=(0, c.max_n), r=(0, f"min(n,{c.max_r})")),
 )
 def _thm_2_7(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
@@ -506,7 +501,9 @@ def _remark_2_8_printed(cfg: SuiteConfig, n: int) -> Comparisons:
     "remark_2_8_corrected",
     "sign-corrected forms pdb(n,1)-2*pdb(n,2) = -(comp_bell(n+1)+comp_bell(n)) "
     "and pdb(n,0)-2*pdb(n,2) = -comp_bell(n+1), anchored to brute_pdb_row "
-    "within the oracle cap",
+    "within the oracle cap; the second form, shifted to pdb(n-1,0)-2*pdb(n-1,2) "
+    "= -comp_bell(n), is the second equality of the abstract's headline "
+    "identity, which holds only with this sign",
     lambda c: Grid(n=(0, c.max_n), notes={"oracle_anchor": f"n<={c.oracle_cap}"}),
 )
 def _remark_2_8_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
@@ -672,8 +669,8 @@ def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
     lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
-    rhs = _poly_sum(
-        math.comb(n, k) * seq.stirling2(n - k, r) * poly.pdb_poly(k, m)
+    rhs = poly.weighted_sum(
+        (math.comb(n, k) * seq.stirling2(n - k, r), poly.pdb_poly(k, m))
         for k in range(m, n + 1)
     ).times_y_power(r)
     yield {}, lhs, rhs
@@ -761,8 +758,8 @@ def _cor_3_2_corrected(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comp
 )
 def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
-    rhs = _poly_sum(
-        math.comb(n, k) * seq.stirling2(k, r) * poly.exponential_poly(n - k).reflected()
+    rhs = poly.weighted_sum(
+        (math.comb(n, k) * seq.stirling2(k, r), poly.exponential_poly(n - k).reflected())
         for k in range(r, n + 1)
     ).times_y_power(r)
     yield {}, lhs, rhs
@@ -776,8 +773,8 @@ def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = math.factorial(r) * (poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1))
-    rhs = _poly_sum(
-        (-1) ** (r - i) * math.comb(r, i) * poly.r_exponential_poly(n, i).reflected()
+    rhs = poly.weighted_sum(
+        ((-1) ** (r - i) * math.comb(r, i), poly.r_exponential_poly(n, i).reflected())
         for i in range(r + 1)
     ).times_y_power(r)
     yield {}, lhs, rhs
@@ -854,7 +851,7 @@ def _prop_3_6_grid(cfg: SuiteConfig) -> Grid:
 
 
 def _row_poly_at(n: int, z: int) -> poly.IntPolynomial:
-    return _poly_sum(z**r * poly.pdb_poly(n, r) for r in range(n + 1))
+    return poly.weighted_sum((z**r, poly.pdb_poly(n, r)) for r in range(n + 1))
 
 
 @_check(
@@ -864,10 +861,11 @@ def _row_poly_at(n: int, z: int) -> poly.IntPolynomial:
     _prop_3_6_grid,
 )
 def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    rhs = _poly_sum(
-        math.comb(n, r)
-        * poly.exponential_poly(r).scale_variable(z - 1)
-        * poly.geometric_poly(n - r)
+    rhs = poly.weighted_sum(
+        (
+            math.comb(n, r),
+            poly.exponential_poly(r).scale_variable(z - 1) * poly.geometric_poly(n - r),
+        )
         for r in range(n + 1)
     )
     yield {}, _row_poly_at(n, z), rhs
@@ -880,10 +878,8 @@ def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
     _prop_3_6_grid,
 )
 def _prop_3_6_b(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    rhs = _poly_sum(
-        math.comb(n, r)
-        * poly.exponential_poly(r).scale_variable(z)
-        * poly.pdb_poly(n - r, 0)
+    rhs = poly.weighted_sum(
+        (math.comb(n, r), poly.exponential_poly(r).scale_variable(z) * poly.pdb_poly(n - r, 0))
         for r in range(n + 1)
     )
     yield {}, _row_poly_at(n, z), rhs
@@ -897,9 +893,10 @@ def _prop_3_6_b(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
 )
 def _cor_3_7(cfg: SuiteConfig, n: int) -> Comparisons:
     target = poly.geometric_poly(n)
-    yield {"form": 1}, _poly_sum(poly.pdb_poly(n, r) for r in range(n + 1)), target
-    convolved = _poly_sum(
-        math.comb(n, r) * poly.exponential_poly(r) * poly.pdb_poly(n - r, 0)
+    row_sum = poly.weighted_sum((1, poly.pdb_poly(n, r)) for r in range(n + 1))
+    yield {"form": 1}, row_sum, target
+    convolved = poly.weighted_sum(
+        (math.comb(n, r), poly.exponential_poly(r) * poly.pdb_poly(n - r, 0))
         for r in range(n + 1)
     )
     yield {"form": 2}, convolved, target
@@ -920,8 +917,8 @@ def _cor_3_8(cfg: SuiteConfig, n: int | None = None, k: int | None = None) -> Co
         )
         yield {"part": 3}, conv, 0 if k % 2 else math.factorial(k)
         return
-    lhs = 2 * _poly_sum(
-        (-1) ** r * seq.derangement(r) * poly.pdb_poly(n, r) for r in range(n + 1)
+    lhs = poly.weighted_sum(
+        (2 * (-1) ** r * seq.derangement(r), poly.pdb_poly(n, r)) for r in range(n + 1)
     )
     g = poly.geometric_poly(n)
     yield {"part": 1}, lhs, g + g.reflected()
@@ -943,7 +940,7 @@ def _cor_3_8(cfg: SuiteConfig, n: int | None = None, k: int | None = None) -> Co
     lambda c: Grid(n=(1, c.max_n)),
 )
 def _cor_3_9(cfg: SuiteConfig, n: int) -> Comparisons:
-    lhs = _poly_sum(r * poly.pdb_poly(n, r) for r in range(1, n + 1))
+    lhs = poly.weighted_sum((r, poly.pdb_poly(n, r)) for r in range(1, n + 1))
     yield {}, lhs, poly.geometric_poly(n)
 
 
@@ -969,17 +966,17 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
     ks = range(m, n + 1)
     if r is None:  # the first-order form, on the second grid
         scale, weights = _scaled([bernoulli_number(n - k) for k in ks])
-        lhs = m * _poly_sum(
-            math.comb(n, k) * w * poly.pdb_poly(k, m) for k, w in zip(ks, weights) if w
+        lhs = poly.weighted_sum(
+            (m * math.comb(n, k) * w, poly.pdb_poly(k, m)) for k, w in zip(ks, weights)
         )
         rhs = scale * n * poly.pdb_poly(n - 1, m - 1).times_y_power(1)
         yield {"r": 1, "form": "first-order", "scale": scale}, lhs, rhs
         return
     scale, weights = _scaled([higher_bernoulli(n - k, r) for k in ks])
-    lhs = math.comb(m + r, m) * _poly_sum(
-        math.comb(n + r, k + r) * w * poly.pdb_poly(k + r, m + r)
+    outer = math.comb(m + r, m)
+    lhs = poly.weighted_sum(
+        (outer * math.comb(n + r, k + r) * w, poly.pdb_poly(k + r, m + r))
         for k, w in zip(ks, weights)
-        if w
     )
     rhs = scale * math.comb(n + r, r) * poly.pdb_poly(n, m).times_y_power(r)
     yield {"scale": scale}, lhs, rhs
@@ -1115,7 +1112,7 @@ def _wilf_scan(cfg: SuiteConfig, n: int) -> Comparisons:
     corrected_id="eq_14_corrected",
 )
 def _eq_14_printed(cfg: SuiteConfig, n: int) -> Comparisons:
-    lhs = _poly_sum(math.comb(n, k) * poly.exponential_poly(k) for k in range(n + 1))
+    lhs = poly.weighted_sum((math.comb(n, k), poly.exponential_poly(k)) for k in range(n + 1))
     yield {}, lhs, poly.exponential_poly(n + 1)
 
 
@@ -1125,7 +1122,7 @@ def _eq_14_printed(cfg: SuiteConfig, n: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n)),
 )
 def _eq_14_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
-    lhs = _poly_sum(math.comb(n, k) * poly.exponential_poly(k) for k in range(n + 1))
+    lhs = poly.weighted_sum((math.comb(n, k), poly.exponential_poly(k)) for k in range(n + 1))
     yield {}, lhs.times_y_power(1), poly.exponential_poly(n + 1)
 
 
@@ -1135,8 +1132,8 @@ def _eq_14_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
 def _eq_15(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    rhs = _poly_sum(
-        math.comb(n, k) * r**k * poly.exponential_poly(n - k) for k in range(n + 1)
+    rhs = poly.weighted_sum(
+        (math.comb(n, k) * r**k, poly.exponential_poly(n - k)) for k in range(n + 1)
     )
     yield {}, poly.r_exponential_poly(n, r), rhs
 

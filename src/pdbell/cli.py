@@ -23,8 +23,8 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Sequence
 
-# The package re-exports the bernoulli function at top level, which shadows
-# the submodule attribute, so pull the callables in directly.
+# The package attribute ``bernoulli`` is the function, not this submodule
+# (see the package docstring), so the callables are imported by name.
 from .bernoulli import bernoulli as bernoulli_number
 from .bernoulli import higher_bernoulli
 from . import checks

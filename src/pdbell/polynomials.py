@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat, starmap, zip_longest
+from operator import add, mul, neg, sub
 from typing import Iterable, Union
 
 from . import sequences as seq
 
 __all__ = [
     "IntPolynomial",
+    "weighted_sum",
     "exponential_poly",
     "r_exponential_poly",
     "geometric_poly",
@@ -61,21 +63,21 @@ class IntPolynomial:
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return IntPolynomial(self.coeff(k) + other.coeff(k) for k in range(n))
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0)
+        return IntPolynomial(starmap(add, pairs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return IntPolynomial(self.coeff(k) - other.coeff(k) for k in range(n))
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0)
+        return IntPolynomial(starmap(sub, pairs))
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self._coeffs)
+        return IntPolynomial(map(neg, self._coeffs))
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(other * c for c in self._coeffs)
+            return IntPolynomial([other * c for c in self._coeffs] if other else ())
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -102,13 +104,18 @@ class IntPolynomial:
 
     def reflected(self) -> "IntPolynomial":
         """The polynomial p(-y): odd coefficients change sign."""
-        return IntPolynomial(
-            -c if k % 2 else c for k, c in enumerate(self._coeffs)
-        )
+        out = list(self._coeffs)
+        out[1::2] = map(neg, out[1::2])
+        return IntPolynomial(out)
 
     def scale_variable(self, c: int) -> "IntPolynomial":
         """The polynomial p(c*y): coefficient k is multiplied by c**k."""
-        return IntPolynomial(a * c**k for k, a in enumerate(self._coeffs))
+        out = []
+        power = 1
+        for a in self._coeffs:
+            out.append(a * power)
+            power *= c
+        return IntPolynomial(out)
 
     def times_y_power(self, r: int) -> "IntPolynomial":
         """Multiply by y**r."""
@@ -146,6 +153,24 @@ class IntPolynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def weighted_sum(pairs: Iterable[tuple[int, IntPolynomial]]) -> IntPolynomial:
+    """The polynomial sum of w*p over (w, p) pairs with integer weights w.
+
+    The terms are accumulated in one coefficient list, so no polynomial is
+    built per term; zero weights are skipped.
+    """
+    out: list[int] = []
+    for w, p in pairs:
+        if not w:
+            continue
+        coeffs = p._coeffs
+        if len(coeffs) > len(out):
+            out.extend(repeat(0, len(coeffs) - len(out)))
+        for k, c in enumerate(coeffs):
+            out[k] += w * c
+    return IntPolynomial(out)
 
 
 # Constructors are cached: IntPolynomial is immutable, so instances can be

@@ -119,3 +119,15 @@ def test_negative_arguments_raise():
     ):
         with pytest.raises(ValueError):
             call()
+
+
+def test_package_attribute_is_the_function_and_the_module_stays_importable():
+    import importlib
+
+    import pdbell
+
+    assert pdbell.bernoulli is bernoulli
+    assert pdbell.bernoulli(4) == Fraction(-1, 30)
+    module = importlib.import_module("pdbell.bernoulli")
+    assert module.higher_bernoulli(2, 1) == Fraction(1, 6)
+    assert sys.modules["pdbell.bernoulli"] is module

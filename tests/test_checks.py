@@ -449,3 +449,8 @@ def test_oracle_all_enumerates_no_further_than_max_n(monkeypatch):
     # max_n at or above the oracle cap scans to the cap, as before
     report = checks.check("oracle_all", SuiteConfig(max_n=20))
     assert dict(report.bounds) == {"n": "0..8", "permutations": "0..8"}
+
+
+def test_summaries_name_the_abstract_headline_identity():
+    assert "abstract's headline identity" in checks.check_summary("thm_2_7")
+    assert "abstract's headline identity" in checks.check_summary("remark_2_8_corrected")

@@ -1,10 +1,11 @@
 """Dense integer polynomials and the four named polynomial families."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pdbell import sequences as seq
 from pdbell.polynomials import (
@@ -13,6 +14,7 @@ from pdbell.polynomials import (
     geometric_poly,
     pdb_poly,
     r_exponential_poly,
+    weighted_sum,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
@@ -86,6 +88,154 @@ def test_evaluate_is_exact_on_fractions():
     x = Fraction(1, 3)
     assert p.evaluate(x) == 1 - 3 * x + 2 * x**2
     assert isinstance(p.evaluate(x), Fraction)
+
+
+def test_constructor_rejects_non_integer_coefficients():
+    for coeffs, shown in (
+        ([1.0], "1.0"),
+        ([Fraction(1)], "Fraction(1, 1)"),
+        ([1, "x"], "'x'"),
+        ([2, 2.5, "x"], "2.5"),  # the first bad value is named
+    ):
+        message = f"integer coefficient expected, got {shown}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            IntPolynomial(coeffs)
+
+
+def test_constructor_accepts_bool_coefficients():
+    p = IntPolynomial([True, False, True, False])
+    assert p == IntPolynomial([1, 0, 1])
+    assert p.degree == 2
+
+
+# ----------------------------------------------------------------------
+# arithmetic against a schoolbook per-coefficient reference
+#
+# Coefficients up to 2**200 in size and lengths up to 40, with scalars that
+# may be zero or negative, so an offset or fill-value slip in the
+# arithmetic changes some coefficient.
+
+BIG = 2**200
+big_ints = st.integers(min_value=-BIG, max_value=BIG)
+big_scalars = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3), big_ints)
+# Lengths are drawn uniformly, so the longest lists come up as often as short ones.
+big_lists = st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.lists(big_scalars, min_size=n, max_size=n)
+)
+# Two full-length inputs, every coefficient nonzero and of order 2**200,
+# are always among the examples.
+FULL_A = [(-1) ** k * (BIG - 3**k) for k in range(40)]
+FULL_B = [BIG // (k + 2) - 5**k for k in range(40)]
+
+
+def canonical(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def at(coeffs, k):
+    return coeffs[k] if k < len(coeffs) else 0
+
+
+def ref_add(a, b, sign=1):
+    return canonical(at(a, k) + sign * at(b, k) for k in range(max(len(a), len(b))))
+
+
+def ref_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] * b[j]
+    return canonical(out)
+
+
+def assert_canonical(p):
+    assert not p.coefficients or p.coefficients[-1] != 0
+    assert p.degree == len(p.coefficients) - 1
+
+
+@given(a=big_lists, b=big_lists)
+@example(a=FULL_A, b=FULL_B)
+@example(a=FULL_A, b=FULL_B[:7])
+def test_add_sub_neg_match_reference(a, b):
+    p, q = IntPolynomial(a), IntPolynomial(b)
+    for result, expected in (
+        (p + q, ref_add(a, b)),
+        (p - q, ref_add(a, b, -1)),
+        (q - p, ref_add(b, a, -1)),
+        (-p, canonical(-c for c in a)),
+    ):
+        assert_canonical(result)
+        assert result.coefficients == expected
+
+
+@given(a=big_lists, b=big_lists, c=big_scalars)
+@example(a=FULL_A, b=FULL_B, c=-BIG)
+@example(a=FULL_A[:9], b=FULL_B, c=0)
+def test_products_match_reference(a, b, c):
+    p, q = IntPolynomial(a), IntPolynomial(b)
+    for result, expected in (
+        (p * q, ref_mul(a, b)),
+        (q * p, ref_mul(a, b)),
+        (c * p, canonical(c * x for x in a)),
+        (p * c, canonical(c * x for x in a)),
+    ):
+        assert_canonical(result)
+        assert result.coefficients == expected
+
+
+@given(a=big_lists, c=st.one_of(st.integers(min_value=-7, max_value=7), big_ints))
+@example(a=FULL_A, c=-3)
+@example(a=FULL_B, c=0)
+def test_reflected_and_scale_variable_match_reference(a, c):
+    p = IntPolynomial(a)
+    assert p.reflected().coefficients == canonical((-1) ** k * x for k, x in enumerate(a))
+    assert p.scale_variable(c).coefficients == canonical(x * c**k for k, x in enumerate(a))
+    assert_canonical(p.scale_variable(c))
+
+
+@given(terms=st.lists(st.tuples(big_scalars, big_lists), max_size=8))
+@example(terms=[(BIG, FULL_A[:5]), (-7, FULL_B), (0, FULL_A), (3, FULL_A)])
+def test_weighted_sum_matches_reference(terms):
+    expected: tuple = ()
+    for w, a in terms:
+        expected = ref_add(expected, canonical(w * x for x in a))
+    result = weighted_sum((w, IntPolynomial(a)) for w, a in terms)
+    assert_canonical(result)
+    assert result.coefficients == expected
+
+
+@given(a=big_lists, tail=big_lists, w=big_scalars)
+def test_cancellation_gives_canonical_results(a, tail, w):
+    p = IntPolynomial(a)
+    assert (p - p).is_zero() and (p + -p).is_zero()
+    assert weighted_sum([(w, p), (-w, p)]).is_zero()
+    if p.is_zero():
+        return
+    # q agrees with -p in its top coefficient, so the top of p + q cancels.
+    top = p.coefficients[-1]
+    q = IntPolynomial(tail[: p.degree] + [0] * (p.degree - len(tail)) + [-top])
+    for result in (p + q, p - (-q), weighted_sum([(1, p), (1, q)])):
+        assert_canonical(result)
+        assert result.degree < p.degree
+        assert result.coefficients == ref_add(a, q.coefficients)
+    # The same with weights: w*p + (-w)*p' for p' sharing p's top coefficient.
+    if w:
+        result = weighted_sum([(w, p), (-w, IntPolynomial(list(q.coefficients[:-1]) + [top]))])
+        assert_canonical(result)
+        assert result.degree < p.degree
+
+
+def test_weighted_sum_of_nothing_or_zero_weights_is_zero():
+    assert weighted_sum([]) == IntPolynomial()
+    assert weighted_sum([(0, pdb_poly(6, 1)), (5, IntPolynomial())]) == IntPolynomial()
+
+
+def test_weighted_sum_rejects_fractional_weights():
+    with pytest.raises(TypeError, match="integer coefficient expected"):
+        weighted_sum([(Fraction(1, 2), IntPolynomial([2, 4]))])
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the kernel, polynomial and series layers and the polynomial checks of
-pdbell, each case cold in a new process.
+"""Time the kernel, polynomial and series layers, the costliest checks and the
+whole identity suite of pdbell, each case cold in a new process.
 
 Usage, from the repository root::
 
@@ -118,7 +118,8 @@ CASES: dict[str, tuple[str, str, str]] = {
         "ser.egf_family('higher_bernoulli', 128, 3)",
     ),
 }
-# The polynomial checks, cold: grids, kernels and polynomial arithmetic.
+# The costliest checks, cold: grids, kernels, polynomial arithmetic and,
+# for oracle_all, enumeration.
 CASES.update(
     (
         f"check_{check_id}_n{n}",
@@ -128,8 +129,20 @@ CASES.update(
             f"checks.check('{check_id}', checks.SuiteConfig(max_n={n}))",
         ),
     )
-    for check_id in ("prop_3_6_a", "prop_3_6_b", "thm_3_1", "thm_3_10")
+    for check_id in ("prop_3_6_a", "prop_3_6_b", "thm_3_1", "thm_3_10", "oracle_all")
     for n in (20, 40)
+)
+# The whole suite, cold, as the grid widens.
+CASES.update(
+    (
+        f"check_all_n{n}",
+        (
+            f"checks.run_all(SuiteConfig(max_n={n}))",
+            "",
+            f"checks.run_all(checks.SuiteConfig(max_n={n}))",
+        ),
+    )
+    for n in (20, 40, 60)
 )
 
 CHILD = """\

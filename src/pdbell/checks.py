@@ -54,6 +54,7 @@ __all__ = [
     "InconclusiveError",
     "approx_e",
     "check",
+    "oracle_cells",
     "run_all",
     "registered_ids",
     "check_summary",
@@ -1052,40 +1053,44 @@ def _egf_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
     return grid.bounds, None
 
 
-@_register(
+def oracle_cells(n: int, cap: int) -> Iterator[tuple[str, list[int], list[int]]]:
+    """Each kernel's values at ``n`` beside the same values counted by
+    literal enumeration within ``cap``: ``(kind, kernel, enumerated)``.
+
+    The permutation kernel comes last, and only while ``n`` is within both
+    ``cap`` and ``oracle.PERMUTATION_CAP``.
+    """
+    perm_cap = min(cap, oracle.PERMUTATION_CAP)
+    ks = range(n + 1)
+    yield "pdb_row", seq.pdb_row(n), oracle.brute_pdb_row(n, cap)
+    yield "stirling2", seq.stirling2_row(n), [oracle.brute_stirling2(n, k, cap) for k in ks]
+    yield "bell", [seq.bell(n)], [oracle.brute_bell(n, cap)]
+    yield (
+        "complementary_bell",
+        [seq.complementary_bell(n)],
+        [oracle.brute_complementary_bell(n, cap)],
+    )
+    yield "ordered_bell", [seq.ordered_bell(n)], [oracle.brute_ordered_bell(n, cap)]
+    if n <= perm_cap:
+        yield (
+            "partial_derangement",
+            [seq.partial_derangement(n, r) for r in ks],
+            [oracle.brute_partial_derangement(n, r, perm_cap) for r in ks],
+        )
+
+
+@_check(
     "oracle_all",
     "sequence kernels agree with literal enumeration of partitions, block "
     "orderings, and permutations within the oracle cap",
+    lambda c: Grid(
+        n=(0, min(c.max_n, c.oracle_cap)),
+        notes={"permutations": f"0..{min(c.max_n, c.oracle_cap, oracle.PERMUTATION_CAP)}"},
+    ),
 )
-def _oracle_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    # Two scans: the partition kernels up to max_n and the oracle cap, then
-    # the permutation kernel up to its own cap, reported as "permutations".
-    cap = min(cfg.max_n, cfg.oracle_cap, oracle.DEFAULT_CAP)
-    perm_cap = min(cap, oracle.PERMUTATION_CAP)
-    perms = Grid(n=(0, perm_cap), r=(0, "n"))
-    rows = Grid(n=(0, cap), notes={"permutations": perms.bounds["n"]})
-
-    def kernels(n: int) -> Comparisons:
-        yield {"kind": "pdb_row"}, oracle.brute_pdb_row(n, cap), seq.pdb_row(n)
-        yield {"kind": "bell"}, oracle.brute_bell(n, cap), seq.bell(n)
-        yield (
-            {"kind": "complementary_bell"},
-            oracle.brute_complementary_bell(n, cap),
-            seq.complementary_bell(n),
-        )
-        yield {"kind": "ordered_bell"}, oracle.brute_ordered_bell(n, cap), seq.ordered_bell(n)
-        for k in range(n + 1):
-            brute = oracle.brute_stirling2(n, k, cap)
-            yield {"k": k, "kind": "stirling2"}, brute, seq.stirling2(n, k)
-
-    def permutations(n: int, r: int) -> Comparisons:
-        yield (
-            {"kind": "partial_derangement"},
-            oracle.brute_partial_derangement(n, r, perm_cap),
-            seq.partial_derangement(n, r),
-        )
-
-    return rows.bounds, scan(rows, kernels) or scan(perms, permutations)
+def _oracle_all(cfg: SuiteConfig, n: int) -> Comparisons:
+    for kind, kernel, enumerated in oracle_cells(n, min(cfg.max_n, cfg.oracle_cap)):
+        yield {"kind": kind}, enumerated, kernel
 
 
 @_check(

@@ -154,14 +154,7 @@ TABLE_FAMILIES = (
     "higher_bernoulli",
 )
 
-EGF_FAMILY_CHOICES = (
-    "partial_derangement",
-    "ordered_bell",
-    "deranged_bell",
-    "stirling_column",
-    "higher_bernoulli",
-    "pdb",
-)
+EGF_FAMILY_CHOICES = (*ser.EGF_FAMILIES, "pdb")
 
 
 def _table_rows(cfg: RunConfig) -> list[tuple[int, object]]:
@@ -341,44 +334,17 @@ def _cmd_check(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _oracle_cells(cap: int) -> list[dict[str, object]]:
-    cells: list[dict[str, object]] = []
-    perm_cap = min(cap, oracle.PERMUTATION_CAP)
-
-    def add(n: int, kind: str, formula: list[object], brute: list[object]) -> None:
-        cells.append(
-            {
-                "n": n,
-                "kind": kind,
-                "formula": [str(v) for v in formula],
-                "brute": [str(v) for v in brute],
-                "equal": [str(v) for v in formula] == [str(v) for v in brute],
-            }
-        )
-
-    for n in range(cap + 1):
-        add(n, "pdb_row", list(seq.pdb_row(n)), list(oracle.brute_pdb_row(n, cap)))
-        add(
-            n,
-            "stirling2",
-            [seq.stirling2(n, k) for k in range(n + 1)],
-            [oracle.brute_stirling2(n, k, cap) for k in range(n + 1)],
-        )
-        add(n, "bell", [seq.bell(n)], [oracle.brute_bell(n, cap)])
-        add(
-            n,
-            "complementary_bell",
-            [seq.complementary_bell(n)],
-            [oracle.brute_complementary_bell(n, cap)],
-        )
-        add(n, "ordered_bell", [seq.ordered_bell(n)], [oracle.brute_ordered_bell(n, cap)])
-        if n <= perm_cap:
-            add(
-                n,
-                "partial_derangement",
-                [seq.partial_derangement(n, r) for r in range(n + 1)],
-                [oracle.brute_partial_derangement(n, r, perm_cap) for r in range(n + 1)],
-            )
-    return cells
+    return [
+        {
+            "n": n,
+            "kind": kind,
+            "formula": [str(v) for v in formula],
+            "brute": [str(v) for v in brute],
+            "equal": formula == brute,
+        }
+        for n in range(cap + 1)
+        for kind, formula, brute in checks.oracle_cells(n, cap)
+    ]
 
 
 def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
@@ -427,16 +393,11 @@ def _cmd_egf(cfg: RunConfig) -> tuple[int, str]:
             _EXIT_RESOURCE,
             f"resource cap: series order is limited to {MAX_ORDER}\n",
         )
+    param = cfg.r if cfg.r is not None else (1 if family == "higher_bernoulli" else 0)
     if family == "pdb":
-        r = cfg.r if cfg.r is not None else 0
-        series = ser.egf_pdb(r, Fraction(1), order)
-    elif family in ("partial_derangement", "stirling_column", "higher_bernoulli"):
-        param = cfg.r if cfg.r is not None else (1 if family == "higher_bernoulli" else 0)
-        series = ser.egf_family(family, order, param)
-    elif family in ("ordered_bell", "deranged_bell"):
-        series = ser.egf_family(family, order)
+        series = ser.egf_pdb(param, Fraction(1), order)
     else:
-        raise ValueError(f"unknown egf family {family!r}")
+        series = ser.egf_family(family, order, param)
     rows = [
         {"n": n, "c_n": str(series.coeff(n)), "n_factorial_c_n": str(series.egf_coeff(n))}
         for n in range(order + 1)

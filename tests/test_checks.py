@@ -318,6 +318,35 @@ def test_bernoulli_fault_injection(monkeypatch, check_id, kernel, at, params):
 
 
 # ----------------------------------------------------------------------
+# oracle_all: one perturbed kernel value must fail the check at its n, with
+# the enumerated row on the left and the kernel's row on the right
+
+
+def test_oracle_all_fault_injection(monkeypatch):
+    stirling2_row, partial_derangement = seq.stirling2_row, seq.partial_derangement
+    monkeypatch.setattr(
+        seq,
+        "stirling2_row",
+        lambda n: [v + ((n, k) == (5, 2)) for k, v in enumerate(stirling2_row(n))],
+    )
+    rep = checks.check("oracle_all", SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == [("n", 5), ("kind", "stirling2")]
+    assert rep.witness.lhs == "[0, 1, 15, 25, 10, 1]"
+    assert rep.witness.rhs == "[0, 1, 16, 25, 10, 1]"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        seq, "partial_derangement", lambda n, r: partial_derangement(n, r) + ((n, r) == (4, 1))
+    )
+    rep = checks.check("oracle_all", SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == [("n", 4), ("kind", "partial_derangement")]
+    assert rep.witness.lhs == "[9, 8, 6, 0, 1]"
+    assert rep.witness.rhs == "[9, 9, 6, 0, 1]"
+
+
+# ----------------------------------------------------------------------
 # inconclusive and error paths
 
 
@@ -449,6 +478,12 @@ def test_oracle_all_enumerates_no_further_than_max_n(monkeypatch):
     # max_n at or above the oracle cap scans to the cap, as before
     report = checks.check("oracle_all", SuiteConfig(max_n=20))
     assert dict(report.bounds) == {"n": "0..8", "permutations": "0..8"}
+
+
+def test_wilf_scan_reaches_n_1000():
+    report = checks.check("wilf_scan", SuiteConfig(wilf_bound=1000))
+    assert report.status is Status.PASS
+    assert dict(report.bounds) == {"n": "1..1000"}
 
 
 def test_summaries_name_the_abstract_headline_identity():

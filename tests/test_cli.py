@@ -1,5 +1,6 @@
 """Command-line interface: rendering, exit codes, and format contracts."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -273,6 +274,47 @@ def test_oracle_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--max-n", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "n,kind,index,formula,brute,equal"
+
+
+# sha256 of the oracle subcommand's stdout for --max-n N in each format, so
+# any change to its cells, their order or their rendering shows
+GOLDEN_ORACLE_SHA256 = {
+    (0, "text"): "aee789e64ed5da16cd35cd81601f88fb830a48c5f84ad37bf9bac591cdbb16e8",
+    (0, "json"): "83833fcf04891e847a0a093b3748823c4a194d752e581dbfa26c60c3718c97f3",
+    (0, "csv"): "eac37aad4783ec854027343b64f5cd20b6d91c8f31c6744c59b7a7a5ca1ed6d9",
+    (1, "text"): "ada47b9add03773f47c703d6ca0de92e9ae0b1f843c9bdf57844b9fb4a0f448e",
+    (1, "json"): "49336d966a45d46e6a84c2edbb097113670b675da5d353c50703df7202be2739",
+    (1, "csv"): "9d77230b1b0117632f93c6428de2cd27bf38557c302bf0b1863d3d779fe5a7b3",
+    (2, "text"): "3605074ea59aa4b0d90de0ab4cfad5c0f43f2fe52c24b3c6ea0a2008c6a5e620",
+    (2, "json"): "f2271fadad1f14200acacce54bd4b4793c1a723db81579df20d9b987cacce069",
+    (2, "csv"): "6ed99ed797bdc64ce493052dabd94ec74d9983d97fde3449f1f9a2d2f2df6f0c",
+    (3, "text"): "ef76c8a439c87b48b13a08d07d1a01c6427c607768eb0188b058a2bb6cda16e6",
+    (3, "json"): "1792b083089614318274448e5bb87af8a879f14f332cdfabae2ee1d9866780e7",
+    (3, "csv"): "5d8b9e26df7b3fa19cbbd5f034fb3636cc963a8ccaceeb83721231e1454e4ea7",
+    (4, "text"): "332a34aaa22222c349463e907721e70b0d92f08a19a12c0b57d2ae5057b4d90a",
+    (4, "json"): "11aeec548a135e532d2f131f3e1f9524a9aee01b0498b05ef0c5c8c7e08397c4",
+    (4, "csv"): "702f5162fc303dfaad46e2bb723c95229295e6579f2fd27f9b8aa3ba0f093f2a",
+    (5, "text"): "b63bd7392515b33af27cea7c5db1ef0e591b2664fc9b908d4640b175b3a1226e",
+    (5, "json"): "206c81c1aa1a4d80471af966a36369fabde97ee6cda633ee2fe456b9dd8f2841",
+    (5, "csv"): "c6525129c29eb1f082740f7505926cb4004a15995b274d8e03d8a20b9e2d5473",
+    (6, "text"): "333908c00a766fde82163b982219f3c61627413102af2f44d82b534e10b1280d",
+    (6, "json"): "3afadc83da0e4fb69f8903a374686f942343a1adaa1cfdffd0fef5921c12c496",
+    (6, "csv"): "8daaced39d5e6c1ce19ea8c45bf6d64e82c08647ef7641e6b8c943ce3d54c4c9",
+    (7, "text"): "d29735b9a2db3009d68f431420b0b4814adef53d29e80b4426db52a73aef7b36",
+    (7, "json"): "dfc9a28abaa4ecc20c65439c821e48169c157dc24c659a1f44ed4d12b2746aa4",
+    (7, "csv"): "9890c38446d8db883a7879bfe547d71fe5015bc6b1ca9264050ad17c2c07fc60",
+    (8, "text"): "7e23170bb0ee42de3823a713a1a27c022ea38e0df4d35a06c26825bd4d970cf9",
+    (8, "json"): "41977213e3a0ea575de76b10649dd9ef161c74854b6d8964322bf700d1db4a87",
+    (8, "csv"): "d21e7ce18e34da3680c32c2b22d600e4558533bccbad577f8ba69c19d850d2fd",
+}
+
+
+@pytest.mark.parametrize("max_n, fmt", sorted(GOLDEN_ORACLE_SHA256))
+def test_golden_oracle_output(capsys, max_n, fmt):
+    code, out, _ = run_cli(capsys, "oracle", "--max-n", str(max_n), "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_ORACLE_SHA256[max_n, fmt]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,9 @@ turn, so a slow spell of a shared host falls on all of them.
 The report is canonical JSON (sorted keys, two-space indent): per tree and
 case, the median CPU and wall time and the CPU samples, and with two or more
 trees the ratio of each later tree's median CPU time to the first tree's.
+Beside it, the paired ratio is the median over rounds of each later tree's
+sample divided by the first tree's sample of the same round: the two samples
+of a round run back to back, so a slow spell of the host falls on both.
 Timings are reported, never gated.  This is a development tool: nothing in
 the package imports it and it needs nothing outside the standard library.
 """
@@ -232,6 +235,19 @@ def main() -> int:
         report["cpu_ratio_to_" + labels[0]] = {
             label: {
                 case: round(results[label][case]["cpu_s"] / base[case]["cpu_s"], 4)
+                for case in cases
+            }
+            for label in labels[1:]
+        }
+        report["paired_cpu_ratio_to_" + labels[0]] = {
+            label: {
+                case: round(
+                    statistics.median(
+                        s["cpu_s"] / b["cpu_s"]
+                        for s, b in zip(samples[label][case], samples[labels[0]][case])
+                    ),
+                    4,
+                )
                 for case in cases
             }
             for label in labels[1:]

@@ -299,21 +299,6 @@ class _CheckDef:
 _REGISTRY: dict[str, _CheckDef] = {}
 
 
-def _register(
-    check_id: str,
-    summary: str,
-    known_failing: bool = False,
-    corrected_id: str | None = None,
-) -> Callable[[CheckFn], CheckFn]:
-    def deco(fn: CheckFn) -> CheckFn:
-        if check_id in _REGISTRY:
-            raise ValueError(f"duplicate check id {check_id!r}")
-        _REGISTRY[check_id] = _CheckDef(check_id, summary, fn, known_failing, corrected_id)
-        return fn
-
-    return deco
-
-
 def _check(
     check_id: str,
     summary: str,
@@ -345,7 +330,9 @@ def _check(
                 raise
             return bounds, None
 
-        _register(check_id, summary, known_failing, corrected_id)(fn)
+        if check_id in _REGISTRY:
+            raise ValueError(f"duplicate check id {check_id!r}")
+        _REGISTRY[check_id] = _CheckDef(check_id, summary, fn, known_failing, corrected_id)
         return compare
 
     return deco
@@ -1005,52 +992,60 @@ def _cor_3_11(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
 # cross-cutting checks
 
 
-@_register(
-    "egf_all",
-    "every exponential generating series family reproduces its direct "
-    "values once coefficient n is scaled by n!",
-)
-def _egf_all(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-    # One scan of n per series, so each series is expanded once; the witness
-    # names the series around n, so the comparisons carry every param.
-    order = min(cfg.max_n, cfg.series_order)
-    grid = Grid(n=(0, order), notes={"order": str(order)}, params=())
+@functools.lru_cache(maxsize=1)
+def _egf_series(
+    order: int,
+) -> list[tuple[str, dict[str, object], ser.TruncatedSeries, Callable[[int], object]]]:
+    """Every series ``egf_all`` compares, with its family, its params and its
+    direct values.  The last order is kept, so a run expands each series once."""
     families = (
         [
             ("partial_derangement", r, lambda n, r=r: seq.partial_derangement(n, r))
             for r in range(4)
         ]
-        + [("ordered_bell", None, seq.ordered_bell), ("deranged_bell", None, seq.deranged_bell)]
+        + [
+            ("ordered_bell", None, lambda n: seq.ordered_bell(n)),
+            ("deranged_bell", None, lambda n: seq.deranged_bell(n)),
+        ]
         + [("stirling_column", k, lambda n, k=k: seq.stirling2(n, k)) for k in range(6)]
         + [("higher_bernoulli", r, lambda n, r=r: higher_bernoulli(n, r)) for r in range(5)]
     )
-    for family, param, direct in families:
-        s = ser.egf_family(family, order, param)
-        tail = {} if param is None else {"param": param}
-        witness = scan(
-            grid,
-            lambda n: [
-                ({"family": family, "n": n, **tail}, s.egf_coeff(n), direct(n))
-            ],
+    series = [
+        (
+            family,
+            {} if param is None else {"param": param},
+            ser.egf_family(family, order, param),
+            direct,
         )
-        if witness is not None:
-            return grid.bounds, witness
-    for r in range(4):
-        for y in (Fraction(1), Fraction(-1), Fraction(1, 2)):
-            s = ser.egf_pdb(r, y, order)
-            witness = scan(
-                grid,
-                lambda n: [
-                    (
-                        {"family": "pdb", "param": r, "y": str(y), "n": n},
-                        s.egf_coeff(n),
-                        poly.pdb_poly(n, r).evaluate(y),
-                    )
-                ],
-            )
-            if witness is not None:
-                return grid.bounds, witness
-    return grid.bounds, None
+        for family, param, direct in families
+    ]
+    series += [
+        (
+            "pdb",
+            {"param": r, "y": str(y)},
+            ser.egf_pdb(r, y, order),
+            lambda n, r=r, y=y: poly.pdb_poly(n, r).evaluate(y),
+        )
+        for r in range(4)
+        for y in (Fraction(1), Fraction(-1), Fraction(1, 2))
+    ]
+    return series
+
+
+@_check(
+    "egf_all",
+    "every exponential generating series family reproduces its direct "
+    "values once coefficient n is scaled by n!",
+    lambda c: Grid(
+        n=(0, min(c.max_n, c.series_order)),
+        notes={"order": str(min(c.max_n, c.series_order))},
+        params=(),
+    ),
+)
+def _egf_all(cfg: SuiteConfig, n: int) -> Comparisons:
+    # The witness names the series around n, so the comparisons carry every param.
+    for family, params, series, direct in _egf_series(min(cfg.max_n, cfg.series_order)):
+        yield {"family": family, "n": n, **params}, series.egf_coeff(n), direct(n)
 
 
 def oracle_cells(n: int, cap: int) -> Iterator[tuple[str, list[int], list[int]]]:

@@ -7,6 +7,11 @@ series coefficients.  Output formats are text, canonical JSON (sorted keys,
 two-space indent, rationals as strings, so parse + re-serialize is
 byte-identical), and CSV with a mandatory header row.
 
+Each table and egf family, and the check and oracle subcommands, declare
+once (:class:`Spec`) the flags they read and the cap on each flag that has
+one.  Any other flag is a usage error, and a value over its cap is refused
+before any work starts.
+
 Exit codes: 0 pass, 1 identity failure or unexpected error, 2 usage error,
 3 resource cap, 4 inconclusive series tolerance.
 """
@@ -18,10 +23,11 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 # The package attribute ``bernoulli`` is the function, not this submodule
 # (see the package docstring), so the callables are imported by name.
@@ -49,10 +55,6 @@ MAX_ORDER = 256
 #   pdb_poly  --max-n 180: 3.2-3.5 s, 814 MB  (--max-n 200: 1.2 GB)
 #             --n 550:     5.1-5.4 s, 846 MB  (--n 600: 8.0 s, 1105 MB)
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
-FAMILY_TABLE_CAPS: dict[str, tuple[int, int]] = {
-    "pdb": (450, MAX_TABLE_N),
-    "pdb_poly": (180, 550),
-}
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -88,8 +90,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -114,73 +115,144 @@ def _nonneg(text: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# table families
+# declarations
 
-_SEQ_FAMILIES: dict[str, Callable[[int], object]] = {
-    "derangement": seq.derangement,
-    "bell": seq.bell,
-    "complementary_bell": seq.complementary_bell,
-    "ordered_bell": seq.ordered_bell,
-    "deranged_bell": seq.deranged_bell,
-    "bernoulli": bernoulli_number,
+# Each flag sets the RunConfig field named by its dest; one not given keeps
+# the field's RunConfig default, or the subcommand's own default for --max-n.
+_FLAGS: dict[str, dict[str, object]] = {
+    "--max-n": {"dest": "max_n", "type": _nonneg},
+    "--max-r": {"dest": "max_r", "type": _nonneg},
+    "--n": {"dest": "n", "type": _nonneg},
+    "--r": {"dest": "r", "type": _nonneg},
+    "--order": {"dest": "order", "type": _nonneg},
+    "--tol": {"dest": "tolerance", "type": _parse_tol, "metavar": "TOL"},
+    "--oracle-cap": {"dest": "oracle_cap", "type": _nonneg},
 }
 
-# The lambdas look the kernels up at call time, so a wrapper installed on the
-# sequences module after import (a profiler or tracer) sees these calls.
-_ROW_FAMILIES: dict[str, Callable[[int], list[object]]] = {
-    "stirling2": lambda n: seq.stirling2_row(n),
-    "partial_derangement": lambda n: [
-        seq.partial_derangement(n, r) for r in range(n + 1)
-    ],
-    "truncated_ordered_bell": lambda n: seq.truncated_ordered_bell_row(n),
-    "pdb": lambda n: seq.pdb_row(n),
-    "pdb_poly": lambda n: [str(poly.pdb_poly(n, r)) for r in range(n + 1)],
+# The largest value a flag accepts, and the reason printed when it is exceeded.
+Cap = tuple[int, str]
+
+
+class Spec(NamedTuple):
+    """The flags one command or family reads besides --format and --out, each
+    mapped to its cap or None; ``row``, those of a table's single-row mode;
+    and the kernel giving a table family's cells at n or an egf series."""
+
+    flags: dict[str, Cap | None]
+    kernel: Callable[..., Any] | None = None
+    row: dict[str, Cap | None] | None = None
+
+
+_TABLE_N: Cap = (MAX_TABLE_N, "the soft limit on table sizes")
+_MEASURED = f"set so that a request at the cap stays within {TABLE_BUDGET}"
+_ORDER: Cap = (MAX_ORDER, "the soft limit on series orders")
+_SERIES_R: Cap = (MAX_ORDER, "the cost of a series grows with r as with its order")
+_ENUMERATION: Cap = (oracle.DEFAULT_CAP, oracle._COST_HINT)
+_WHOLE: dict[str, Cap | None] = {"--max-n": _TABLE_N}
+_WHOLE_R: dict[str, Cap | None] = {"--max-n": _TABLE_N, "--r": None}
+_ROW: dict[str, Cap | None] = {"--n": _TABLE_N}
+
+# A cell is one value, or the list of the row's values for k = 0, 1, ...
+# The lambdas look the kernels up at call time, so a wrapper installed on a
+# module after import (a profiler or tracer) sees the calls.
+_TABLES: dict[str, Spec] = {
+    "stirling2": Spec(_WHOLE, lambda c, n: seq.stirling2_row(n), _ROW),
+    "r_stirling2": Spec(
+        _WHOLE_R, lambda c, n: [seq.r_stirling2(n, k, c.r or 0) for k in range(n + 1)]
+    ),
+    "derangement": Spec(_WHOLE, lambda c, n: seq.derangement(n)),
+    "partial_derangement": Spec(
+        _WHOLE, lambda c, n: [seq.partial_derangement(n, r) for r in range(n + 1)], _ROW
+    ),
+    "bell": Spec(_WHOLE, lambda c, n: seq.bell(n)),
+    "complementary_bell": Spec(_WHOLE, lambda c, n: seq.complementary_bell(n)),
+    "ordered_bell": Spec(_WHOLE, lambda c, n: seq.ordered_bell(n)),
+    "r_ordered_bell": Spec(
+        _WHOLE_R,
+        lambda c, n: (
+            seq.r_ordered_bell(n, c.r or 0)
+            if c.n is None
+            else [seq.r_ordered_bell(n, r) for r in range(c.max_r + 1)]
+        ),
+        {"--n": _TABLE_N, "--max-r": None},
+    ),
+    "truncated_ordered_bell": Spec(_WHOLE, lambda c, n: seq.truncated_ordered_bell_row(n), _ROW),
+    "deranged_bell": Spec(_WHOLE, lambda c, n: seq.deranged_bell(n)),
+    "pdb": Spec(
+        {"--max-n": (450, _MEASURED)},
+        lambda c, n: seq.pdb_row(n),
+        {"--n": (MAX_TABLE_N, _MEASURED)},
+    ),
+    "pdb_poly": Spec(
+        {"--max-n": (180, _MEASURED)},
+        lambda c, n: [str(poly.pdb_poly(n, r)) for r in range(n + 1)],
+        {"--n": (550, _MEASURED)},
+    ),
+    "bernoulli": Spec(_WHOLE, lambda c, n: bernoulli_number(n)),
+    "higher_bernoulli": Spec(
+        _WHOLE_R, lambda c, n: higher_bernoulli(n, 1 if c.r is None else c.r)
+    ),
 }
 
-TABLE_FAMILIES = (
-    "stirling2",
-    "r_stirling2",
-    "derangement",
-    "partial_derangement",
-    "bell",
-    "complementary_bell",
-    "ordered_bell",
-    "r_ordered_bell",
-    "truncated_ordered_bell",
-    "deranged_bell",
-    "pdb",
-    "pdb_poly",
-    "bernoulli",
-    "higher_bernoulli",
-)
+_EGF_R: dict[str, Cap | None] = {"--r": _SERIES_R, "--order": _ORDER}
+_EGF: dict[str, Spec] = {
+    "partial_derangement": Spec(
+        _EGF_R, lambda c: ser.egf_family("partial_derangement", c.order, c.r or 0)
+    ),
+    "ordered_bell": Spec({"--order": _ORDER}, lambda c: ser.egf_family("ordered_bell", c.order)),
+    "deranged_bell": Spec({"--order": _ORDER}, lambda c: ser.egf_family("deranged_bell", c.order)),
+    "stirling_column": Spec(
+        _EGF_R, lambda c: ser.egf_family("stirling_column", c.order, c.r or 0)
+    ),
+    "higher_bernoulli": Spec(
+        _EGF_R, lambda c: ser.egf_family("higher_bernoulli", c.order, 1 if c.r is None else c.r)
+    ),
+    "pdb": Spec(_EGF_R, lambda c: ser.egf_pdb(c.r or 0, Fraction(1), c.order)),
+}
 
-EGF_FAMILY_CHOICES = (*ser.EGF_FAMILIES, "pdb")
-
-
-def _table_rows(cfg: RunConfig) -> list[tuple[int, object]]:
-    """One (n, cells) row per n: the list of the row's values for k = 0, 1,
-    ..., or the one value of a family that has a single value per n."""
-    family = cfg.family or ""
-    r = cfg.r if cfg.r is not None else 0
-    ns = range(cfg.max_n + 1)
-    if family in _SEQ_FAMILIES:
-        return [(n, _SEQ_FAMILIES[family](n)) for n in ns]
-    if family in _ROW_FAMILIES:
-        return [(n, _ROW_FAMILIES[family](n)) for n in ([cfg.n] if cfg.n is not None else ns)]
-    if family == "r_stirling2":
-        return [(n, [seq.r_stirling2(n, k, r) for k in range(n + 1)]) for n in ns]
-    if family == "r_ordered_bell":
-        if cfg.n is not None:
-            return [(cfg.n, [seq.r_ordered_bell(cfg.n, k) for k in range(cfg.max_r + 1)])]
-        return [(n, seq.r_ordered_bell(n, r)) for n in ns]
-    if family == "higher_bernoulli":
-        shift = cfg.r if cfg.r is not None else 1
-        return [(n, higher_bernoulli(n, shift)) for n in ns]
-    raise ValueError(f"unknown table family {family!r}")
+# Every declaration by command and family; check and oracle have no family.
+_SPECS: dict[str, dict[str | None, Spec]] = {
+    "table": _TABLES,
+    "check": {
+        None: Spec(
+            {"--max-n": None, "--max-r": None, "--order": None, "--tol": None}
+            | {"--oracle-cap": _ENUMERATION}
+        )
+    },
+    "oracle": {None: Spec({"--max-n": _ENUMERATION})},
+    "egf": _EGF,
+}
 
 
-def _render_table(cfg: RunConfig, rows: list[tuple[int, object]]) -> str:
-    family = cfg.family
+def _declared(cfg: RunConfig) -> dict[str, Cap | None]:
+    """The flags an invocation may give; for a table given --n, its row mode's."""
+    spec = _SPECS[cfg.command][cfg.family]
+    return spec.row if spec.row and cfg.n is not None else spec.flags
+
+
+def _over_cap(cfg: RunConfig, declared: dict[str, Cap | None]) -> str | None:
+    """The refusal for the first declared flag whose value is over its cap."""
+    for flag, cap in declared.items():
+        value = getattr(cfg, str(_FLAGS[flag]["dest"]))
+        if cap is not None and value is not None and value > cap[0]:
+            where = " ".join(filter(None, (cfg.command, cfg.family)))
+            return f"resource cap: {where} {flag} is limited to {cap[0]}; {cap[1]}\n"
+    return None
+
+
+# ----------------------------------------------------------------------
+# table
+
+
+def _table_rows(cfg: RunConfig) -> Iterator[tuple[int, object]]:
+    """One (n, cells) row per n the invocation asks for."""
+    kernel = _TABLES[cfg.family or ""].kernel
+    ns = range(cfg.max_n + 1) if cfg.n is None else (cfg.n,)
+    return ((n, kernel(cfg, n)) for n in ns)
+
+
+def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
+    family, rows = cfg.family, _table_rows(cfg)
     if cfg.fmt == "json":
         results: list[dict[str, object]] = []
         for n, cells in rows:
@@ -191,7 +263,7 @@ def _render_table(cfg: RunConfig, rows: list[tuple[int, object]]) -> str:
                 ]
             else:
                 results.append({"family": family, "n": n, "value": str(cells)})
-        return canonical_json(
+        return _EXIT_PASS, canonical_json(
             {"command": "table", "config": _config_echo(cfg), "results": results}
         )
     if cfg.fmt == "csv":
@@ -201,32 +273,14 @@ def _render_table(cfg: RunConfig, rows: list[tuple[int, object]]) -> str:
                 data += [[family, n, k, v] for k, v in enumerate(cells)]
             else:
                 data.append([family, n, "", cells])
-        return _csv_text(["family", "n", "k", "value"], data)
+        return _EXIT_PASS, _csv_text(["family", "n", "k", "value"], data)
     # Polynomial cells contain spaces, so their row uses a wider separator.
     sep = " | " if family == "pdb_poly" else " "
     lines = [f"table {family}"]
     for n, cells in rows:
         text = sep.join(map(str, cells)) if isinstance(cells, list) else cells
         lines.append(f"n={n}: {text}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
-    table_cap, row_cap = FAMILY_TABLE_CAPS.get(
-        cfg.family or "", (MAX_TABLE_N, MAX_TABLE_N)
-    )
-    limits = [("--max-n", cfg.max_n, table_cap if cfg.n is None else MAX_TABLE_N)]
-    if cfg.n is not None:
-        limits.append(("--n", cfg.n, row_cap))
-    for flag, n, cap in limits:
-        if n > cap:
-            return (
-                _EXIT_RESOURCE,
-                f"resource cap: table {cfg.family} {flag} is limited to {cap}; "
-                f"pdb and pdb_poly are capped to stay within {TABLE_BUDGET}\n",
-            )
-    rows = _table_rows(cfg)
-    return _EXIT_PASS, _render_table(cfg, rows)
+    return _EXIT_PASS, "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +335,7 @@ def _render_check_text(report: checks.SuiteReport) -> str:
             lines.append(f"  witness {params}: lhs={r.witness.lhs} rhs={r.witness.rhs}")
         if r.error is not None:
             lines.append(f"  error: {r.error}")
-    counts: dict[str, int] = {}
-    for r in report.results:
-        counts[r.status.value] = counts.get(r.status.value, 0) + 1
+    counts = Counter(r.status.value for r in report.results)
     tally = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     lines.append(f"overall: {report.overall} ({len(report.results)} checks: {tally})")
     return "\n".join(lines) + "\n"
@@ -318,12 +370,6 @@ def _render_check(report: checks.SuiteReport, cfg: RunConfig) -> str:
 
 
 def _cmd_check(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.oracle_cap > oracle.DEFAULT_CAP:
-        return (
-            _EXIT_RESOURCE,
-            f"resource cap: --oracle-cap is limited to {oracle.DEFAULT_CAP}; "
-            f"{oracle._COST_HINT}\n",
-        )
     ids = None if not cfg.ids or "all" in cfg.ids else list(cfg.ids)
     report = checks.run_all(_suite_config(cfg), ids)
     return _check_exit_code(report), _render_check(report, cfg)
@@ -348,14 +394,7 @@ def _oracle_cells(cap: int) -> list[dict[str, object]]:
 
 
 def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
-    cap = cfg.max_n
-    if cap > oracle.DEFAULT_CAP:
-        return (
-            _EXIT_RESOURCE,
-            f"resource cap: oracle enumeration is limited to n <= {oracle.DEFAULT_CAP}; "
-            f"{oracle._COST_HINT}\n",
-        )
-    cells = _oracle_cells(cap)
+    cells = _oracle_cells(cfg.max_n)
     all_equal = all(c["equal"] for c in cells)
     code = _EXIT_PASS if all_equal else _EXIT_FAIL
     if cfg.fmt == "json":
@@ -370,7 +409,7 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
                     [c["n"], c["kind"], idx, f_val, b_val, str(f_val == b_val).lower()]
                 )
         return code, _csv_text(["n", "kind", "index", "formula", "brute", "equal"], rows)
-    lines = [f"oracle comparison up to n={cap}"]
+    lines = [f"oracle comparison up to n={cfg.max_n}"]
     for c in cells:
         mark = "ok" if c["equal"] else "MISMATCH"
         lines.append(
@@ -386,34 +425,17 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _cmd_egf(cfg: RunConfig) -> tuple[int, str]:
-    family = cfg.family or ""
-    order = cfg.order
-    if order > MAX_ORDER:
-        return (
-            _EXIT_RESOURCE,
-            f"resource cap: series order is limited to {MAX_ORDER}\n",
-        )
-    param = cfg.r if cfg.r is not None else (1 if family == "higher_bernoulli" else 0)
-    if family == "pdb":
-        series = ser.egf_pdb(param, Fraction(1), order)
-    else:
-        series = ser.egf_family(family, order, param)
-    rows = [
-        {"n": n, "c_n": str(series.coeff(n)), "n_factorial_c_n": str(series.egf_coeff(n))}
-        for n in range(order + 1)
-    ]
+    series = _EGF[cfg.family or ""].kernel(cfg)
+    rows = [(n, str(series.coeff(n)), str(series.egf_coeff(n))) for n in range(cfg.order + 1)]
     if cfg.fmt == "json":
+        results = [{"n": n, "c_n": c, "n_factorial_c_n": f} for n, c, f in rows]
         return _EXIT_PASS, canonical_json(
-            {"command": "egf", "config": _config_echo(cfg), "results": rows}
+            {"command": "egf", "config": _config_echo(cfg), "results": results}
         )
     if cfg.fmt == "csv":
-        return _EXIT_PASS, _csv_text(
-            ["n", "c_n", "n_factorial_c_n"],
-            [[r["n"], r["c_n"], r["n_factorial_c_n"]] for r in rows],
-        )
-    lines = [f"egf {family} order {order}"]
-    for r_ in rows:
-        lines.append(f"n={r_['n']}: c_n={r_['c_n']} n!*c_n={r_['n_factorial_c_n']}")
+        return _EXIT_PASS, _csv_text(["n", "c_n", "n_factorial_c_n"], rows)
+    lines = [f"egf {cfg.family} order {cfg.order}"]
+    lines += [f"n={n}: c_n={c} n!*c_n={f}" for n, c, f in rows]
     return _EXIT_PASS, "\n".join(lines) + "\n"
 
 
@@ -431,74 +453,50 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each flag sets the RunConfig field named by its dest.  A subcommand
-    # takes only the flags it reads; a field whose flag is not given keeps
-    # its RunConfig default, or the subcommand's own default for --max-n.
-    flags: dict[str, dict[str, object]] = {
-        "--max-n": {"dest": "max_n", "type": _nonneg},
-        "--max-r": {"dest": "max_r", "type": _nonneg},
-        "--n": {"dest": "n", "type": _nonneg},
-        "--r": {"dest": "r", "type": _nonneg},
-        "--order": {"dest": "order", "type": _nonneg},
-        "--tol": {"dest": "tolerance", "type": _parse_tol, "metavar": "TOL"},
-        "--format": {"dest": "fmt", "choices": ("text", "json", "csv")},
-        "--out": {"dest": "out"},
-        "--oracle-cap": {"dest": "oracle_cap", "type": _nonneg},
-    }
 
-    def add(name: str, help_text: str, *names: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        # The union of its declarations' flags; main refuses the unread ones.
+        specs = _SPECS[name]
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        for flag in names + ("--format", "--out"):
-            p.add_argument(flag, **flags[flag])
+        for flag, kwargs in _FLAGS.items():
+            if any(flag in {**s.flags, **(s.row or {})} for s in specs.values()):
+                p.add_argument(flag, **kwargs)
+        p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"))
+        p.add_argument("--out", dest="out")
+        if None not in specs:
+            p.add_argument("family", choices=tuple(specs))
         return p
 
-    p_table = add(
-        "table", "print a sequence or polynomial family", "--max-n", "--max-r", "--n", "--r"
-    )
-    p_table.add_argument("family", choices=TABLE_FAMILIES)
-
-    p_check = add(
-        "check", "run identity checks", "--max-n", "--max-r", "--order", "--tol", "--oracle-cap"
-    )
+    add("table", "print a sequence or polynomial family")
+    p_check = add("check", "run identity checks")
     p_check.add_argument("ids", nargs="*", default=["all"])
     p_check.set_defaults(max_n=20)
-
-    add("oracle", "compare kernels against enumeration", "--max-n").set_defaults(max_n=6)
-
-    p_egf = add("egf", "list generating series coefficients", "--r", "--order")
-    p_egf.add_argument("family", choices=EGF_FAMILY_CHOICES)
+    add("oracle", "compare kernels against enumeration").set_defaults(max_n=6)
+    add("egf", "list generating series coefficients")
     return parser
-
-
-def _run(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.command == "table":
-        return _cmd_table(cfg)
-    if cfg.command == "check":
-        return _cmd_check(cfg)
-    if cfg.command == "oracle":
-        return _cmd_oracle(cfg)
-    if cfg.command == "egf":
-        return _cmd_egf(cfg)
-    raise ValueError(f"unknown command {cfg.command!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the exit code instead of raising SystemExit."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        fields = vars(parser.parse_args(argv))
+        if "ids" in fields:
+            fields["ids"] = tuple(fields["ids"])
+        cfg = RunConfig(**fields)
+        declared = _declared(cfg)
+        unread = [f for f, kw in _FLAGS.items() if kw["dest"] in fields and f not in declared]
+        if unread:
+            parser.error(f"unrecognized arguments: {' '.join(unread)}")
+        unknown = [i for i in cfg.ids if i != "all" and i not in checks.registered_ids()]
+        if unknown:
+            parser.error(f"unknown check id {unknown[0]!r}")
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else _EXIT_USAGE
-        return code
-    fields = vars(args)
-    if "ids" in fields:
-        fields["ids"] = tuple(fields["ids"])
-    cfg = RunConfig(**fields)
+        return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
+    run = {"table": _cmd_table, "check": _cmd_check, "oracle": _cmd_oracle, "egf": _cmd_egf}
+    refusal = _over_cap(cfg, declared)
     try:
-        code, text = _run(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        code, text = (_EXIT_RESOURCE, refusal) if refusal else run[cfg.command](cfg)
     except oracle.CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return _EXIT_RESOURCE

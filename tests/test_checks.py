@@ -347,6 +347,33 @@ def test_oracle_all_fault_injection(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# egf_all: the witness is the first n, across all series, at which a series
+# and its direct values differ
+
+
+def test_egf_all_fault_injection(monkeypatch):
+    partial_derangement, higher_bernoulli = seq.partial_derangement, checks.higher_bernoulli
+    # the first series scanned fails at n = 5, a later one already at n = 3
+    monkeypatch.setattr(
+        seq, "partial_derangement", lambda n, r: partial_derangement(n, r) + ((n, r) == (5, 0))
+    )
+    monkeypatch.setattr(
+        checks,
+        "higher_bernoulli",
+        lambda n, r: higher_bernoulli(n, r) + (Fraction(1, 7) if (n, r) == (3, 2) else 0),
+    )
+    rep = checks.check("egf_all", SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == [
+        ("family", "higher_bernoulli"),
+        ("n", 3),
+        ("param", 2),
+    ]
+    assert rep.witness.lhs == str(higher_bernoulli(3, 2))
+    assert rep.witness.rhs == str(higher_bernoulli(3, 2) + Fraction(1, 7))
+
+
+# ----------------------------------------------------------------------
 # inconclusive and error paths
 
 

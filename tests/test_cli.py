@@ -4,20 +4,17 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from pdbell import checks, cli
+from pdbell import sequences as seq
+from pdbell import series as ser
 from pdbell.bernoulli import bernoulli
 from pdbell.checks import CheckReport, Status, SuiteConfig, SuiteReport
-from pdbell.cli import (
-    FAMILY_TABLE_CAPS,
-    MAX_TABLE_N,
-    _check_exit_code,
-    canonical_json,
-    main,
-)
+from pdbell.cli import MAX_TABLE_N, _check_exit_code, canonical_json, main
 
 
 def run_cli(capsys, *argv):
@@ -105,9 +102,10 @@ def test_table_resource_cap(capsys):
     assert "resource cap" in out
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_TABLE_CAPS))
+@pytest.mark.parametrize("family", ["pdb", "pdb_poly"])
 def test_table_family_caps(capsys, monkeypatch, family):
-    table_cap, row_cap = FAMILY_TABLE_CAPS[family]
+    spec = cli._TABLES[family]
+    table_cap, row_cap = spec.flags["--max-n"][0], spec.row["--n"][0]
     assert table_cap < row_cap <= MAX_TABLE_N
     computed = []
     monkeypatch.setattr(cli, "_table_rows", lambda cfg: computed.append(cfg) or [])
@@ -317,6 +315,123 @@ def test_golden_oracle_output(capsys, max_n, fmt):
     assert digest == GOLDEN_ORACLE_SHA256[max_n, fmt]
 
 
+# sha256 of the stdout of every table and egf family in each format, in each
+# form the family reads: the whole table, a single row, a parameter r, and
+# r_ordered_bell's row over r = 0..--max-r
+GOLDEN_FAMILY_SHA256 = {
+    ("table stirling2 --max-n 6", "text"): "67a8578552c982c582c8f98750b4bf39bb7c8716f1cb1fe9a4cd7e83a959622c",
+    ("table stirling2 --max-n 6", "json"): "b9f8b588141c958c92f81c1b78e9c67da202e5279ef99349386dcffb0f392e36",
+    ("table stirling2 --max-n 6", "csv"): "820f1901b6df5201121e11bb6ffb0cdb7d16069bfb4da0fe3ed5d70e74fefa23",
+    ("table stirling2 --n 5", "text"): "327ad4f89fd3dbda1477c536831a1072b3e4bb55e5038c07b6c416a0153bbc5d",
+    ("table stirling2 --n 5", "json"): "8c8a98cf528c0b47ffd1d6c134f09025935dfc5c95dac36674712870a867ece4",
+    ("table stirling2 --n 5", "csv"): "235f3396403974e7cbbb4fb8188f33cf004d07bcaf7c0d55c35b4992c876c372",
+    ("table r_stirling2 --max-n 6", "text"): "d329efa9d2fe93452cfd1df890db8de8c1469fec2bdacbb6408cb7bd32921ddd",
+    ("table r_stirling2 --max-n 6", "json"): "96009ea75094c4d08fe8d3260e0e6a89d0d1e27d12d5f1c87154a93eea4878bc",
+    ("table r_stirling2 --max-n 6", "csv"): "2e636631dfbf2cf365493e779dffcbbc0ed2df7f76f871348a12bde25a5b9fbb",
+    ("table r_stirling2 --max-n 6 --r 2", "text"): "e56b63edbcc147faf57c172ac2fa77fa5e84ff0a4c223a36fe6cb046a026ca13",
+    ("table r_stirling2 --max-n 6 --r 2", "json"): "03b7690353049211c30a5d468567766dc243ab3525cd66dc4f458a3a40c321bd",
+    ("table r_stirling2 --max-n 6 --r 2", "csv"): "09cb9ba205d0cc9370cadc42727daef5246d1df2753c5ab0b98a13df2ff37a6f",
+    ("table derangement --max-n 6", "text"): "69525c3d538152df2819df4cb820f431db4739a7e96aa6fa56fae6316b806007",
+    ("table derangement --max-n 6", "json"): "2dc9c68c9315be6979ad2de32cc7e01f9bc94a8307de684f7a76e0044919ed42",
+    ("table derangement --max-n 6", "csv"): "9a4f392987c6cebcf70342046201635ed22485a1928e81d3cb189861f6a1d30c",
+    ("table partial_derangement --max-n 6", "text"): "1f022598a0d48cc71929818d1c3367989f5b10a4e32da6e4d3ecde37106132c9",
+    ("table partial_derangement --max-n 6", "json"): "e3780498c14739242da5266da04cda642936a8046c55dea18cfb62b06ac141a3",
+    ("table partial_derangement --max-n 6", "csv"): "7dc76f29ee650e6de5068546696285b0593eafb92a12cf0c9b6f14fb54cb8f78",
+    ("table partial_derangement --n 5", "text"): "e93ae41bf1bbb0d3ad0040598576a42027b6750a1b5cead2d8a16c7fbf892ea4",
+    ("table partial_derangement --n 5", "json"): "149240b879ba5a9b294569748a39c4615f4dc4392430ca86b5c75c19563265e2",
+    ("table partial_derangement --n 5", "csv"): "06f2b9f5ab5f9ee9ef1f0411bc157dd151b8f7d93418597c1586820b0b38b079",
+    ("table bell --max-n 6", "text"): "5c3cb4483621d9aea5797f27de3d625bc80a4558189fe6ac9683d1876e00bbdb",
+    ("table bell --max-n 6", "json"): "c5762086c1815fadb211d54672ff32c214c00b04f1089e9c4d5dcbee6f9eb6b1",
+    ("table bell --max-n 6", "csv"): "5e57d17071bf43a798608f7de3974eb7ca6528c1c7e5e8020101f32495dab311",
+    ("table complementary_bell --max-n 6", "text"): "1073a9079cbd24400e86b86f4532cb4b6b52122926d34c485086995d4f4c76cc",
+    ("table complementary_bell --max-n 6", "json"): "91998284870ee5b080dc45070df0755cdc0a19bab98b705cf4ea6d219be7efdb",
+    ("table complementary_bell --max-n 6", "csv"): "80fdb96277b7c763c636eeee45536b7a8ce5b6445f3941604392b5ef72f66809",
+    ("table ordered_bell --max-n 6", "text"): "6a7f8e84ab57ee78bb62baf38be118e96a45d49cdc46046977acc74eb1aafa1c",
+    ("table ordered_bell --max-n 6", "json"): "522754050ec3231069529b193c70beac3c7631b1952d628c9f1397a839903739",
+    ("table ordered_bell --max-n 6", "csv"): "6c2791afe26b9201da86f26bd8e6852c02480017c8e9f4bd6662c2dab02e8c2e",
+    ("table r_ordered_bell --max-n 6", "text"): "ed4acfdb43178b231bb706ce639a779595c2e78d71ffb648e66e2072a9768686",
+    ("table r_ordered_bell --max-n 6", "json"): "a2a58a7433c5897ed8d5d156ea1008f8e8cc176af6ed2174871d5bc775abd0e0",
+    ("table r_ordered_bell --max-n 6", "csv"): "f00fcfa48a1a69044f7df22a593fc682e8997e8806d598062ab025e6e45a4cde",
+    ("table r_ordered_bell --max-n 6 --r 2", "text"): "e630cb9fca99f0d612a9dc91aa1979dfc63c539f8da80d6f56c58712d59e9f19",
+    ("table r_ordered_bell --max-n 6 --r 2", "json"): "4c2350442d7c3f4a13515943afc5f2a4913c665cb76c429277264ae258a81ddc",
+    ("table r_ordered_bell --max-n 6 --r 2", "csv"): "d50651f6ca4a565c069d66e9b38711834b39686d3dd75590a9bf4ce63ef1cc0a",
+    ("table r_ordered_bell --n 5", "text"): "d5dfc590c25c47c7e59ebd7e104c20126e5df237b1bb333c435e6aed35c9147f",
+    ("table r_ordered_bell --n 5", "json"): "2b95a6da289789653d4901226b8b3a84d5260050dc29246557451d5013febf9f",
+    ("table r_ordered_bell --n 5", "csv"): "ccd451b46c30a78eff85f8cb5ab4b545fdf6073d9f6917bc6ed5f1bea76e472d",
+    ("table truncated_ordered_bell --max-n 6", "text"): "af94e22ea59788f87f50c039d3fc4fecb65f1660a7fc702499ec0ebcd5c90fd0",
+    ("table truncated_ordered_bell --max-n 6", "json"): "93131c099c3f15041b9e487faa96ff7434fb1826039ff55b5f47465df247d9da",
+    ("table truncated_ordered_bell --max-n 6", "csv"): "da5c429debbc7e781f769d003bf4412e01454f7575e5c1db0654993f9b16b249",
+    ("table truncated_ordered_bell --n 5", "text"): "ce2cc40b7beea467c1fc4601d10f7d728a5102c658f40ba3fc73d13010155292",
+    ("table truncated_ordered_bell --n 5", "json"): "8465b46b83d851211f272fb0f9655f5f8f357314ae0b2194770411d1b397a33b",
+    ("table truncated_ordered_bell --n 5", "csv"): "8f0ab26384e201612154d8a8e6813bb6bdf81a9ff4e15451c8099b9fb863e0bf",
+    ("table deranged_bell --max-n 6", "text"): "08f930a976e897f51270bbf9bc9dc5eac4a3c8e5a4071e974f9b327c94e3c615",
+    ("table deranged_bell --max-n 6", "json"): "6e1133562f6e9dd8b37b9c9fae5d6a8aff537ba99560bf2ce927073845690ed7",
+    ("table deranged_bell --max-n 6", "csv"): "584330ab104756f1c705239396ace35fcbd12143a956b14971dced8c706a17c6",
+    ("table pdb --max-n 6", "text"): "c4e7970d63139a1fa91e41ad30cc15a97ccba104d0b7366a990951107484e9e1",
+    ("table pdb --max-n 6", "json"): "189ec297f55cdc0f35d486bf191af64b0544729633605235337a21c14d802dc0",
+    ("table pdb --max-n 6", "csv"): "4678e265ab5b4319d35bdbc6d86bf12711c2907329c5ee712e313d2ed4f3a9e3",
+    ("table pdb --n 5", "text"): "5f1770c59efeff3940470f14dd5e9e21171be80ddb7b68c4eba1da1835ddc664",
+    ("table pdb --n 5", "json"): "8df74c629e1d7fd1e93c5830d033bad2a681eb25581d53689ab8cfb1aacbec76",
+    ("table pdb --n 5", "csv"): "7e452860d321eefe02526190879fbe9f00de21ada86fa7a7a5e52574356ba3b7",
+    ("table pdb_poly --max-n 6", "text"): "f9e874f973f41411a7373d8f3e6d28261f1cdd9d5f52da41ae8adf1654d0cbaa",
+    ("table pdb_poly --max-n 6", "json"): "ef6a2e09180904a5f2e2ef495a6e9fd4e313787573aec2ca37533422144eb0c5",
+    ("table pdb_poly --max-n 6", "csv"): "a8d93445f4896ef16f76aafab284405c792d9f7a5acb95dbe3e3e24f5b81d8da",
+    ("table pdb_poly --n 5", "text"): "58d7acf647cacc9d8eeddbfa3d7ab534f99914da3631976709597c23bfa66154",
+    ("table pdb_poly --n 5", "json"): "d3100e025578cc175b4efd4e65259a93a16eb81125895942fcc95f9d26cb4628",
+    ("table pdb_poly --n 5", "csv"): "465211d46f278ee1c907f47fe0194cf4bbafa05013d4564c1ef226064948b93a",
+    ("table bernoulli --max-n 6", "text"): "56f282f1cd47eeea165159b3bb7f9cae4d9d315b0ea47422b5cd7a69f133738d",
+    ("table bernoulli --max-n 6", "json"): "75cb3322ac923b2a7dac98d4ad561694b401dd2d02315f988d0e309c3b6bc373",
+    ("table bernoulli --max-n 6", "csv"): "4e29d2bffc0736469839efafec727e8354673a9408d6439d1973bcd1bd30a4bb",
+    ("table higher_bernoulli --max-n 6", "text"): "3bb061290e46aa022a132d5d4899cdaf49b8c81726cfcc72a1487825c96cbf5c",
+    ("table higher_bernoulli --max-n 6", "json"): "d3b9e8f3d0bf616d89a85480079b58dc02103914b108c8c81d8fdc146431cde0",
+    ("table higher_bernoulli --max-n 6", "csv"): "5d86fafae40d65e4ce50a1803f166da55d75f3d684049f764161c7532bc417de",
+    ("table higher_bernoulli --max-n 6 --r 2", "text"): "5a67ba6f1f9cb5049408461914061821c900a3384e8b3ff7884fd5cf49fff778",
+    ("table higher_bernoulli --max-n 6 --r 2", "json"): "d478a15e7432c76faf1a6c5be24d777dc2a604dee5c0d168cc239432d13002df",
+    ("table higher_bernoulli --max-n 6 --r 2", "csv"): "cc87d7f24979ad02e721d6697807d1c71c7489f858d38cd0c3686dcbd170c830",
+    ("table r_ordered_bell --n 3 --max-r 4", "text"): "e2d7826d7fe31290ae1a88dc96f117b26616fad2be334deec23d459ed81698e6",
+    ("table r_ordered_bell --n 3 --max-r 4", "json"): "a129f434c14e20f2df7a8ed8324a87d631697a6a1ebee3dbf54416e950fec5f9",
+    ("table r_ordered_bell --n 3 --max-r 4", "csv"): "9dd9a58d8dce200f230cec8b566b1291d86880778153798506279d0906a19d77",
+    ("egf partial_derangement --order 8", "text"): "8926f8a166802950ce1208b90056dd8858e2bcac85cdab8ae9005deda8776840",
+    ("egf partial_derangement --order 8", "json"): "56669468330f97971b8b29efe0aa4be4ea702011bb01d61d5e2ae2a31c327d3d",
+    ("egf partial_derangement --order 8", "csv"): "8239dcfb9d96275fb10bdd5687740d5af604d4547d6e6c5648ad12f9adf8c7a2",
+    ("egf partial_derangement --order 8 --r 2", "text"): "ad7e3a413eb974433e40d9c09b48ffd618a796cd8f5aa120c0daf00d2cc58998",
+    ("egf partial_derangement --order 8 --r 2", "json"): "034d9e8f1891072998e87a8ac7b888673d47283d32411d096e137ae6d6bace67",
+    ("egf partial_derangement --order 8 --r 2", "csv"): "51cc394d994175ee31cd475f612cd11bb4d08e51f4822f5b0c0e0a7f787e891b",
+    ("egf ordered_bell --order 8", "text"): "8578ea581ccd422cfc9859c23e2905129903cf904d9d18cef23a143ac6a3427d",
+    ("egf ordered_bell --order 8", "json"): "d5965b25a53a66af41a9a883e193ce2c1084580f73ab899df8d2b15d500894af",
+    ("egf ordered_bell --order 8", "csv"): "d13007d7420fa948e434daa52adb068254cf466e7ac97d98ffe05787fef2024d",
+    ("egf deranged_bell --order 8", "text"): "e37d98ce6bf32fe3005ffa0c0362cc50ba362f521619824c6433080a88decc85",
+    ("egf deranged_bell --order 8", "json"): "041f4fb5539e5b4e92bb879d21c7e79c2e33c1b578e50955bad293ba23b18f84",
+    ("egf deranged_bell --order 8", "csv"): "2a7071532e2b4f715d716347d3fab1f3a830ac3cde02b22d53f8338989b6552a",
+    ("egf stirling_column --order 8", "text"): "b5cac9861636c8f3e935b1b53c3b82402df16151073dfc314b33d61c08a612be",
+    ("egf stirling_column --order 8", "json"): "ed4f9f0747adc887f5fdabe467e9db6540e159b3fb772a149d4f2b18d1e96183",
+    ("egf stirling_column --order 8", "csv"): "38c6d4a6412179454a7f6d7dcbafd0a0c16dae4f2bd094954ae82e0f2909cc05",
+    ("egf stirling_column --order 8 --r 2", "text"): "0e34ad2eef34fc3bfae7f2ad0ff986521684da6133e146061c3a4109a79dd81b",
+    ("egf stirling_column --order 8 --r 2", "json"): "ea69f5aa9830707e69789f139c51f8f1c9c5ea97283876f75aee0f6fb0e91488",
+    ("egf stirling_column --order 8 --r 2", "csv"): "884f0c1fd12fc223ec89bd0d1f15aec238d4883e1479ee0f09b84a3f69a4d000",
+    ("egf higher_bernoulli --order 8", "text"): "12c3044a560c2b43b608a72a55215b6fa95c1556bddd6e16e1b3d85f5d3e1ceb",
+    ("egf higher_bernoulli --order 8", "json"): "7db47aa1dc570974e9621e465c7cd32300538681c0ce26424097b4ee424ca870",
+    ("egf higher_bernoulli --order 8", "csv"): "c287078bdcb7fc92c1a4dda7c56b0e5f4ed94848717e2fcb9204926e8f54edad",
+    ("egf higher_bernoulli --order 8 --r 2", "text"): "bdf65f0c8fb5591b38639987a7c0fdd4b11189dc2239ca3ed585249f385ffd78",
+    ("egf higher_bernoulli --order 8 --r 2", "json"): "71aca92e390ab0dcbd3f5b2ba7ce39a9a1176cb881869b637d3fce9fde07b6fa",
+    ("egf higher_bernoulli --order 8 --r 2", "csv"): "1be4a8c0ec9699f091cf829fee130f50996af8e74b6995961972f651cfa34038",
+    ("egf pdb --order 8", "text"): "d50c5bcc394c2f22299b64375dbb4e65193fdbe69da310a70fbfcf7158cd2a32",
+    ("egf pdb --order 8", "json"): "041f4fb5539e5b4e92bb879d21c7e79c2e33c1b578e50955bad293ba23b18f84",
+    ("egf pdb --order 8", "csv"): "2a7071532e2b4f715d716347d3fab1f3a830ac3cde02b22d53f8338989b6552a",
+    ("egf pdb --order 8 --r 2", "text"): "8f0a370e7dbbda60647e0efd989e7610436ec28f6423d3fb0d6c2ab81920b246",
+    ("egf pdb --order 8 --r 2", "json"): "6f219866c031abd2a1bec79d2c19dbbd081c8261ea689eaad2215ec54b375023",
+    ("egf pdb --order 8 --r 2", "csv"): "24060765cbf0245d3644250d37c26b3e2c8e11d2674ec7fc50c970f0f03db12a",
+}
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(GOLDEN_FAMILY_SHA256))
+def test_golden_family_output(capsys, argv, fmt):
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_FAMILY_SHA256[argv, fmt]
+
+
 # ----------------------------------------------------------------------
 # egf
 
@@ -360,6 +475,25 @@ def test_egf_order_cap(capsys):
     assert "resource cap" in out
 
 
+@pytest.mark.parametrize(
+    "family", ["partial_derangement", "stirling_column", "higher_bernoulli", "pdb"]
+)
+def test_egf_parameter_cap(capsys, monkeypatch, family):
+    built = []
+    monkeypatch.setattr(ser, "egf_family", lambda *args: built.append(args))
+    monkeypatch.setattr(ser, "egf_pdb", lambda *args: built.append(args))
+    for r in ("257", "3000000"):
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, "egf", family, "--r", r, "--order", "4")
+        assert time.process_time() - start < 1
+        assert code == 3
+        assert out.startswith(f"resource cap: egf {family} --r is limited to 256; ")
+    assert built == []  # refused before any series is built
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, "egf", family, "--r", "256", "--order", "4")
+    assert code == 0
+
+
 def test_egf_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "egf", "stirling_column", "--r", "2", "--order", "6", "--format", "json"
@@ -398,11 +532,20 @@ POSITIONAL = {"table": ["bell"], "egf": ["deranged_bell"]}
         ("egf", "--n"),
         ("egf", "--tol"),
         ("egf", "--oracle-cap"),
+        # a flag the subcommand takes but the family, or its mode, does not read
+        ("table bell", "--n"),
+        ("table pdb --n 3", "--r"),
+        ("table pdb --n 3", "--max-r"),
+        ("table pdb --n 3", "--max-n"),
+        ("table stirling2 --max-n 2", "--r"),
+        ("table r_ordered_bell --max-n 2", "--max-r"),
+        ("egf ordered_bell", "--r"),
     ],
 )
 def test_subcommand_refuses_flags_it_does_not_read(capsys, command, flag):
     value = "1e-9" if flag == "--tol" else "1"
-    code, out, err = run_cli(capsys, command, *POSITIONAL.get(command, []), flag, value)
+    argv = command.split() + POSITIONAL.get(command, [])
+    code, out, err = run_cli(capsys, *argv, flag, value)
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag}" in err
@@ -467,6 +610,15 @@ def test_module_execution_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout == "table bell\nn=0: 1\nn=1: 1\nn=2: 2\nn=3: 5\n"
+
+
+def test_library_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(n):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(seq, "bell", broken)
+    with pytest.raises(ValueError, match="kernel fault"):
+        main(["table", "bell", "--max-n", "2"])
 
 
 def test_main_returns_int_for_help():

@@ -5,9 +5,10 @@ arithmetic and reports the first failing grid point, scanning in the
 documented index order, so witnesses are deterministic.  Four checks carry
 ``known_failing=True``: they test identities exactly as stated in their
 source display even though the stated form is wrong, and each is paired
-(via ``corrected_id``) with a passing check of the repaired form.  A suite
-run is an overall pass exactly when every check that is not known-failing
-passes.
+(via ``corrected_id``) with a passing check of the repaired form; one whose
+grid holds no witness reports ``not-reproduced-on-grid``, never ``pass``.
+A check whose grid holds no point at all is ``vacuous``.  A suite run is
+an overall pass exactly when every check that is not known-failing passes.
 
 A check is declared as a :class:`Grid` plus a compare function.  The grid
 lists the index axes in scan order, outermost first; the ends of an axis
@@ -67,7 +68,9 @@ class Status(str, Enum):
     PASS = "pass"
     FAIL = "fail"
     KNOWN_FAILING = "known-failing-as-printed"
+    NOT_REPRODUCED = "not-reproduced-on-grid"
     INCONCLUSIVE = "inconclusive"
+    VACUOUS = "vacuous"
     ERROR = "error"
 
 
@@ -155,24 +158,16 @@ class SuiteReport:
 
     @property
     def overall(self) -> str:
-        ok = all(
-            r.status in (Status.PASS, Status.KNOWN_FAILING) for r in self.results
-        )
+        expected = (Status.PASS, Status.KNOWN_FAILING, Status.NOT_REPRODUCED)
+        ok = all(r.status in expected for r in self.results)
         return "pass" if ok else "fail"
 
 
 class InconclusiveError(Exception):
     """A series check could not certify its truncation tail."""
 
-    def __init__(
-        self,
-        bounds: Mapping[str, str],
-        params: Mapping[str, object],
-        achieved: str,
-        required: str,
-    ) -> None:
+    def __init__(self, params: Mapping[str, object], achieved: str, required: str) -> None:
         super().__init__(f"tail not certified: have {achieved}, need {required}")
-        self.bounds = dict(bounds)
         self.params = dict(params)
         self.achieved = achieved
         self.required = required
@@ -284,14 +279,13 @@ def scan(
 # registry
 
 
-CheckFn = Callable[[SuiteConfig], tuple[dict[str, str], Witness | None]]
-
-
 @dataclass(frozen=True)
 class _CheckDef:
     check_id: str
     summary: str
-    fn: CheckFn
+    grids: Callable[[SuiteConfig], Grid | tuple[Grid, ...]]
+    compare: Callable[..., Comparisons]
+    show: Callable[..., str] = str
     known_failing: bool = False
     corrected_id: str | None = None
 
@@ -314,25 +308,11 @@ def _check(
     """
 
     def deco(compare: Callable[..., Comparisons]) -> Callable[..., Comparisons]:
-        def fn(cfg: SuiteConfig) -> tuple[dict[str, str], Witness | None]:
-            scans = grids(cfg)
-            scans = scans if isinstance(scans, tuple) else (scans,)
-            bounds: dict[str, str] = {}
-            for grid in scans:
-                bounds.update(grid.bounds)
-            try:
-                for grid in scans:
-                    witness = scan(grid, functools.partial(compare, cfg), show)
-                    if witness is not None:
-                        return bounds, witness
-            except InconclusiveError as exc:
-                exc.bounds = bounds
-                raise
-            return bounds, None
-
         if check_id in _REGISTRY:
             raise ValueError(f"duplicate check id {check_id!r}")
-        _REGISTRY[check_id] = _CheckDef(check_id, summary, fn, known_failing, corrected_id)
+        _REGISTRY[check_id] = _CheckDef(
+            check_id, summary, grids, compare, show, known_failing, corrected_id
+        )
         return compare
 
     return deco
@@ -533,8 +513,7 @@ def _certify(n: int, r: int, cfg: SuiteConfig, tail: Callable[[int], Fraction | 
     """First cutoff J on the schedule 8, 12, 18, 27, ... up to _J_MAX whose
     proven tail bound ``tail(J)`` is below a tenth of the tolerance.
 
-    ``tail(J)`` is None where its proof does not apply at J.  The
-    InconclusiveError raised past _J_MAX gets its bounds from the check.
+    ``tail(J)`` is None where its proof does not apply at J.
     """
     tol = cfg.tolerance
     J = 8
@@ -544,7 +523,6 @@ def _certify(n: int, r: int, cfg: SuiteConfig, tail: Callable[[int], Fraction | 
             return J
         J += max(4, J // 2)
     raise InconclusiveError(
-        {},
         {"n": n, "r": r, "J_max": _J_MAX},
         f"no cutoff J <= {_J_MAX} certified",
         f"tail bound below {_tol_str(tol / 10)}",
@@ -1159,6 +1137,9 @@ def _r_ordered_bell_geometric(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 def check(check_id: str, config: SuiteConfig | None = None) -> CheckReport:
     """Run one registered check and report its status.
 
+    The grids are scanned in order until one yields a witness.  A check
+    whose grids hold no point is ``vacuous``; a known-failing check that
+    finds no witness on points it did evaluate is ``not-reproduced-on-grid``.
     Raises ValueError for an unknown id.  Library errors other than an
     uncertified tail propagate; :func:`run_all` converts them to error
     reports instead.
@@ -1166,24 +1147,28 @@ def check(check_id: str, config: SuiteConfig | None = None) -> CheckReport:
     defn = _lookup(check_id)
     cfg = config if config is not None else SuiteConfig()
     start = time.perf_counter()
+    grids = defn.grids(cfg)
+    grids = grids if isinstance(grids, tuple) else (grids,)
+    bounds = {key: text for grid in grids for key, text in grid.bounds.items()}
+    points = 0
+
+    def compare(**point: int) -> Comparisons:
+        nonlocal points
+        points += 1
+        return defn.compare(cfg, **point)
+
     try:
-        bounds, witness = defn.fn(cfg)
+        witness = next(filter(None, (scan(grid, compare, defn.show) for grid in grids)), None)
     except InconclusiveError as exc:
-        ms = int(round((time.perf_counter() - start) * 1000))
-        return CheckReport(
-            check_id=check_id,
-            status=Status.INCONCLUSIVE,
-            bounds=exc.bounds,
-            ms=ms,
-            witness=Witness(exc.params, exc.achieved, exc.required),
-        )
-    ms = int(round((time.perf_counter() - start) * 1000))
-    if witness is None:
-        status = Status.PASS
-    elif defn.known_failing:
-        status = Status.KNOWN_FAILING
+        status, witness = Status.INCONCLUSIVE, Witness(exc.params, exc.achieved, exc.required)
     else:
-        status = Status.FAIL
+        if points == 0:
+            status = Status.VACUOUS
+        elif witness is None:
+            status = Status.NOT_REPRODUCED if defn.known_failing else Status.PASS
+        else:
+            status = Status.KNOWN_FAILING if defn.known_failing else Status.FAIL
+    ms = int(round((time.perf_counter() - start) * 1000))
     return CheckReport(check_id=check_id, status=status, bounds=bounds, ms=ms, witness=witness)
 
 
@@ -1197,16 +1182,11 @@ def run_all(
     ids raise ValueError before anything runs.
     """
     cfg = config if config is not None else SuiteConfig()
-    if ids is None:
-        selected = list(_REGISTRY)
-    else:
-        requested = set()
-        for cid in ids:
-            _lookup(cid)
-            requested.add(cid)
-        selected = [cid for cid in _REGISTRY if cid in requested]
+    selected = set(_REGISTRY) if ids is None else {_lookup(cid).check_id for cid in ids}
     results = []
-    for cid in selected:
+    for cid in _REGISTRY:
+        if cid not in selected:
+            continue
         try:
             results.append(check(cid, cfg))
         except Exception as exc:

@@ -13,7 +13,7 @@ one.  Any other flag is a usage error, and a value over its cap is refused
 before any work starts.
 
 Exit codes: 0 pass, 1 identity failure or unexpected error, 2 usage error,
-3 resource cap, 4 inconclusive series tolerance.
+3 resource cap, 4 inconclusive series tolerance or a vacuous grid.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def _check_exit_code(report: checks.SuiteReport) -> int:
     statuses = [r.status for r in report.results]
     if any(s is checks.Status.FAIL for s in statuses):
         return _EXIT_FAIL
-    if any(s is checks.Status.INCONCLUSIVE for s in statuses):
+    if any(s in (checks.Status.INCONCLUSIVE, checks.Status.VACUOUS) for s in statuses):
         return _EXIT_INCONCLUSIVE
     errored = [r for r in report.results if r.status is checks.Status.ERROR]
     if errored:

@@ -321,6 +321,12 @@ def compose_expm1_stirling(outer: TruncatedSeries) -> TruncatedSeries:
     )
 
 
+def _deranged(v: TruncatedSeries, r: int = 0) -> TruncatedSeries:
+    """v**r / r! * exp(-v) / (1 - v): the partial-derangement series at v."""
+    tail = (-v).exp() / (TruncatedSeries.one(v.order) - v)
+    return tail if r == 0 else v.pow(r).scale(Fraction(1, math.factorial(r))) * tail
+
+
 def egf_pdb(r: int, y: Rational, order: int) -> TruncatedSeries:
     """Exponential generating series of the deranged-block polynomials.
 
@@ -329,9 +335,7 @@ def egf_pdb(r: int, y: Rational, order: int) -> TruncatedSeries:
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    v = expm1(order).scale(y)
-    head = v.pow(r).scale(Fraction(1, math.factorial(r)))
-    return head * (-v).exp() / (TruncatedSeries.one(order) - v)
+    return _deranged(expm1(order).scale(y), r)
 
 
 EGF_FAMILIES = (
@@ -360,18 +364,13 @@ def egf_family(family: str, order: int, param: int | None = None) -> TruncatedSe
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    one = TruncatedSeries.one(order)
     if family == "partial_derangement":
-        r = _required_param(family, param)
-        t = TruncatedSeries.t(order)
-        head = t.pow(r).scale(Fraction(1, math.factorial(r)))
-        return head * (-t).exp() / (one - t)
+        return _deranged(TruncatedSeries.t(order), _required_param(family, param))
     if family == "ordered_bell":
         exp_t = TruncatedSeries.t(order).exp()
-        return one / (TruncatedSeries.from_constant(2, order) - exp_t)
+        return TruncatedSeries.one(order) / (TruncatedSeries.from_constant(2, order) - exp_t)
     if family == "deranged_bell":
-        u = expm1(order)
-        return (-u).exp() / (one - u)
+        return _deranged(expm1(order))
     if family == "stirling_column":
         k = _required_param(family, param)
         return expm1(order).pow(k).scale(Fraction(1, math.factorial(k)))

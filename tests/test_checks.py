@@ -276,13 +276,57 @@ def test_witnesses_are_deterministic():
     assert first.status == second.status
 
 
-def test_known_failing_with_grid_too_small_to_witness_passes():
+def test_known_failing_with_grid_too_small_to_witness_is_not_reproduced():
     # The stated Cor 3.5(b) form first fails at r = 3; on a grid capped at
-    # r <= 2 the stated form is true, so the check honestly passes there.
+    # r <= 2 the stated form is true, so the failure is not reproduced there.
     tiny = SuiteConfig(max_n=6, max_r=2, max_m=2, oracle_cap=5)
     rep = checks.check("cor_3_5_b_printed", tiny)
-    assert rep.status is Status.PASS
+    assert rep.status is Status.NOT_REPRODUCED
     assert rep.witness is None
+
+
+@pytest.mark.parametrize(
+    "cfg, vacuous, not_reproduced",
+    [
+        (
+            SuiteConfig(max_n=0),
+            {"thm_2_9", "thm_2_10_a", "thm_2_10_b", "cor_3_9", "thm_3_10", "cor_3_11"},
+            {"cor_3_2_printed", "cor_3_5_b_printed"},
+        ),
+        (
+            SuiteConfig(max_r=0, max_m=0),
+            {"cor_3_5_a", "cor_3_5_b_printed", "cor_3_5_b", "thm_3_10", "cor_3_11"},
+            set(),
+        ),
+    ],
+    ids=["max_n=0", "max_r=0"],
+)
+def test_empty_grids_are_vacuous_and_unwitnessed_printed_forms_not_reproduced(
+    cfg, vacuous, not_reproduced
+):
+    report = checks.run_all(cfg)
+    by_status = {}
+    for rep in report.results:
+        by_status.setdefault(rep.status, set()).add(rep.check_id)
+    assert by_status.get(Status.VACUOUS, set()) == vacuous
+    assert by_status.get(Status.NOT_REPRODUCED, set()) == not_reproduced
+    for rep in report.results:
+        if rep.status is Status.VACUOUS:
+            assert rep.witness is None
+            assert rep.bounds
+    assert report.overall == "fail"
+
+
+def test_no_check_is_vacuous_or_unreproduced_on_the_standard_grids(golden_runs):
+    # The golden digests and the benchmark's max_n=32 suite pin these grids.
+    for report in (*golden_runs.values(), checks.run_all(SuiteConfig(max_n=32))):
+        unevaluated = {
+            rep.check_id
+            for rep in report.results
+            if rep.status in (Status.VACUOUS, Status.NOT_REPRODUCED)
+        }
+        assert unevaluated == set(), report.config
+        assert report.overall == "pass"
 
 
 # ----------------------------------------------------------------------
@@ -394,12 +438,12 @@ def test_resource_cap_escape_becomes_error_report(monkeypatch):
 
     from pdbell import oracle
 
-    def blow_up(cfg):
+    def blow_up(cfg, **point):
         raise oracle.CapExceededError("budget exhausted")
 
     defn = checks._REGISTRY["thm_2_3"]
     monkeypatch.setitem(
-        checks._REGISTRY, "thm_2_3", dataclasses.replace(defn, fn=blow_up)
+        checks._REGISTRY, "thm_2_3", dataclasses.replace(defn, compare=blow_up)
     )
     report = checks.run_all(SMALL, ids=["thm_2_3"])
     (rep,) = report.results
@@ -411,12 +455,12 @@ def test_resource_cap_escape_becomes_error_report(monkeypatch):
 def test_unexpected_exception_becomes_error_report(monkeypatch):
     import dataclasses
 
-    def blow_up(cfg):
+    def blow_up(cfg, **point):
         raise RuntimeError("boom")
 
     defn = checks._REGISTRY["thm_2_3"]
     monkeypatch.setitem(
-        checks._REGISTRY, "thm_2_3", dataclasses.replace(defn, fn=blow_up)
+        checks._REGISTRY, "thm_2_3", dataclasses.replace(defn, compare=blow_up)
     )
     report = checks.run_all(SMALL, ids=["thm_2_3"])
     (rep,) = report.results

@@ -204,6 +204,14 @@ def test_check_oracle_cap_flag_limit(capsys):
     assert "102247563" in out
 
 
+def test_check_empty_grid_is_vacuous_and_exits_4(capsys):
+    code, out, _ = run_cli(capsys, "check", "--max-n", "0")
+    assert code == 4
+    assert "check thm_2_9: vacuous (n=1..0, r=0..min(n-1,8))" in out
+    assert "check cor_3_2_printed: not-reproduced-on-grid" in out
+    assert out.splitlines()[-1].startswith("overall: fail ")
+
+
 def test_check_inconclusive_tolerance(capsys):
     code, out, _ = run_cli(
         capsys, "check", "thm_2_10_b", "--tol", "1e-300", "--max-n", "4"
@@ -243,6 +251,11 @@ def test_exit_code_priority():
     assert _check_exit_code(report(ok, other_err)) == 1
     assert _check_exit_code(report(cap_err, other_err)) == 3
     assert _check_exit_code(report((Status.KNOWN_FAILING, None),)) == 0
+    vacuous = (Status.VACUOUS, None)
+    assert _check_exit_code(report(vacuous)) == 4
+    assert _check_exit_code(report(fail, vacuous)) == 1
+    assert _check_exit_code(report(vacuous, cap_err)) == 4
+    assert _check_exit_code(report(ok, (Status.NOT_REPRODUCED, None))) == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the kernel, polynomial and series layers, the costliest checks and the
-whole identity suite of pdbell, each case cold in a new process.
+"""Time the kernel, polynomial, series and oracle layers, the costliest checks
+and the whole identity suite of pdbell, each case cold in a new process.
 
 Usage, from the repository root::
 
@@ -71,11 +71,8 @@ CASES: dict[str, tuple[str, str, str]] = {
     ),
     "truncated_ordered_bell_row_to_300": (
         "the truncated_ordered_bell row r = 0..n for n = 0..300",
-        # A tree without the row function builds the row a cell at a time,
-        # as its table command does.
-        "row = getattr(seq, 'truncated_ordered_bell_row', None) or (\n"
-        "    lambda n: [seq.truncated_ordered_bell(n, r) for r in range(n + 1)])",
-        "for n in range(301):\n    row(n)",
+        "",
+        "for n in range(301):\n    seq.truncated_ordered_bell_row(n)",
     ),
     "int_poly_mul_deg_40": (
         "200 products of two IntPolynomials of degree 40",
@@ -89,11 +86,18 @@ CASES: dict[str, tuple[str, str, str]] = {
     ),
     "weighted_sum_pdb_poly_row_60": (
         "100 sums of r*pdb_poly(60, r) over r = 0..60, the polynomials built once",
-        # A tree without weighted_sum folds + over w*p, as its checks did.
-        "row = [(r, poly.pdb_poly(60, r)) for r in range(61)]\n"
-        "weighted_sum = getattr(poly, 'weighted_sum', None) or (\n"
-        "    lambda pairs: sum((w * p for w, p in pairs), poly.IntPolynomial()))",
-        "for _ in range(100):\n    weighted_sum(row)",
+        "row = [(r, poly.pdb_poly(60, r)) for r in range(61)]",
+        "for _ in range(100):\n    poly.weighted_sum(row)",
+    ),
+    "brute_pdb_row_n8": (
+        "brute_pdb_row(8), the enumerated fixed-block row",
+        "",
+        "oracle.brute_pdb_row(8)",
+    ),
+    "brute_pdb_row_n9": (
+        "brute_pdb_row(9), the enumerated fixed-block row",
+        "",
+        "oracle.brute_pdb_row(9)",
     ),
     "egf_deranged_bell_64": (
         "egf_family('deranged_bell', 64)",
@@ -150,7 +154,7 @@ CASES.update(
 
 CHILD = """\
 import json, time
-from pdbell import checks, polynomials as poly, sequences as seq, series as ser
+from pdbell import checks, oracle, polynomials as poly, sequences as seq, series as ser
 {setup}
 cpu, wall = time.process_time(), time.perf_counter()
 {body}

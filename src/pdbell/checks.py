@@ -178,8 +178,6 @@ def _json_scalar(value: object) -> object:
         return value
     if isinstance(value, int):
         return value if abs(value) < 2**53 else str(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -696,20 +694,19 @@ def _cor_3_2_printed(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Compar
 )
 def _cor_3_2_corrected(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comparisons:
     cap = cfg.oracle_cap
-    perm_cap = min(cap, oracle.PERMUTATION_CAP)
-    if n > perm_cap:
+    if n > cap:
         yield {}, *_cor_3_2_sides(n, m, r, j)
         return
     # Zero Stirling factors skip the enumeration of their partner terms.
     lhs = sum(
-        math.comb(n, k) * s1 * s2 * oracle.brute_partial_derangement(j, m, perm_cap)
+        math.comb(n, k) * s1 * s2 * oracle.brute_partial_derangement(j, m, cap)
         for k in range(j, n + 1)
         if (s1 := oracle.brute_stirling2(n - k, r, cap))
         and (s2 := oracle.brute_stirling2(k, j, cap))
     )
     s3 = oracle.brute_stirling2(n, j + r, cap)
     rhs = (
-        math.comb(m + r, m) * s3 * oracle.brute_partial_derangement(j + r, r + m, perm_cap)
+        math.comb(m + r, m) * s3 * oracle.brute_partial_derangement(j + r, r + m, cap)
         if s3
         else 0
     )
@@ -1030,10 +1027,8 @@ def oracle_cells(n: int, cap: int) -> Iterator[tuple[str, list[int], list[int]]]
     """Each kernel's values at ``n`` beside the same values counted by
     literal enumeration within ``cap``: ``(kind, kernel, enumerated)``.
 
-    The permutation kernel comes last, and only while ``n`` is within both
-    ``cap`` and ``oracle.PERMUTATION_CAP``.
+    The permutation kernel comes last.
     """
-    perm_cap = min(cap, oracle.PERMUTATION_CAP)
     ks = range(n + 1)
     yield "pdb_row", seq.pdb_row(n), oracle.brute_pdb_row(n, cap)
     yield "stirling2", seq.stirling2_row(n), [oracle.brute_stirling2(n, k, cap) for k in ks]
@@ -1044,12 +1039,11 @@ def oracle_cells(n: int, cap: int) -> Iterator[tuple[str, list[int], list[int]]]
         [oracle.brute_complementary_bell(n, cap)],
     )
     yield "ordered_bell", [seq.ordered_bell(n)], [oracle.brute_ordered_bell(n, cap)]
-    if n <= perm_cap:
-        yield (
-            "partial_derangement",
-            [seq.partial_derangement(n, r) for r in ks],
-            [oracle.brute_partial_derangement(n, r, perm_cap) for r in ks],
-        )
+    yield (
+        "partial_derangement",
+        [seq.partial_derangement(n, r) for r in ks],
+        [oracle.brute_partial_derangement(n, r, cap) for r in ks],
+    )
 
 
 @_check(
@@ -1058,7 +1052,7 @@ def oracle_cells(n: int, cap: int) -> Iterator[tuple[str, list[int], list[int]]]
     "orderings, and permutations within the oracle cap",
     lambda c: Grid(
         n=(0, min(c.max_n, c.oracle_cap)),
-        notes={"permutations": f"0..{min(c.max_n, c.oracle_cap, oracle.PERMUTATION_CAP)}"},
+        notes={"permutations": f"0..{min(c.max_n, c.oracle_cap)}"},
     ),
 )
 def _oracle_all(cfg: SuiteConfig, n: int) -> Comparisons:

@@ -493,10 +493,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"unknown check id {unknown[0]!r}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
-    run = {"table": _cmd_table, "check": _cmd_check, "oracle": _cmd_oracle, "egf": _cmd_egf}
     refusal = _over_cap(cfg, declared)
+    if refusal:
+        sys.stderr.write(refusal)
+        return _EXIT_RESOURCE
+    run = {"table": _cmd_table, "check": _cmd_check, "oracle": _cmd_oracle, "egf": _cmd_egf}
     try:
-        code, text = (_EXIT_RESOURCE, refusal) if refusal else run[cfg.command](cfg)
+        code, text = run[cfg.command](cfg)
     except oracle.CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return _EXIT_RESOURCE

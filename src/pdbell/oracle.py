@@ -9,22 +9,22 @@ list, visited in lexicographic order.
 
 Everything here counts literally, one partition or permutation at a time,
 with no formulas, so these functions are an independent ground truth for the
-sequence kernels.  Costs explode quickly: there are 545835 block
-permutations across all partitions of 8 items and about 10**8 at n = 10,
+sequence kernels.  The orderings of a partition depend only on its block
+count k, so one pass over the partitions of [n] adds, per partition, the
+fixed-point tally of the k! permutations of [k], which is enumerated once
+per k.  At n = 10 that is 115975 partitions and 3628800 permutations,
 hence the hard cap.  Enumeration streams are single-consumer generators.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 __all__ = [
     "DEFAULT_CAP",
-    "PERMUTATION_CAP",
     "CapExceededError",
     "PartitionRGS",
     "is_valid_rgs",
@@ -39,11 +39,11 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10
-PERMUTATION_CAP = 9
 
 _COST_HINT = (
-    "the enumeration visits every block permutation of every partition "
-    "(545835 at n = 8, 7087261 at n = 9, 102247563 at n = 10)"
+    "the enumeration visits every partition of [n] and, once per block "
+    "count k, every permutation of [k] (115975 partitions and 3628800 "
+    "permutations at n = 10)"
 )
 
 
@@ -123,19 +123,27 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[PartitionRG
             mx[j] = mx[i]
 
 
-@lru_cache(maxsize=64)
-def _pdb_row(n: int) -> tuple[int, ...]:
+@lru_cache(maxsize=32)
+def _fixed_point_tally(n: int) -> tuple[int, ...]:
     tally = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        tally[sum(1 for i in range(n) if perm[i] == i)] += 1
+    return tuple(tally)
+
+
+@lru_cache(maxsize=64)
+def _tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Partitions of [n] by block count, and (partition, block permutation)
+    pairs by fixed blocks, from one pass over the partitions."""
+    by_blocks = [0] * (n + 1)
+    by_fixed = [0] * (n + 1)
     for part in enumerate_partitions(n, DEFAULT_CAP):
         k = part.block_count
-        indices = range(k)
-        for perm in itertools.permutations(indices):
-            fixed = 0
-            for i in indices:
-                if perm[i] == i:
-                    fixed += 1
-            tally[fixed] += 1
-    return tuple(tally)
+        by_blocks[k] += 1
+        # The k! orderings of this partition's blocks, counted by fixed blocks.
+        for r, count in enumerate(_fixed_point_tally(k)):
+            by_fixed[r] += count
+    return tuple(by_blocks), tuple(by_fixed)
 
 
 def brute_pdb_row(n: int, cap: int = DEFAULT_CAP) -> list[int]:
@@ -145,7 +153,7 @@ def brute_pdb_row(n: int, cap: int = DEFAULT_CAP) -> list[int]:
     of the canonical min-ordered block list in place.
     """
     _check_cap(n, cap, "brute_pdb_row")
-    return list(_pdb_row(n))
+    return list(_tallies(n)[1])
 
 
 def brute_pdb(n: int, r: int, cap: int = DEFAULT_CAP) -> int:
@@ -155,43 +163,17 @@ def brute_pdb(n: int, r: int, cap: int = DEFAULT_CAP) -> int:
     _check_cap(n, cap, "brute_pdb")
     if r > n:
         return 0
-    return _pdb_row(n)[r]
+    return _tallies(n)[1][r]
 
 
-@lru_cache(maxsize=32)
-def _fixed_point_tally(n: int) -> tuple[int, ...]:
-    tally = [0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        tally[sum(1 for i in range(n) if perm[i] == i)] += 1
-    return tuple(tally)
-
-
-def brute_partial_derangement(n: int, r: int, cap: int = PERMUTATION_CAP) -> int:
+def brute_partial_derangement(n: int, r: int, cap: int = DEFAULT_CAP) -> int:
     """Count permutations of [n] with exactly r fixed points, one by one."""
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if cap > PERMUTATION_CAP:
-        raise CapExceededError(
-            f"cap {cap} exceeds the permutation limit {PERMUTATION_CAP}"
-        )
-    if n > cap:
-        raise CapExceededError(
-            f"brute_partial_derangement: n = {n} exceeds cap {cap} "
-            f"({math.factorial(n)} permutations)"
-        )
+    _check_cap(n, cap, "brute_partial_derangement")
     if r > n:
         return 0
     return _fixed_point_tally(n)[r]
-
-
-@lru_cache(maxsize=64)
-def _block_count_tally(n: int) -> tuple[int, ...]:
-    tally = [0] * (n + 1)
-    for p in enumerate_partitions(n, DEFAULT_CAP):
-        tally[p.block_count] += 1
-    return tuple(tally)
 
 
 def brute_stirling2(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
@@ -199,26 +181,25 @@ def brute_stirling2(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     _check_cap(n, cap, "brute_stirling2")
-    return _block_count_tally(n)[k] if k <= n else 0
+    return _tallies(n)[0][k] if k <= n else 0
 
 
 def brute_bell(n: int, cap: int = DEFAULT_CAP) -> int:
     """Count all partitions of [n] by enumeration."""
     _check_cap(n, cap, "brute_bell")
-    return sum(_block_count_tally(n))
+    return sum(_tallies(n)[0])
 
 
 def brute_complementary_bell(n: int, cap: int = DEFAULT_CAP) -> int:
     """Sum (-1)**block_count over all partitions of [n]."""
     _check_cap(n, cap, "brute_complementary_bell")
-    return sum((-1) ** k * c for k, c in enumerate(_block_count_tally(n)))
+    return sum((-1) ** k * c for k, c in enumerate(_tallies(n)[0]))
 
 
 def brute_ordered_bell(n: int, cap: int = DEFAULT_CAP) -> int:
     """Count (partition, block permutation) pairs of [n].
 
-    Uses the exhaustive tally of :func:`brute_pdb_row`, which visits each
-    pair exactly once.
+    Sums the tally of :func:`brute_pdb_row`, which counts each pair once.
     """
     _check_cap(n, cap, "brute_ordered_bell")
-    return sum(_pdb_row(n))
+    return sum(_tallies(n)[1])

@@ -551,6 +551,19 @@ def test_oracle_all_enumerates_no_further_than_max_n(monkeypatch):
     assert dict(report.bounds) == {"n": "0..8", "permutations": "0..8"}
 
 
+def test_oracle_all_permutations_reach_the_oracle_cap():
+    # Only the grid is built: scanning it would enumerate to n = 10.
+    grid = checks._lookup("oracle_all").grids(SuiteConfig(max_n=12, oracle_cap=10))
+    assert grid.bounds == {"n": "0..10", "permutations": "0..10"}
+
+
+def test_oracle_cells_end_with_partial_derangement():
+    kinds = [kind for kind, _, _ in checks.oracle_cells(3, 3)]
+    assert kinds == [
+        "pdb_row", "stirling2", "bell", "complementary_bell", "ordered_bell", "partial_derangement"
+    ]
+
+
 def test_wilf_scan_reaches_n_1000():
     report = checks.check("wilf_scan", SuiteConfig(wilf_bound=1000))
     assert report.status is Status.PASS

@@ -97,9 +97,19 @@ def test_table_higher_bernoulli_defaults_to_first_order(capsys):
 
 
 def test_table_resource_cap(capsys):
-    code, out, _ = run_cli(capsys, "table", "bell", "--max-n", "1001")
+    code, out, err = run_cli(capsys, "table", "bell", "--max-n", "1001")
     assert code == 3
-    assert "resource cap" in out
+    assert out == ""
+    assert "resource cap" in err
+
+
+def test_cap_refusal_does_not_create_out_file(capsys, tmp_path):
+    target = tmp_path / "table.txt"
+    code, out, err = run_cli(capsys, "table", "pdb", "--max-n", "451", "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap: table pdb --max-n is limited to 450;")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("family", ["pdb", "pdb_poly"])
@@ -110,10 +120,11 @@ def test_table_family_caps(capsys, monkeypatch, family):
     computed = []
     monkeypatch.setattr(cli, "_table_rows", lambda cfg: computed.append(cfg) or [])
     for flag, cap in (("--max-n", table_cap), ("--n", row_cap)):
-        code, out, _ = run_cli(capsys, "table", family, flag, str(cap + 1))
+        code, out, err = run_cli(capsys, "table", family, flag, str(cap + 1))
         assert code == 3
-        assert f"resource cap: table {family} {flag} is limited to {cap};" in out
-        assert "60 s" in out
+        assert out == ""
+        assert f"resource cap: table {family} {flag} is limited to {cap};" in err
+        assert "60 s" in err
         assert computed == []  # refused before any work
     # The whole-table cap does not apply to a single row.
     for flag, n in (("--max-n", table_cap), ("--n", table_cap + 1), ("--n", row_cap)):
@@ -199,9 +210,10 @@ def test_check_csv_header(capsys):
 
 
 def test_check_oracle_cap_flag_limit(capsys):
-    code, out, _ = run_cli(capsys, "check", "--oracle-cap", "11")
+    code, out, err = run_cli(capsys, "check", "--oracle-cap", "11")
     assert code == 3
-    assert "102247563" in out
+    assert out == ""
+    assert "3628800" in err
 
 
 def test_check_empty_grid_is_vacuous_and_exits_4(capsys):
@@ -271,9 +283,10 @@ def test_oracle_text(capsys):
 
 
 def test_oracle_resource_cap(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "--max-n", "11")
+    code, out, err = run_cli(capsys, "oracle", "--max-n", "11")
     assert code == 3
-    assert "resource cap" in out
+    assert out == ""
+    assert "resource cap" in err
 
 
 def test_oracle_json_and_csv(capsys):
@@ -483,9 +496,10 @@ def test_egf_higher_bernoulli_defaults_to_first_order(capsys):
 
 
 def test_egf_order_cap(capsys):
-    code, out, _ = run_cli(capsys, "egf", "deranged_bell", "--order", "257")
+    code, out, err = run_cli(capsys, "egf", "deranged_bell", "--order", "257")
     assert code == 3
-    assert "resource cap" in out
+    assert out == ""
+    assert "resource cap" in err
 
 
 @pytest.mark.parametrize(
@@ -497,10 +511,11 @@ def test_egf_parameter_cap(capsys, monkeypatch, family):
     monkeypatch.setattr(ser, "egf_pdb", lambda *args: built.append(args))
     for r in ("257", "3000000"):
         start = time.process_time()
-        code, out, _ = run_cli(capsys, "egf", family, "--r", r, "--order", "4")
+        code, out, err = run_cli(capsys, "egf", family, "--r", r, "--order", "4")
         assert time.process_time() - start < 1
         assert code == 3
-        assert out.startswith(f"resource cap: egf {family} --r is limited to 256; ")
+        assert out == ""
+        assert err.startswith(f"resource cap: egf {family} --r is limited to 256; ")
     assert built == []  # refused before any series is built
     monkeypatch.undo()
     code, _, _ = run_cli(capsys, "egf", family, "--r", "256", "--order", "4")

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from pdbell import sequences as seq
 from pdbell.oracle import (
     DEFAULT_CAP,
-    PERMUTATION_CAP,
     CapExceededError,
     PartitionRGS,
     brute_bell,
@@ -119,6 +118,22 @@ def test_brute_pdb_row_frozen():
     assert brute_pdb_row(3) == [5, 4, 3, 1]
 
 
+def test_brute_pdb_row_matches_literal_pair_count_to_7():
+    # Reference: every block permutation of every partition, one at a time.
+    for n in range(8):
+        tally = [0] * (n + 1)
+        for part in enumerate_partitions(n):
+            k = part.block_count
+            indices = range(k)
+            for perm in itertools.permutations(indices):
+                fixed = 0
+                for i in indices:
+                    if perm[i] == i:
+                        fixed += 1
+                tally[fixed] += 1
+        assert brute_pdb_row(n) == tally
+
+
 def test_brute_pdb_all_blocks_fixed_is_unique():
     for n in range(7):
         assert brute_pdb(n, n) == 1
@@ -162,7 +177,6 @@ def test_brute_partial_derangement_never_fixes_all_but_one():
 
 def test_default_caps():
     assert DEFAULT_CAP == 10
-    assert PERMUTATION_CAP == 9
 
 
 def test_cap_exceeded_errors():
@@ -171,7 +185,7 @@ def test_cap_exceeded_errors():
     with pytest.raises(CapExceededError):
         brute_pdb_row(9, cap=8)
     with pytest.raises(CapExceededError):
-        brute_partial_derangement(10, 0)
+        brute_partial_derangement(11, 0)
 
 
 def test_cap_above_hard_limit_rejected():
@@ -179,9 +193,9 @@ def test_cap_above_hard_limit_rejected():
     # cost estimate in the message.
     with pytest.raises(CapExceededError) as exc:
         list(enumerate_partitions(4, cap=11))
-    assert "102247563" in str(exc.value)
+    assert "3628800" in str(exc.value)
     with pytest.raises(CapExceededError):
-        brute_partial_derangement(3, 0, cap=10)
+        brute_partial_derangement(3, 0, cap=11)
 
 
 def test_negative_arguments_raise():

@@ -68,15 +68,12 @@ from .sequences import (
     r_ordered_bell,
     r_stirling2,
     stirling2,
-    stirling2_explicit,
     truncated_ordered_bell,
 )
 from .series import (
     SeriesDivisionError,
     SeriesExpError,
     TruncatedSeries,
-    compose_expm1,
-    compose_expm1_stirling,
     egf_family,
     egf_pdb,
     expm1,
@@ -88,7 +85,6 @@ __all__ = [
     "__version__",
     # sequences
     "stirling2",
-    "stirling2_explicit",
     "r_stirling2",
     "derangement",
     "partial_derangement",
@@ -115,8 +111,6 @@ __all__ = [
     "SeriesDivisionError",
     "SeriesExpError",
     "expm1",
-    "compose_expm1",
-    "compose_expm1_stirling",
     "egf_pdb",
     "egf_family",
     # oracle

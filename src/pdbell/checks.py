@@ -52,6 +52,7 @@ __all__ = [
     "CheckReport",
     "SuiteConfig",
     "SuiteReport",
+    "TOL_EXPONENT_LIMIT",
     "InconclusiveError",
     "approx_e",
     "check",
@@ -83,6 +84,12 @@ class Witness:
     rhs: str
 
 
+# The smallest tolerance is 10**-TOL_EXPONENT_LIMIT.  Both series checks
+# are already inconclusive there (no cutoff up to _J_MAX certifies it), and
+# much smaller ones have denominators too long for int-to-str conversion.
+TOL_EXPONENT_LIMIT = 1000
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Grid bounds and tolerances for a suite run.
@@ -111,6 +118,8 @@ class SuiteConfig:
             )
         if not isinstance(self.tolerance, Fraction) or self.tolerance <= 0:
             raise ValueError(f"tolerance must be a positive Fraction, got {self.tolerance!r}")
+        if self.tolerance * 10**TOL_EXPONENT_LIMIT < 1:
+            raise ValueError(f"tolerance must be at least 1e-{TOL_EXPONENT_LIMIT}")
 
     def to_dict(self) -> dict[str, object]:
         return {

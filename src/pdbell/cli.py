@@ -96,12 +96,21 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 def _parse_tol(text: str) -> Fraction:
     try:
-        value = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError) as exc:
+        value = Decimal(text)
+    except InvalidOperation as exc:
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from exc
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
-    return value
+    # Checked on the decimal exponent, before the Fraction is built: its
+    # cost grows with the exponent.
+    limit = checks.TOL_EXPONENT_LIMIT
+    if abs(value.adjusted()) > limit:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be at least 1e-{limit} and below 1e{limit + 1}, got {text}"
+        )
+    return Fraction(value)
 
 
 def _nonneg(text: str) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import eq
 from typing import Iterator
 
 __all__ = [
@@ -85,10 +86,6 @@ class PartitionRGS:
             raise ValueError(f"not a restricted growth string: {self.rgs!r}")
 
     @property
-    def size(self) -> int:
-        return len(self.rgs)
-
-    @property
     def block_count(self) -> int:
         return max(self.rgs) + 1 if self.rgs else 0
 
@@ -126,8 +123,9 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[PartitionRG
 @lru_cache(maxsize=32)
 def _fixed_point_tally(n: int) -> tuple[int, ...]:
     tally = [0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        tally[sum(1 for i in range(n) if perm[i] == i)] += 1
+    ident = range(n)
+    for perm in itertools.permutations(ident):
+        tally[sum(map(eq, perm, ident))] += 1
     return tuple(tally)
 
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from operator import add, mul
@@ -57,7 +56,6 @@ from typing import Any, Callable
 __all__ = [
     "stirling2",
     "stirling2_row",
-    "stirling2_explicit",
     "r_stirling2",
     "derangement",
     "partial_derangement",
@@ -133,20 +131,6 @@ def stirling2_row(n: int) -> list[int]:
     """Row [stirling2(n, 0), ..., stirling2(n, n)], as a fresh list."""
     _require_nonnegative(n=n)
     return list(_row(0, n))
-
-
-def stirling2_explicit(n: int, k: int) -> int:
-    """Alternating binomial sum for the Stirling partition number.
-
-    Evaluated in exact rationals and normalized to an integer.  Kept as an
-    independent cross-check of the recurrence-based triangle.
-    """
-    _require_nonnegative(n=n, k=k)
-    total = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
-    value = Fraction(total, math.factorial(k))
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer Stirling value for n={n}, k={k}")
-    return value.numerator
 
 
 def r_stirling2(m: int, j: int, r: int) -> int:

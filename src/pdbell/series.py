@@ -30,15 +30,11 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
-from . import sequences as seq
-
 __all__ = [
     "TruncatedSeries",
     "SeriesDivisionError",
     "SeriesExpError",
     "expm1",
-    "compose_expm1",
-    "compose_expm1_stirling",
     "egf_pdb",
     "egf_family",
     "EGF_FAMILIES",
@@ -291,34 +287,6 @@ class TruncatedSeries:
 def expm1(order: int) -> TruncatedSeries:
     """The series exp(t) - 1 to the given order."""
     return TruncatedSeries.t(order).exp() - TruncatedSeries.one(order)
-
-
-def compose_expm1(outer: TruncatedSeries) -> TruncatedSeries:
-    """Substitute exp(t) - 1 into ``outer`` by Horner composition."""
-    u = expm1(outer.order)
-    result = TruncatedSeries.from_constant(outer.coeff(outer.order), outer.order)
-    for k in range(outer.order - 1, -1, -1):
-        result = result * u + TruncatedSeries.from_constant(
-            outer.coeff(k), outer.order
-        )
-    return result
-
-
-def compose_expm1_stirling(outer: TruncatedSeries) -> TruncatedSeries:
-    """Substitute exp(t) - 1 into ``outer`` via the Stirling transport.
-
-    Uses the column expansion of powers of exp(t) - 1: in EGF values the
-    result is A'_n = sum over k of stirling2(n, k) * A_k, one Stirling row
-    per n.  Independent of :func:`compose_expm1`; the two must agree.
-    """
-    a, den = _over_lcm(outer._egf)
-    return TruncatedSeries._from_egf(
-        [
-            _exact(sum(map(mul, seq.stirling2_row(n), a)), den)
-            for n in range(outer.order + 1)
-        ],
-        outer.order,
-    )
 
 
 def _deranged(v: TruncatedSeries, r: int = 0) -> TruncatedSeries:

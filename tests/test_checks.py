@@ -481,6 +481,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(tolerance=Fraction(-1, 10))
     with pytest.raises(ValueError):
+        SuiteConfig(tolerance=Fraction(1, 10**1001))
+    with pytest.raises(ValueError):
         SuiteConfig(oracle_cap=-2)
     with pytest.raises(ValueError):
         SuiteConfig(oracle_cap=11)  # beyond the enumeration hard cap

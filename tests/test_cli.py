@@ -233,9 +233,19 @@ def test_check_inconclusive_tolerance(capsys):
 
 
 def test_check_bad_tolerances_are_usage_errors(capsys):
-    for tol in ("0", "-1e-9", "abc"):
-        code, _, _ = run_cli(capsys, "check", "--tol", tol)
+    for tol in ("0", "-1e-9", "abc", "inf", "1e-1001", "1e1001", "1e-10000000"):
+        code, out, _ = run_cli(capsys, "check", "--tol", tol)
         assert code == 2
+        assert out == ""
+
+
+def test_check_smallest_tolerance_is_inconclusive(capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "thm_2_10_a", "thm_2_10_b", "--tol", "1e-1000"
+    )
+    assert code == 4
+    assert "check thm_2_10_a: inconclusive" in out
+    assert "check thm_2_10_b: inconclusive" in out
 
 
 def test_exit_code_priority():

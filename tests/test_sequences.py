@@ -127,12 +127,6 @@ def test_stirling_row_sums_to_30():
         assert sum(math.factorial(k) * v for k, v in enumerate(row)) == seq.ordered_bell(n)
 
 
-def test_stirling2_matches_explicit_formula_to_30():
-    for n in range(31):
-        for k in range(n + 2):
-            assert seq.stirling2(n, k) == seq.stirling2_explicit(n, k)
-
-
 def test_partial_derangement_laws_to_25():
     for n in range(26):
         assert sum(seq.partial_derangement(n, r) for r in range(n + 1)) == math.factorial(n)
@@ -321,7 +315,6 @@ def test_truncated_ordered_bell_partial_sum(n, r):
     [
         lambda: seq.stirling2(-1, 0),
         lambda: seq.stirling2(0, -1),
-        lambda: seq.stirling2_explicit(-2, 1),
         lambda: seq.r_stirling2(-1, 0, 0),
         lambda: seq.r_stirling2(0, 0, -1),
         lambda: seq.derangement(-1),
@@ -350,13 +343,18 @@ def test_negative_arguments_raise(call):
 
 def test_concurrent_readers_match_single_threaded():
     # The memo tables behind stirling2 may be hit from many threads at
-    # once; every reader must see exactly the single-threaded values.
+    # once; every reader must see exactly the single-threaded values.  The
+    # reference is the explicit formula k! S(n,k) = sum_i (-1)^(k-i) C(k,i) i^n,
+    # which reads no memo.
     failures = []
 
     def worker(shift):
         for n in range(shift, 60, 4):
             for k in range(0, n + 1, 3):
-                if seq.stirling2(n, k) != seq.stirling2_explicit(n, k):
+                alternating = sum(
+                    (-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1)
+                )
+                if seq.stirling2(n, k) * math.factorial(k) != alternating:
                     failures.append((n, k))
 
     threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]

@@ -15,8 +15,6 @@ from pdbell.series import (
     SeriesExpError,
     TruncatedSeries,
     bernoulli_base_series,
-    compose_expm1,
-    compose_expm1_stirling,
     egf_family,
     egf_pdb,
     expm1,
@@ -237,7 +235,7 @@ def test_arithmetic_matches_schoolbook_fraction_reference(a, b, b0, c, k, r):
 
 
 # ----------------------------------------------------------------------
-# composition with exp(t) - 1, two independent ways
+# exp(t) - 1
 
 
 def test_expm1_has_zero_constant_term():
@@ -245,38 +243,6 @@ def test_expm1_has_zero_constant_term():
     assert u.coeff(0) == 0
     for n in range(1, 11):
         assert u.coeff(n) == Fraction(1, math.factorial(n))
-
-
-def test_compose_identity_recovers_expm1():
-    order = 12
-    ident = TruncatedSeries.t(order)
-    assert compose_expm1(ident) == expm1(order)
-
-
-def test_compose_stirling_column():
-    # Substituting exp(t)-1 into u^k/k! yields the column series whose
-    # n-th coefficient is stirling2(n,k)/n!.
-    order = 15
-    for k in range(6):
-        outer = TruncatedSeries.t(order).pow(k).scale(Fraction(1, math.factorial(k)))
-        inner = compose_expm1(outer)
-        for n in range(order + 1):
-            assert inner.coeff(n) * math.factorial(n) == seq.stirling2(n, k)
-
-
-def test_compose_geometric_gives_ordered_bell():
-    order = 15
-    one = TruncatedSeries.one(order)
-    outer = one / (one - TruncatedSeries.t(order))
-    inner = compose_expm1(outer)
-    for n in range(order + 1):
-        assert inner.coeff(n) * math.factorial(n) == seq.ordered_bell(n)
-
-
-@given(coeffs=st.lists(rationals, min_size=1, max_size=21))
-def test_compose_paths_agree(coeffs):
-    outer = make_series(coeffs)
-    assert compose_expm1(outer) == compose_expm1_stirling(outer)
 
 
 # ----------------------------------------------------------------------

@@ -126,7 +126,8 @@ CASES: dict[str, tuple[str, str, str]] = {
     ),
 }
 # The costliest checks, cold: grids, kernels, polynomial arithmetic and,
-# for oracle_all, enumeration.
+# for oracle_all, enumeration.  The regrouped prop_3_6_* and the row-reading
+# cor_3_5_a and cor_3_11 are also timed on wider grids.
 CASES.update(
     (
         f"check_{check_id}_n{n}",
@@ -136,8 +137,17 @@ CASES.update(
             f"checks.check('{check_id}', checks.SuiteConfig(max_n={n}))",
         ),
     )
-    for check_id in ("prop_3_6_a", "prop_3_6_b", "thm_3_1", "thm_3_10", "oracle_all")
-    for n in (20, 40)
+    for check_id, n in [
+        *(
+            (check_id, n)
+            for check_id in ("prop_3_6_a", "prop_3_6_b", "thm_3_1", "thm_3_10", "oracle_all")
+            for n in (20, 40)
+        ),
+        ("prop_3_6_a", 60),
+        ("prop_3_6_b", 60),
+        ("cor_3_5_a", 40),
+        ("cor_3_11", 40),
+    ]
 )
 # The whole suite, cold, as the grid widens.
 CASES.update(

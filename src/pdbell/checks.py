@@ -87,7 +87,11 @@ class Witness:
 # The smallest tolerance is 10**-TOL_EXPONENT_LIMIT.  Both series checks
 # are already inconclusive there (no cutoff up to _J_MAX certifies it), and
 # much smaller ones have denominators too long for int-to-str conversion.
+# A decimal of at most TOL_EXPONENT_LIMIT significant digits with its
+# exponent in that range has a numerator and denominator below
+# 10**(2*TOL_EXPONENT_LIMIT), so the reports can always print it.
 TOL_EXPONENT_LIMIT = 1000
+_TOL_MAX_BITS = (10 ** (2 * TOL_EXPONENT_LIMIT)).bit_length()
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,13 @@ class SuiteConfig:
             raise ValueError(f"tolerance must be a positive Fraction, got {self.tolerance!r}")
         if self.tolerance * 10**TOL_EXPONENT_LIMIT < 1:
             raise ValueError(f"tolerance must be at least 1e-{TOL_EXPONENT_LIMIT}")
+        # Measured in bits: str() of a longer integer is what fails.
+        tol = self.tolerance
+        if max(tol.numerator.bit_length(), tol.denominator.bit_length()) > _TOL_MAX_BITS:
+            raise ValueError(
+                f"tolerance numerator and denominator must stay below "
+                f"10**{2 * TOL_EXPONENT_LIMIT}"
+            )
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -399,6 +410,35 @@ def _tol_str(x: Fraction) -> str:
 
 
 # ----------------------------------------------------------------------
+# per-run tables
+#
+# What a check reads at many grid points (kernel rows, the regrouped
+# polynomials of prop_3_6_*, the series of egf_all) is made once and kept
+# here.  check() empties the tables before every run, so each run reads the
+# kernels afresh and a kernel replaced between two runs is seen by the
+# second.
+
+_tables: dict[object, object] = {}
+
+
+def _row(key: object, n: int, entry: Callable[[int], object]) -> list:
+    """The list [entry(0), ..., entry(n)], or a longer one, grown once per run."""
+    row = _tables.setdefault(key, [])
+    row.extend(map(entry, range(len(row), n + 1)))
+    return row
+
+
+def _stirling_rows(n: int) -> list[list[int]]:
+    """Stirling rows 0..n (or more): ``rows[m][k]`` is stirling2(m, k) for k <= m."""
+    return _row("stirling2_row", n, seq.stirling2_row)
+
+
+def _bernoulli_row(n: int, r: int) -> list[Fraction]:
+    """``row[i]`` is higher_bernoulli(i, r) for i <= n."""
+    return _row(("higher_bernoulli", r), n, lambda i: higher_bernoulli(i, r))
+
+
+# ----------------------------------------------------------------------
 # number-level identities
 
 
@@ -408,9 +448,9 @@ def _tol_str(x: Fraction) -> str:
     lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
 def _thm_2_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    S = _stirling_rows(n)
     rhs = sum(
-        math.comb(n, k) * seq.stirling2(k, r) * seq.deranged_bell(n - k)
-        for k in range(r, n + 1)
+        math.comb(n, k) * S[k][r] * seq.deranged_bell(n - k) for k in range(r, n + 1)
     )
     yield {}, seq.pdb_number(n, r), rhs
 
@@ -438,9 +478,9 @@ def _thm_2_4(cfg: SuiteConfig, n: int) -> Comparisons:
 )
 def _thm_2_7(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = seq.pdb_number(n, r) - (r + 1) * seq.pdb_number(n, r + 1)
+    S = _stirling_rows(n)
     rhs = sum(
-        math.comb(n, k) * seq.stirling2(k, r) * seq.complementary_bell(n - k)
-        for k in range(r, n + 1)
+        math.comb(n, k) * S[k][r] * seq.complementary_bell(n - k) for k in range(r, n + 1)
     )
     yield {}, lhs, rhs
 
@@ -642,9 +682,10 @@ def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
     lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
+    S = _stirling_rows(n)
+    # stirling2(n-k, r) vanishes for k > n-r.
     rhs = poly.weighted_sum(
-        (math.comb(n, k) * seq.stirling2(n - k, r), poly.pdb_poly(k, m))
-        for k in range(m, n + 1)
+        (math.comb(n, k) * S[n - k][r], poly.pdb_poly(k, m)) for k in range(m, n - r + 1)
     ).times_y_power(r)
     yield {}, lhs, rhs
 
@@ -662,15 +703,14 @@ def _cor_3_2_grid(cfg: SuiteConfig, j: tuple[int | str, str], **notes: str) -> G
 
 def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
     """Both sides of the division-free form from the sequence kernels."""
-    lhs = sum(
-        math.comb(n, k)
-        * seq.stirling2(n - k, r)
-        * seq.stirling2(k, j)
-        * seq.partial_derangement(j, m)
-        for k in range(j, n + 1)
+    S = _stirling_rows(n)
+    # stirling2(n-k, r) vanishes for k > n-r, and stirling2(n, j+r) for j+r > n.
+    lhs = seq.partial_derangement(j, m) * sum(
+        math.comb(n, k) * S[n - k][r] * S[k][j] for k in range(j, n - r + 1)
     )
-    rhs = math.comb(m + r, m) * seq.stirling2(n, j + r) * seq.partial_derangement(j + r, r + m)
-    return lhs, rhs
+    if j + r > n:
+        return lhs, 0
+    return lhs, math.comb(m + r, m) * S[n][j + r] * seq.partial_derangement(j + r, r + m)
 
 
 @_check(
@@ -730,8 +770,9 @@ def _cor_3_2_corrected(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comp
 )
 def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
+    S = _stirling_rows(n)
     rhs = poly.weighted_sum(
-        (math.comb(n, k) * seq.stirling2(k, r), poly.exponential_poly(n - k).reflected())
+        (math.comb(n, k) * S[k][r], poly.exponential_poly(n - k).reflected())
         for k in range(r, n + 1)
     ).times_y_power(r)
     yield {}, lhs, rhs
@@ -759,13 +800,13 @@ def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), r=(1, c.max_r), j=("max(0,r-1)", "n")),
 )
 def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    lhs = sum(
-        math.comb(n, k) * seq.stirling2(n - k, r - 1) * seq.stirling2(k, j - r + 1)
-        for k in range(max(0, j - r + 1), n + 1)
-    )
+    S = _stirling_rows(n)
+    i = j - r + 1
+    # stirling2(n-k, r-1) vanishes for k > n-r+1.
+    lhs = sum(math.comb(n, k) * S[n - k][r - 1] * S[k][i] for k in range(i, n - r + 2))
     rhs = (
-        (-1) ** (j - r + 1)
-        * seq.stirling2(n, j)
+        (-1) ** i
+        * S[n][j]
         * (seq.partial_derangement(j, r - 1) - r * seq.partial_derangement(j, r))
     )
     yield {}, lhs, rhs
@@ -782,7 +823,7 @@ def _cor_3_5_b_sides(n: int, r: int, j: int) -> tuple[int, int]:
     )
     base = (
         (-1) ** j
-        * seq.stirling2(n, j)
+        * _stirling_rows(n)[n][j]
         * (seq.partial_derangement(j, r - 1) - r * seq.partial_derangement(j, r))
     )
     return lhs, base
@@ -826,6 +867,37 @@ def _row_poly_at(n: int, z: int) -> poly.IntPolynomial:
     return poly.weighted_sum((z**r, poly.pdb_poly(n, r)) for r in range(n + 1))
 
 
+def _regrouped(
+    n: int, other: Callable[[int], poly.IntPolynomial]
+) -> list[poly.IntPolynomial]:
+    """[H_0, H_1, ...] with H_k = y^k * sum_r C(n,r)*[y^k]exponential_poly(r)*other(n-r).
+
+    Swapping the two finite sums of sum_r C(n,r) * exponential_poly(r) at
+    c*y times other(n-r) gives sum_k c^k * H_k, and no H_k depends on c.
+    Every coefficient of every exponential_poly(r) is read, so k runs to the
+    largest degree among them.
+    """
+    terms = [
+        (math.comb(n, r), poly.exponential_poly(r).coefficients, other(n - r))
+        for r in range(n + 1)
+    ]
+    return [
+        poly.weighted_sum((b * e[k], q) for b, e, q in terms if k < len(e)).times_y_power(k)
+        for k in range(max(len(e) for _, e, _ in terms))
+    ]
+
+
+def _convolved_at(
+    key: str, n: int, c: int, other: Callable[[int], poly.IntPolynomial]
+) -> poly.IntPolynomial:
+    """sum_r C(n,r) * exponential_poly(r) at c*y times other(n-r), as
+    sum_k c^k * H_k; the H_k of the latest n are kept under ``key``."""
+    slot = _tables.get(key)
+    if slot is None or slot[0] != n:
+        slot = _tables[key] = (n, _regrouped(n, other))
+    return poly.weighted_sum((c**k, h) for k, h in enumerate(slot[1]))
+
+
 @_check(
     "prop_3_6_a",
     "sum_r pdb_poly(n,r)*z^r = sum_r C(n,r)*exponential_poly(r) at (z-1)y "
@@ -833,13 +905,7 @@ def _row_poly_at(n: int, z: int) -> poly.IntPolynomial:
     _prop_3_6_grid,
 )
 def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    rhs = poly.weighted_sum(
-        (
-            math.comb(n, r),
-            poly.exponential_poly(r).scale_variable(z - 1) * poly.geometric_poly(n - r),
-        )
-        for r in range(n + 1)
-    )
+    rhs = _convolved_at("prop_3_6_a", n, z - 1, poly.geometric_poly)
     yield {}, _row_poly_at(n, z), rhs
 
 
@@ -850,10 +916,7 @@ def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
     _prop_3_6_grid,
 )
 def _prop_3_6_b(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    rhs = poly.weighted_sum(
-        (math.comb(n, r), poly.exponential_poly(r).scale_variable(z) * poly.pdb_poly(n - r, 0))
-        for r in range(n + 1)
-    )
+    rhs = _convolved_at("prop_3_6_b", n, z, lambda m: poly.pdb_poly(m, 0))
     yield {}, _row_poly_at(n, z), rhs
 
 
@@ -937,14 +1000,14 @@ def _cor_3_9(cfg: SuiteConfig, n: int) -> Comparisons:
 def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Comparisons:
     ks = range(m, n + 1)
     if r is None:  # the first-order form, on the second grid
-        scale, weights = _scaled([bernoulli_number(n - k) for k in ks])
+        scale, weights = _scaled(_row("bernoulli", n, bernoulli_number)[n - m :: -1])
         lhs = poly.weighted_sum(
             (m * math.comb(n, k) * w, poly.pdb_poly(k, m)) for k, w in zip(ks, weights)
         )
         rhs = scale * n * poly.pdb_poly(n - 1, m - 1).times_y_power(1)
         yield {"r": 1, "form": "first-order", "scale": scale}, lhs, rhs
         return
-    scale, weights = _scaled([higher_bernoulli(n - k, r) for k in ks])
+    scale, weights = _scaled(_bernoulli_row(n, r)[n - m :: -1])
     outer = math.comb(m + r, m)
     lhs = poly.weighted_sum(
         (outer * math.comb(n + r, k + r) * w, poly.pdb_poly(k + r, m + r))
@@ -963,25 +1026,23 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
     lambda c: Grid(r=(1, c.max_r), n=(1, c.max_n), j=(0, "n"), params=("n", "r", "j")),
 )
 def _cor_3_11(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    ks = range(j, n + 1)
-    scale, weights = _scaled([higher_bernoulli(n - k, r) for k in ks])
+    S = _stirling_rows(n + r)
+    scale, weights = _scaled(_bernoulli_row(n, r)[n - j :: -1])
     lhs = math.comb(j + r, r) * sum(
-        math.comb(n + r, k + r) * seq.stirling2(k + r, j + r) * w
-        for k, w in zip(ks, weights)
+        math.comb(n + r, k + r) * S[k + r][j + r] * w for k, w in zip(range(j, n + 1), weights)
     )
-    yield {"scale": scale}, lhs, scale * math.comb(n + r, r) * seq.stirling2(n, j)
+    yield {"scale": scale}, lhs, scale * math.comb(n + r, r) * S[n][j]
 
 
 # ----------------------------------------------------------------------
 # cross-cutting checks
 
 
-@functools.lru_cache(maxsize=1)
 def _egf_series(
     order: int,
 ) -> list[tuple[str, dict[str, object], ser.TruncatedSeries, Callable[[int], object]]]:
     """Every series ``egf_all`` compares, with its family, its params and its
-    direct values.  The last order is kept, so a run expands each series once."""
+    direct values."""
     families = (
         [
             ("partial_derangement", r, lambda n, r=r: seq.partial_derangement(n, r))
@@ -1027,8 +1088,12 @@ def _egf_series(
     ),
 )
 def _egf_all(cfg: SuiteConfig, n: int) -> Comparisons:
+    # A run expands each series once.
+    expanded = _tables.get("egf_series")
+    if expanded is None:
+        expanded = _tables["egf_series"] = _egf_series(min(cfg.max_n, cfg.series_order))
     # The witness names the series around n, so the comparisons carry every param.
-    for family, params, series, direct in _egf_series(min(cfg.max_n, cfg.series_order)):
+    for family, params, series, direct in expanded:
         yield {"family": family, "n": n, **params}, series.egf_coeff(n), direct(n)
 
 
@@ -1150,6 +1215,7 @@ def check(check_id: str, config: SuiteConfig | None = None) -> CheckReport:
     defn = _lookup(check_id)
     cfg = config if config is not None else SuiteConfig()
     start = time.perf_counter()
+    _tables.clear()
     grids = defn.grids(cfg)
     grids = grids if isinstance(grids, tuple) else (grids,)
     bounds = {key: text for grid in grids for key, text in grid.bounds.items()}

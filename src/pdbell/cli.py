@@ -110,6 +110,11 @@ def _parse_tol(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"tolerance must be at least 1e-{limit} and below 1e{limit + 1}, got {text}"
         )
+    digits = len(value.as_tuple().digits)
+    if digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must have at most {limit} significant digits, got {digits}"
+        )
     return Fraction(value)
 
 

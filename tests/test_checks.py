@@ -1,12 +1,15 @@
 """Identity suite: registry shape, witnesses, statuses, and determinism."""
 
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pdbell import checks, cli, oracle
+from pdbell import polynomials as poly
 from pdbell import sequences as seq
 from pdbell.checks import Status, SuiteConfig
 
@@ -258,6 +261,21 @@ def test_golden_check_json(golden_runs, name):
     assert digest == GOLDEN_JSON_SHA256[name]
 
 
+def test_benchmark_suite_output_matches_its_recorded_digest(capsys):
+    # The benchmark's suite job, run in-process; its digest file is only read.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    job = "check --max-n 32 --format json"
+    assert cli.main(job.split()) == 0
+    body, timings = workloads.strip_ms(capsys.readouterr().out.encode("ascii"))
+    assert list(timings) == EXPECTED_IDS
+    recorded = json.loads((bench / "digests.json").read_text(encoding="utf-8"))[job]
+    assert recorded["exit"] == 0
+    assert hashlib.sha256(body).hexdigest() == recorded["sha256"]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_WITNESS_LINES))
 def test_golden_known_failing_text(golden_runs, name):
     lines = cli._render_check(golden_runs[name], cli.RunConfig("check")).splitlines()
@@ -359,6 +377,75 @@ def test_bernoulli_fault_injection(monkeypatch, check_id, kernel, at, params):
     assert list(rep.witness.params.items()) == list(params.items())
     # Both sides are scaled to integers, so neither shows a fraction.
     assert "/" not in rep.witness.lhs + rep.witness.rhs
+
+
+def test_every_check_run_reads_the_kernels_afresh(monkeypatch):
+    # A run keeps the Bernoulli rows it read; the next run must not reuse them.
+    cfg = SuiteConfig(max_n=2, max_r=1)
+    assert checks.check("cor_3_11", cfg).status is Status.PASS
+    original = checks.higher_bernoulli
+    monkeypatch.setattr(
+        checks,
+        "higher_bernoulli",
+        lambda n, r: original(n, r) + (Fraction(1, 7) if (n, r) == (2, 1) else 0),
+    )
+    assert checks.check("cor_3_11", cfg).status is Status.FAIL
+
+
+# ----------------------------------------------------------------------
+# regrouped and row-reading checks: one perturbed polynomial or Stirling
+# value must fail the check at the same first point as the sums that read
+# the kernel term by term did
+
+
+@pytest.mark.parametrize(
+    "check_id, kernel, at, params",
+    [
+        ("prop_3_6_a", "exponential_poly", (3,), {"n": 3, "z": -3}),
+        ("prop_3_6_b", "exponential_poly", (3,), {"n": 3, "z": -3}),
+        ("prop_3_6_a", "geometric_poly", (4,), {"n": 4, "z": -3}),
+        # pdb_poly(4, 0) also enters the left side at n = 4, where the two
+        # perturbations cancel
+        ("prop_3_6_b", "pdb_poly", (4, 0), {"n": 5, "z": -3}),
+    ],
+)
+def test_polynomial_fault_injection(monkeypatch, check_id, kernel, at, params):
+    original = getattr(poly, kernel)
+    # y^5 lies above the degree of every perturbed polynomial, so a check
+    # that reads only the coefficients a closed form predicts misses it.
+    bump = poly.IntPolynomial([0, 0, 0, 0, 0, 1])
+
+    def perturbed(*args):
+        value = original(*args)
+        return value + bump if args == at else value
+
+    monkeypatch.setattr(poly, kernel, perturbed)
+    rep = checks.check(check_id, SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == list(params.items())
+
+
+@pytest.mark.parametrize(
+    "check_id, params",
+    [
+        ("thm_2_3", {"n": 5, "r": 2}),
+        ("thm_2_7", {"n": 5, "r": 2}),
+        ("thm_3_1", {"n": 5, "m": 0, "r": 2}),
+        ("thm_3_3", {"n": 5, "r": 2}),
+        ("cor_3_5_a", {"n": 5, "r": 2, "j": 2}),
+        ("cor_3_11", {"n": 4, "r": 1, "j": 1, "scale": 6}),
+    ],
+)
+def test_stirling_row_fault_injection(monkeypatch, check_id, params):
+    stirling2_row = seq.stirling2_row
+    monkeypatch.setattr(
+        seq,
+        "stirling2_row",
+        lambda n: [v + ((n, k) == (5, 2)) for k, v in enumerate(stirling2_row(n))],
+    )
+    rep = checks.check(check_id, SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == list(params.items())
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +599,17 @@ def test_json_scalar_big_integers_become_strings(small_run):
     assert checks._json_scalar(-(2**60)) == str(-(2**60))
     assert checks._json_scalar(Fraction(1, 3)) == "1/3"
     assert checks._json_scalar(True) is True
+
+
+def test_config_refuses_tolerances_too_long_to_print():
+    # Both are above the floor, but str() of a 5000-digit integer raises.
+    for tol in (Fraction(10**5000), Fraction(10**5000 + 1, 10**4999)):
+        with pytest.raises(ValueError):
+            SuiteConfig(tolerance=tol)
+    # The longest tolerances --tol accepts are still printed whole.
+    for text in ("1." + "1" * 999 + "e-1000", "9." + "9" * 999 + "e1000"):
+        tol = cli._parse_tol(text)
+        assert Fraction(SuiteConfig(tolerance=tol).to_dict()["tolerance"]) == tol
 
 
 def test_config_to_dict_round_trips_tolerance():

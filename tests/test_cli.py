@@ -233,7 +233,8 @@ def test_check_inconclusive_tolerance(capsys):
 
 
 def test_check_bad_tolerances_are_usage_errors(capsys):
-    for tol in ("0", "-1e-9", "abc", "inf", "1e-1001", "1e1001", "1e-10000000"):
+    too_many_digits = "1." + "1" * 4400 + "e-5"
+    for tol in ("0", "-1e-9", "abc", "inf", "1e-1001", "1e1001", "1e-10000000", too_many_digits):
         code, out, _ = run_cli(capsys, "check", "--tol", tol)
         assert code == 2
         assert out == ""

@@ -10,20 +10,24 @@ Usage, from the repository root::
 Each positional argument is LABEL=DIR, a directory holding the ``pdbell``
 package (default: ``this=src``).  Every sample of a case runs in a new
 interpreter with only DIR on ``PYTHONPATH``, so no memo starts warm; the
-child times the case alone, not its own start-up.  A case takes samples
+child times the case alone, not its own start-up.  The ``table_*`` cases run
+``python -m pdbell`` as a process of their own, start-up included; the CPU
+time of a sample counts the processes the case starts.  A case takes samples
 until every tree has at least REPEAT of them and MIN_CPU_S of summed CPU
 time, up to MAX_SAMPLES, so a case of a few tens of milliseconds gets
 enough samples for its median to be compared.  Samples take the trees in
 turn, so a slow spell of a shared host falls on all of them.
 
 The report is canonical JSON (sorted keys, two-space indent): per tree and
-case, the median CPU and wall time and the CPU samples, and with two or more
-trees the ratio of each later tree's median CPU time to the first tree's.
-Beside it, the paired ratio is the median over rounds of each later tree's
-sample divided by the first tree's sample of the same round: the two samples
-of a round run back to back, so a slow spell of the host falls on both.
-Timings are reported, never gated.  This is a development tool: nothing in
-the package imports it and it needs nothing outside the standard library.
+case, the median CPU and wall time, the median peak RSS (of the child, or of
+a process it started if that one peaked higher) and the CPU samples, and
+with two or more trees the ratio of each later tree's median CPU time to the
+first tree's.  Beside it, the paired ratio is the median over rounds of each
+later tree's sample divided by the first tree's sample of the same round: the
+two samples of a round run back to back, so a slow spell of the host falls
+on both.  Timings are reported, never gated.  This is a development tool:
+nothing in the package imports it and it needs nothing outside the standard
+library.
 """
 
 from __future__ import annotations
@@ -161,15 +165,38 @@ CASES.update(
     )
     for n in (20, 40, 60)
 )
+# Whole tables through the command line, each a process of its own whose CPU
+# time and peak RSS are the sample's: kernels, rendering and writing.
+CASES.update(
+    (
+        name,
+        (
+            f"python -m pdbell {argv} > /dev/null",
+            "",
+            f"subprocess.run([sys.executable, '-m', 'pdbell', *{argv.split()!r}], "
+            "stdout=subprocess.DEVNULL, check=True)",
+        ),
+    )
+    for name, argv in [
+        ("table_pdb_n180_json", "table pdb --max-n 180 --format json"),
+        ("table_stirling2_n300_csv", "table stirling2 --max-n 300 --format csv"),
+    ]
+)
 
 CHILD = """\
-import json, time
+import json, resource, subprocess, sys, time
 from pdbell import checks, oracle, polynomials as poly, sequences as seq, series as ser
+def cpu_time():
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
 {setup}
-cpu, wall = time.process_time(), time.perf_counter()
+cpu, wall = cpu_time(), time.perf_counter()
 {body}
-cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
-print(json.dumps({{"cpu_s": cpu, "wall_s": wall}}))
+cpu, wall = cpu_time() - cpu, time.perf_counter() - wall
+rss_kb = max(
+    resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+)
+print(json.dumps({{"cpu_s": cpu, "wall_s": wall, "peak_rss_mb": rss_kb / 1024}}))
 """
 
 
@@ -230,6 +257,7 @@ def main() -> int:
             case: {
                 "cpu_s": round(statistics.median(s["cpu_s"] for s in runs), 4),
                 "wall_s": round(statistics.median(s["wall_s"] for s in runs), 4),
+                "peak_rss_mb": round(statistics.median(s["peak_rss_mb"] for s in runs), 1),
                 "cpu_s_samples": [round(s["cpu_s"], 4) for s in runs],
             }
             for case, runs in by_case.items()

@@ -24,10 +24,12 @@ import io
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # The package attribute ``bernoulli`` is the function, not this submodule
 # (see the package docstring), so the callables are imported by name.
@@ -49,11 +51,12 @@ MAX_ORDER = 256
 # whole table (--max-n) and one on a single row (--n), set so that a request
 # at the cap stays within TABLE_BUDGET even on a vCPU running at half speed.
 # CPU time and peak RSS, shared 2-vCPU x86 host, Python 3.11 (a range is
-# the spread of repeated runs):
-#   pdb       --max-n 450: 20-26 s, 245 MB  (--max-n 500: 39 s)
-#             --n 1000:    13.4 s, 432 MB
-#   pdb_poly  --max-n 180: 3.2-3.5 s, 814 MB  (--max-n 200: 1.2 GB)
-#             --n 550:     5.1-5.4 s, 846 MB  (--n 600: 8.0 s, 1105 MB)
+# the spread of repeated runs), with tables written row by row:
+#   pdb       --max-n 450: 20-28.5 s, 55 MB  (--max-n 500: 39 s)
+#             --n 1000:    13.4-16.5 s, 431 MB
+#   pdb_poly  --max-n 180: 3.2-3.5 s, 107 MB  (--max-n 200: 5.1 s, 134 MB)
+#             --n 550:     5.1-5.5 s, 708 MB  (--n 600: 7.6 s, 923 MB)
+# For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
 
 _EXIT_PASS = 0
@@ -86,11 +89,9 @@ def canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def _csv_text(rows: Iterable[Sequence[object]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -265,36 +266,74 @@ def _table_rows(cfg: RunConfig) -> Iterator[tuple[int, object]]:
     return ((n, kernel(cfg, n)) for n in ns)
 
 
-def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
-    family, rows = cfg.family, _table_rows(cfg)
-    if cfg.fmt == "json":
-        results: list[dict[str, object]] = []
-        for n, cells in rows:
-            if isinstance(cells, list):
-                results += [
-                    {"family": family, "n": n, "k": k, "value": str(v)}
-                    for k, v in enumerate(cells)
-                ]
-            else:
-                results.append({"family": family, "n": n, "value": str(cells)})
-        return _EXIT_PASS, canonical_json(
-            {"command": "table", "config": _config_echo(cfg), "results": results}
-        )
-    if cfg.fmt == "csv":
-        data = []
-        for n, cells in rows:
-            if isinstance(cells, list):
-                data += [[family, n, k, v] for k, v in enumerate(cells)]
-            else:
-                data.append([family, n, "", cells])
-        return _EXIT_PASS, _csv_text(["family", "n", "k", "value"], data)
+def _json_chunks(cfg: RunConfig) -> Iterator[str]:
+    """The canonical JSON of a table, one chunk per row n.
+
+    The text around the results list is canonical_json's own; each result
+    object is written at the indent and in the sorted key order that
+    canonical_json gives it, and so is every separator, so the whole is
+    byte for byte canonical_json of the collected table.
+    """
+    head, _, tail = canonical_json(
+        {"command": "table", "config": _config_echo(cfg), "results": []}
+    ).rpartition("[]")
+    family = encode_basestring_ascii(cfg.family or "")
+    yield head
+    sep = "[\n"
+    for n, cells in _table_rows(cfg):
+        if isinstance(cells, list):
+            items = [
+                f'    {{\n      "family": {family},\n      "k": {k},\n      "n": {n},\n'
+                f'      "value": {encode_basestring_ascii(str(v))}\n    }}'
+                for k, v in enumerate(cells)
+            ]
+        else:
+            items = [
+                f'    {{\n      "family": {family},\n      "n": {n},\n'
+                f'      "value": {encode_basestring_ascii(str(cells))}\n    }}'
+            ]
+        if items:
+            yield sep + ",\n".join(items)
+            sep = ",\n"
+    yield ("[]" if sep == "[\n" else "\n  ]") + tail
+
+
+def _csv_chunks(cfg: RunConfig) -> Iterator[str]:
+    """The CSV of a table, one chunk per row n, as csv.writer writes it.
+
+    csv.writer quotes only a field holding a comma, a quote or a line break
+    (a carriage return too, on some Python versions); a row whose text holds
+    more commas or line breaks than its separators, or any quote or carriage
+    return, is handed to csv.writer instead.
+    """
+    family = cfg.family
+    yield "family,n,k,value\n"
+    for n, cells in _table_rows(cfg):
+        pairs = list(enumerate(cells)) if isinstance(cells, list) else [("", cells)]
+        text = "".join([f"{family},{n},{k},{v}\n" for k, v in pairs])
+        if (
+            text.count(",") != 3 * len(pairs)
+            or text.count("\n") != len(pairs)
+            or '"' in text
+            or "\r" in text
+        ):
+            text = _csv_text([family, n, k, v] for k, v in pairs)
+        yield text
+
+
+def _text_chunks(cfg: RunConfig) -> Iterator[str]:
+    family = cfg.family
     # Polynomial cells contain spaces, so their row uses a wider separator.
     sep = " | " if family == "pdb_poly" else " "
-    lines = [f"table {family}"]
-    for n, cells in rows:
+    yield f"table {family}\n"
+    for n, cells in _table_rows(cfg):
         text = sep.join(map(str, cells)) if isinstance(cells, list) else cells
-        lines.append(f"n={n}: {text}")
-    return _EXIT_PASS, "\n".join(lines) + "\n"
+        yield f"n={n}: {text}\n"
+
+
+def _cmd_table(cfg: RunConfig) -> tuple[int, Iterator[str]]:
+    chunks = {"json": _json_chunks, "csv": _csv_chunks}.get(cfg.fmt, _text_chunks)
+    return _EXIT_PASS, chunks(cfg)
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +416,7 @@ def _render_check(report: checks.SuiteReport, cfg: RunConfig) -> str:
                 [r.check_id, r.status.value, bounds, params, lhs, rhs, r.ms, r.error or ""]
             )
         return _csv_text(
-            ["id", "status", "bounds", "witness_params", "lhs", "rhs", "ms", "error"],
-            rows,
+            [["id", "status", "bounds", "witness_params", "lhs", "rhs", "ms", "error"], *rows]
         )
     return _render_check_text(report)
 
@@ -422,7 +460,7 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
                 rows.append(
                     [c["n"], c["kind"], idx, f_val, b_val, str(f_val == b_val).lower()]
                 )
-        return code, _csv_text(["n", "kind", "index", "formula", "brute", "equal"], rows)
+        return code, _csv_text([["n", "kind", "index", "formula", "brute", "equal"], *rows])
     lines = [f"oracle comparison up to n={cfg.max_n}"]
     for c in cells:
         mark = "ok" if c["equal"] else "MISMATCH"
@@ -447,7 +485,7 @@ def _cmd_egf(cfg: RunConfig) -> tuple[int, str]:
             {"command": "egf", "config": _config_echo(cfg), "results": results}
         )
     if cfg.fmt == "csv":
-        return _EXIT_PASS, _csv_text(["n", "c_n", "n_factorial_c_n"], rows)
+        return _EXIT_PASS, _csv_text([["n", "c_n", "n_factorial_c_n"], *rows])
     lines = [f"egf {cfg.family} order {cfg.order}"]
     lines += [f"n={n}: c_n={c} n!*c_n={f}" for n, c, f in rows]
     return _EXIT_PASS, "\n".join(lines) + "\n"
@@ -513,15 +551,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _EXIT_RESOURCE
     run = {"table": _cmd_table, "check": _cmd_check, "oracle": _cmd_oracle, "egf": _cmd_egf}
     try:
-        code, text = run[cfg.command](cfg)
+        code, output = run[cfg.command](cfg)
     except oracle.CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return _EXIT_RESOURCE
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # A table arrives row by row and each row is written as it is made.
+    chunks = (output,) if isinstance(output, str) else output
+    with open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext(sys.stdout) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
     return code
 
 

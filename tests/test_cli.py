@@ -1,6 +1,8 @@
 """Command-line interface: rendering, exit codes, and format contracts."""
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -467,6 +469,153 @@ def test_golden_family_output(capsys, argv, fmt):
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == GOLDEN_FAMILY_SHA256[argv, fmt]
+
+
+# ----------------------------------------------------------------------
+# streamed tables: each format as its generic encoder writes it, row by row
+
+
+def _csv_rewritten(text):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+    return buf.getvalue()
+
+
+TABLE_MODES = [
+    (family, mode)
+    for family, spec in cli._TABLES.items()
+    for mode in [
+        *(("--max-n", str(n)) for n in (0, 1, 7)),
+        *((("--n", "0"), ("--n", "7")) if spec.row else ()),
+    ]
+]
+
+
+@pytest.mark.parametrize("family, mode", TABLE_MODES)
+def test_streamed_table_formats_match_generic_encoders(capsys, family, mode):
+    argv = ["table", family, *mode]
+    outs = {}
+    for fmt in ("text", "json", "csv"):
+        code, outs[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+    doc = json.loads(outs["json"])
+    assert canonical_json(doc) == outs["json"]
+    assert _csv_rewritten(outs["csv"]) == outs["csv"]
+    # The three formats carry the same cells in the same order.
+    results = doc["results"]
+    assert list(csv.reader(io.StringIO(outs["csv"]))) == [["family", "n", "k", "value"]] + [
+        [r["family"], str(r["n"]), str(r.get("k", "")), r["value"]] for r in results
+    ]
+    by_n = {}
+    for r in results:
+        by_n.setdefault(r["n"], []).append(r["value"])
+    sep = " | " if family == "pdb_poly" else " "
+    assert outs["text"].splitlines() == [f"table {family}"] + [
+        f"n={n}: {sep.join(values)}" for n, values in by_n.items()
+    ]
+
+
+def test_empty_table_prints_canonical_empty_results(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_table_rows", lambda cfg: [])
+    code, out, _ = run_cli(capsys, "table", "pdb", "--max-n", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"] == []
+    assert out == canonical_json(doc)
+    assert '\n  "results": []\n}\n' in out
+    assert run_cli(capsys, "table", "pdb", "--max-n", "3", "--format", "csv")[1] == (
+        "family,n,k,value\n"
+    )
+    assert run_cli(capsys, "table", "pdb", "--max-n", "3")[1] == "table pdb\n"
+
+
+def test_table_cells_needing_quotes_match_generic_encoders(capsys, monkeypatch):
+    odd = ['a,"b', "c\nd", "e\rf", 'g"', "h,", "é"]
+    monkeypatch.setattr(seq, "stirling2_row", lambda n: [n, *odd[: n + 1]])
+    monkeypatch.setattr(seq, "bell", lambda n: odd[n])
+    for family, max_n in (("stirling2", 5), ("bell", 5)):
+        rows = [(n, cli._TABLES[family].kernel(None, n)) for n in range(max_n + 1)]
+        argv = ["table", family, "--max-n", str(max_n)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["family", "n", "k", "value"])
+        for n, cells in rows:
+            if isinstance(cells, list):
+                writer.writerows([family, n, k, v] for k, v in enumerate(cells))
+            else:
+                writer.writerow([family, n, "", cells])
+        assert out == buf.getvalue()
+        assert '"a,""b"' in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert out == canonical_json(json.loads(out))
+        assert "\\u00e9" in out
+
+
+class _LoggedWrites(io.StringIO):
+    """A text stream that logs every write into a shared event list."""
+
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def write(self, text):
+        self.events.append(("write", text))
+        return super().write(text)
+
+
+ROW_MARKERS = {"text": "n={n}: ", "json": '"n": {n},', "csv": "pdb,{n},"}
+
+
+@pytest.mark.parametrize("fmt", sorted(ROW_MARKERS))
+def test_table_rows_are_written_before_the_next_is_made(capsys, monkeypatch, tmp_path, fmt):
+    events = []
+    table_rows = cli._table_rows
+
+    def logged_rows(cfg):
+        for n, cells in table_rows(cfg):
+            events.append(("row", n))
+            yield n, cells
+
+    def assert_streamed():
+        rows = [i for i, (kind, _) in enumerate(events) if kind == "row"]
+        assert [events[i][1] for i in rows] == list(range(5))
+        for i in rows:
+            kind, text = events[i + 1]
+            assert kind == "write"
+            assert ROW_MARKERS[fmt].format(n=events[i][1]) in text
+
+    monkeypatch.setattr(cli, "_table_rows", logged_rows)
+    argv = ["table", "pdb", "--max-n", "4", "--format", fmt]
+    stdout = _LoggedWrites(events)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert_streamed()
+
+    events.clear()
+    files = []
+
+    def logged_open(path, mode, encoding):
+        files.append(_LoggedWrites(events))
+        files[-1].close = lambda: None
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", logged_open, raising=False)
+    assert main([*argv, "--out", str(tmp_path / "table.out")]) == 0
+    assert_streamed()
+    assert files[0].getvalue() == stdout.getvalue()
+
+
+@pytest.mark.parametrize("fmt", sorted(ROW_MARKERS))
+def test_out_file_gets_the_bytes_of_stdout(capsys, tmp_path, fmt):
+    target = tmp_path / "table.out"
+    argv = ["table", "pdb_poly", "--max-n", "5", "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, quiet, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, quiet) == (0, "")
+    assert target.read_bytes() == out.encode("ascii")
 
 
 # ----------------------------------------------------------------------

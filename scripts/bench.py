@@ -10,11 +10,13 @@ Usage, from the repository root::
 Each positional argument is LABEL=DIR, a directory holding the ``pdbell``
 package (default: ``this=src``).  Every sample of a case runs in a new
 interpreter with only DIR on ``PYTHONPATH``, so no memo starts warm; the
-child times the case alone, not its own start-up.  The ``table_*`` cases run
-``python -m pdbell`` as a process of their own, start-up included; the CPU
-time of a sample counts the processes the case starts.  A case takes samples
-until every tree has at least REPEAT of them and MIN_CPU_S of summed CPU
-time, up to MAX_SAMPLES, so a case of a few tens of milliseconds gets
+child times the case alone, not its own start-up.  The ``table_*``,
+``startup_*`` and ``*_cli`` cases run ``python -m pdbell`` as a process of
+their own, start-up included; the CPU time of a sample counts the processes
+the case starts.  Children write no bytecode cache
+(``PYTHONDONTWRITEBYTECODE=1``), as the benchmark's jobs do.  A case takes
+samples until every tree has at least REPEAT of them and MIN_CPU_S of summed
+CPU time, up to MAX_SAMPLES, so a case of a few tens of milliseconds gets
 enough samples for its median to be compared.  Samples take the trees in
 turn, so a slow spell of a shared host falls on all of them.
 
@@ -165,8 +167,10 @@ CASES.update(
     )
     for n in (20, 40, 60)
 )
-# Whole tables through the command line, each a process of its own whose CPU
-# time and peak RSS are the sample's: kernels, rendering and writing.
+# Jobs through the command line, each a process of its own whose CPU time and
+# peak RSS are the sample's: whole tables (kernels, rendering and writing),
+# start-up alone (``--help``), and an egf job of the benchmark's series
+# workload, most of whose cost is start-up.
 CASES.update(
     (
         name,
@@ -180,6 +184,8 @@ CASES.update(
     for name, argv in [
         ("table_pdb_n180_json", "table pdb --max-n 180 --format json"),
         ("table_stirling2_n300_csv", "table stirling2 --max-n 300 --format csv"),
+        ("startup_table_help", "table --help"),
+        ("egf_deranged_bell_256_cli", "egf deranged_bell --order 256"),
     ]
 )
 
@@ -202,7 +208,7 @@ print(json.dumps({{"cpu_s": cpu, "wall_s": wall, "peak_rss_mb": rss_kb / 1024}})
 
 def time_case(src: Path, case: str) -> dict[str, float]:
     _, setup, body = CASES[case]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
         [sys.executable, "-c", CHILD.format(setup=setup, body=body)],
         env=env,

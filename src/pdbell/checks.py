@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import CodeType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import oracle
 from . import polynomials as poly
@@ -75,8 +74,7 @@ class Status(str, Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """First grid point at which the two sides of an identity differ."""
 
     params: Mapping[str, object]
@@ -94,15 +92,7 @@ TOL_EXPONENT_LIMIT = 1000
 _TOL_MAX_BITS = (10 ** (2 * TOL_EXPONENT_LIMIT)).bit_length()
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Grid bounds and tolerances for a suite run.
-
-    ``tolerance`` only affects the two series checks; everything else is
-    exact.  ``oracle_cap`` bounds the brute-force anchoring and may not
-    exceed the enumeration hard cap.
-    """
-
+class _SuiteBounds(NamedTuple):
     max_n: int = 20
     max_r: int = 8
     max_m: int = 8
@@ -111,7 +101,20 @@ class SuiteConfig:
     tolerance: Fraction = Fraction(1, 10**9)
     wilf_bound: int = 200
 
-    def __post_init__(self) -> None:
+
+class SuiteConfig(_SuiteBounds):
+    """Grid bounds and tolerances for a suite run.
+
+    ``tolerance`` only affects the two series checks; everything else is
+    exact.  ``oracle_cap`` bounds the brute-force anchoring and may not
+    exceed the enumeration hard cap.  Every construction is validated,
+    ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> SuiteConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("max_n", "max_r", "max_m", "oracle_cap", "series_order", "wilf_bound"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
@@ -131,6 +134,11 @@ class SuiteConfig:
                 f"tolerance numerator and denominator must stay below "
                 f"10**{2 * TOL_EXPONENT_LIMIT}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> SuiteConfig:
+        return cls(*iterable)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -144,8 +152,7 @@ class SuiteConfig:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     status: Status
     bounds: Mapping[str, str]
@@ -171,8 +178,7 @@ class CheckReport:
         return out
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     results: tuple[CheckReport, ...]
     config: SuiteConfig
 
@@ -297,8 +303,7 @@ def scan(
 # registry
 
 
-@dataclass(frozen=True)
-class _CheckDef:
+class _CheckDef(NamedTuple):
     check_id: str
     summary: str
     grids: Callable[[SuiteConfig], Grid | tuple[Grid, ...]]

@@ -25,7 +25,6 @@ import json
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -51,11 +50,12 @@ MAX_ORDER = 256
 # whole table (--max-n) and one on a single row (--n), set so that a request
 # at the cap stays within TABLE_BUDGET even on a vCPU running at half speed.
 # CPU time and peak RSS, shared 2-vCPU x86 host, Python 3.11 (a range is
-# the spread of repeated runs), with tables written row by row:
-#   pdb       --max-n 450: 20-28.5 s, 55 MB  (--max-n 500: 39 s)
-#             --n 1000:    13.4-16.5 s, 431 MB
-#   pdb_poly  --max-n 180: 3.2-3.5 s, 107 MB  (--max-n 200: 5.1 s, 134 MB)
-#             --n 550:     5.1-5.5 s, 708 MB  (--n 600: 7.6 s, 923 MB)
+# the spread of repeated runs), with tables written row by row and text
+# rows cell by cell:
+#   pdb       --max-n 450: 20-29 s, 53 MB    (--max-n 500: 39 s)
+#             --n 1000:    13.4-16.5 s, 424 MB
+#   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
+#             --n 550:     4.9-5.5 s, 293 MB  (--n 600: 7.1 s, 377 MB)
 # For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
 
@@ -66,8 +66,7 @@ _EXIT_RESOURCE = 3
 _EXIT_INCONCLUSIVE = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed invocation: one command plus the flags it honors."""
 
     command: str
@@ -327,8 +326,15 @@ def _text_chunks(cfg: RunConfig) -> Iterator[str]:
     sep = " | " if family == "pdb_poly" else " "
     yield f"table {family}\n"
     for n, cells in _table_rows(cfg):
-        text = sep.join(map(str, cells)) if isinstance(cells, list) else cells
-        yield f"n={n}: {text}\n"
+        if not isinstance(cells, list):
+            yield f"n={n}: {cells}\n"
+            continue
+        # Written cell by cell: no string of the whole row is ever made.
+        head = f"n={n}: "
+        for cell in cells:
+            yield f"{head}{cell}"
+            head = sep
+        yield "\n" if cells else f"{head}\n"
 
 
 def _cmd_table(cfg: RunConfig) -> tuple[int, Iterator[str]]:

@@ -19,10 +19,9 @@ hence the hard cap.  Enumeration streams are single-consumer generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "DEFAULT_CAP",
@@ -75,15 +74,24 @@ def is_valid_rgs(values: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PartitionRGS:
-    """A set partition in restricted growth string form."""
-
+class _RGS(NamedTuple):
     rgs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not is_valid_rgs(self.rgs):
-            raise ValueError(f"not a restricted growth string: {self.rgs!r}")
+
+class PartitionRGS(_RGS):
+    """A set partition in restricted growth string form; every construction,
+    ``_replace`` included, is validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, rgs: tuple[int, ...]) -> PartitionRGS:
+        if not is_valid_rgs(rgs):
+            raise ValueError(f"not a restricted growth string: {rgs!r}")
+        return tuple.__new__(cls, (rgs,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[tuple[int, ...]]) -> PartitionRGS:
+        return cls(*iterable)
 
     @property
     def block_count(self) -> int:

@@ -521,17 +521,13 @@ def test_uncertifiable_tail_reports_inconclusive():
 
 
 def test_resource_cap_escape_becomes_error_report(monkeypatch):
-    import dataclasses
-
     from pdbell import oracle
 
     def blow_up(cfg, **point):
         raise oracle.CapExceededError("budget exhausted")
 
     defn = checks._REGISTRY["thm_2_3"]
-    monkeypatch.setitem(
-        checks._REGISTRY, "thm_2_3", dataclasses.replace(defn, compare=blow_up)
-    )
+    monkeypatch.setitem(checks._REGISTRY, "thm_2_3", defn._replace(compare=blow_up))
     report = checks.run_all(SMALL, ids=["thm_2_3"])
     (rep,) = report.results
     assert rep.status is Status.ERROR
@@ -540,15 +536,11 @@ def test_resource_cap_escape_becomes_error_report(monkeypatch):
 
 
 def test_unexpected_exception_becomes_error_report(monkeypatch):
-    import dataclasses
-
     def blow_up(cfg, **point):
         raise RuntimeError("boom")
 
     defn = checks._REGISTRY["thm_2_3"]
-    monkeypatch.setitem(
-        checks._REGISTRY, "thm_2_3", dataclasses.replace(defn, compare=blow_up)
-    )
+    monkeypatch.setitem(checks._REGISTRY, "thm_2_3", defn._replace(compare=blow_up))
     report = checks.run_all(SMALL, ids=["thm_2_3"])
     (rep,) = report.results
     assert rep.status is Status.ERROR

@@ -16,8 +16,10 @@ their own, start-up included; the CPU time of a sample counts the processes
 the case starts.  Children write no bytecode cache
 (``PYTHONDONTWRITEBYTECODE=1``), as the benchmark's jobs do.  A case takes
 samples until every tree has at least REPEAT of them and MIN_CPU_S of summed
-CPU time, up to MAX_SAMPLES, so a case of a few tens of milliseconds gets
-enough samples for its median to be compared.  Samples take the trees in
+CPU time (MIN_PROCESS_CPU_S for a case run as a process of its own), up to
+MAX_SAMPLES, so a case of a few tens of milliseconds gets enough samples for
+its median to be compared, and a process case whose change is a few
+milliseconds of start-up gets about twenty.  Samples take the trees in
 turn, so a slow spell of a shared host falls on all of them.
 
 The report is canonical JSON (sorted keys, two-space indent): per tree and
@@ -46,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 5
 MIN_CPU_S = 1.0
+MIN_PROCESS_CPU_S = 3.0
 MAX_SAMPLES = 25
 
 # name -> (what it times, setup, timed body); only the body is timed.
@@ -171,6 +174,12 @@ CASES.update(
 # peak RSS are the sample's: whole tables (kernels, rendering and writing),
 # start-up alone (``--help``), and an egf job of the benchmark's series
 # workload, most of whose cost is start-up.
+PROCESS_CASES = {
+    "table_pdb_n180_json": "table pdb --max-n 180 --format json",
+    "table_stirling2_n300_csv": "table stirling2 --max-n 300 --format csv",
+    "startup_table_help": "table --help",
+    "egf_deranged_bell_256_cli": "egf deranged_bell --order 256",
+}
 CASES.update(
     (
         name,
@@ -181,12 +190,7 @@ CASES.update(
             "stdout=subprocess.DEVNULL, check=True)",
         ),
     )
-    for name, argv in [
-        ("table_pdb_n180_json", "table pdb --max-n 180 --format json"),
-        ("table_stirling2_n300_csv", "table stirling2 --max-n 300 --format csv"),
-        ("startup_table_help", "table --help"),
-        ("egf_deranged_bell_256_cli", "egf deranged_bell --order 256"),
-    ]
+    for name, argv in PROCESS_CASES.items()
 )
 
 CHILD = """\
@@ -241,9 +245,10 @@ def main() -> int:
     samples = {label: {case: [] for case in cases} for label in trees}
 
     def wants_more(case: str) -> bool:
+        min_cpu_s = MIN_PROCESS_CPU_S if case in PROCESS_CASES else MIN_CPU_S
         return any(
             len(by_case[case]) < REPEAT
-            or sum(s["cpu_s"] for s in by_case[case]) < MIN_CPU_S
+            or sum(s["cpu_s"] for s in by_case[case]) < min_cpu_s
             for by_case in samples.values()
         )
 

@@ -52,10 +52,13 @@ MAX_ORDER = 256
 # CPU time and peak RSS, shared 2-vCPU x86 host, Python 3.11 (a range is
 # the spread of repeated runs), with tables written row by row and text
 # rows cell by cell:
-#   pdb       --max-n 450: 20-29 s, 53 MB    (--max-n 500: 39 s)
-#             --n 1000:    13.4-16.5 s, 424 MB
+#   pdb       --max-n 450: 2.1-2.9 s, 35 MB
+#             --n 1000:    0.7-0.8 s, 214 MB
 #   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
 #             --n 550:     4.9-5.5 s, 293 MB  (--n 600: 7.1 s, 377 MB)
+# The pdb caps were set when a row took n + 1 dot products (28.5 s and 16.5 s
+# at the caps); a row is now one Taylor shift, and the caps have headroom
+# until they are measured again as a whole.
 # For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
 

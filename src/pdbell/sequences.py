@@ -27,10 +27,21 @@ thread may still be growing.  The list returned may be longer than asked
 and must not be mutated.  Given that, concurrent callers always see the
 single-threaded values.
 
-The kernels are dot products over these lists, summed in C with
+Most kernels are dot products over these lists, summed in C with
 ``sum(map(mul, ...))``: ``pdb_number(n, r)`` is Stirling row ``n`` from
 ``k = r`` on times rencontres column ``r``, and ``ordered_bell(n)`` is the
-same row times the factorials.
+same row times the factorials.  A whole row of the triangle is cheaper as
+a polynomial shift than as n + 1 such dot products.  With
+``c_i = truncated_ordered_bell(n, i) / i!``, an integer, the all-r form of
+``thm_2_4`` reads
+
+    pdb_number(n, r) = sum_{i >= r} (-1)^(i - r) * C(i, r) * c_i,
+
+so ``pdb_row(n)`` holds the coefficients of ``sum_i c_i * s^i`` at
+``s = t - 1``.  The ``c_i`` follow from Stirling row ``n`` alone, top down:
+``c_n = 1`` and ``c_i = S(n, i) + (i + 1) * c_(i+1)``.  The shift is ``n``
+prefix sums, done in C by ``accumulate``: O(n^2) big-integer additions and
+no big-integer products, and no rencontres column is read.
 
 Conventions:
 
@@ -49,8 +60,8 @@ from __future__ import annotations
 import math
 import threading
 from functools import partial
-from itertools import accumulate
-from operator import add, mul
+from itertools import accumulate, islice
+from operator import add, mul, neg
 from typing import Any, Callable
 
 __all__ = [
@@ -272,7 +283,26 @@ def pdb_number(n: int, r: int) -> int:
 
 
 def pdb_row(n: int) -> list[int]:
-    """Row [pdb_number(n, 0), ..., pdb_number(n, n)]; sums to ordered_bell(n)."""
+    """Row [pdb_number(n, 0), ..., pdb_number(n, n)]; sums to ordered_bell(n).
+
+    With c_i = truncated_ordered_bell(n, i) / i!, an integer, the row is
+    w(n, r) = sum_{i >= r} (-1)^(i - r) * C(i, r) * c_i: the coefficients of
+    sum_i c_i * s^i shifted to s = t - 1.  The c_i come from the top down in
+    one pass over Stirling row n: c_n = 1 and c_i = S(n, i) + (i + 1) * c_(i+1).
+    Stored high degree first with alternating signs, y[n - i] = (-1)^i * c_i,
+    each of the n passes of the Taylor shift is a prefix sum, and after them
+    y[n - r] = (-1)^r * w(n, r).  So the row costs O(n^2) additions and no
+    products of two big integers.
+    """
     _require_nonnegative(n=n)
     row = _row(0, n)
-    return [sum(map(mul, row[r:], _column(r, n))) for r in range(n + 1)]
+    y = [0] * (n + 1)
+    c = 0
+    for i in range(n, -1, -1):
+        c = row[i] + (i + 1) * c
+        y[n - i] = -c if i & 1 else c
+    for m in range(n + 1, 1, -1):
+        y[:m] = accumulate(islice(y, m))
+    y.reverse()
+    y[1::2] = map(neg, y[1::2])
+    return y

@@ -229,6 +229,24 @@ def test_pdb_number_past_the_diagonal_grows_no_memo(monkeypatch):
     assert seq._rencontres == {}
 
 
+@pytest.mark.parametrize("n", [150, 300, 450])
+def test_pdb_row_shift_matches_cell_dot_products_at_cap_sizes(monkeypatch, n):
+    # The row is a Taylor shift of c_i = truncated_ordered_bell(n, i) / i!,
+    # the cell a dot product with a rencontres column: two derivations.
+    monkeypatch.setattr(seq, "_rencontres", {})
+    assert seq.pdb_row(n) == [seq.pdb_number(n, r) for r in range(n + 1)]
+
+
+def test_pdb_row_1000_sums_to_ordered_bell():
+    assert sum(seq.pdb_row(1000)) == seq.ordered_bell(1000)
+
+
+def test_pdb_row_grows_no_rencontres_memo(monkeypatch):
+    monkeypatch.setattr(seq, "_rencontres", {})
+    assert seq.pdb_row(60) == [pdb_by_definition(60, r) for r in range(61)]
+    assert seq._rencontres == {}
+
+
 def test_row_accessors_return_copies():
     row = seq.stirling2_row(6)
     row[2] = -1

@@ -158,7 +158,8 @@ CASES.update(
         ("cor_3_11", 40),
     ]
 )
-# The whole suite, cold, as the grid widens.
+# The whole suite, cold, as the grid widens; max_n = 32 is the size the
+# benchmark's suite workload runs.
 CASES.update(
     (
         f"check_all_n{n}",
@@ -168,7 +169,13 @@ CASES.update(
             f"checks.run_all(checks.SuiteConfig(max_n={n}))",
         ),
     )
-    for n in (20, 40, 60)
+    for n in (20, 32, 40, 60)
+)
+# A series check at a tolerance that needs deep cutoffs J.
+CASES["check_thm_2_10_b_tol_1e-100"] = (
+    "checks.check('thm_2_10_b', SuiteConfig(tolerance=Fraction(1, 10**100)))",
+    "from fractions import Fraction",
+    "checks.check('thm_2_10_b', checks.SuiteConfig(tolerance=Fraction(1, 10**100)))",
 )
 # Jobs through the command line, each a process of its own whose CPU time and
 # peak RSS are the sample's: whole tables (kernels, rendering and writing),

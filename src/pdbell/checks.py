@@ -12,9 +12,9 @@ an overall pass exactly when every check that is not known-failing passes.
 
 A check is declared as a :class:`Grid` plus a compare function.  The grid
 lists the index axes in scan order, outermost first; the ends of an axis
-may be expressions in the outer indices, such as ``"min(n,8)"``.  The
-bounds a report prints are rendered from the same grid, so they always
-describe the loop that ran.  ``compare(cfg, **point)`` yields one
+may be expressions in the outer indices, such as ``"min(n,8)"``, and the
+grid compiles the whole loop nest once.  The bounds a report prints are
+rendered from the same text, so they always describe the loop that ran.  ``compare(cfg, **point)`` yields one
 ``(extra_params, lhs, rhs)`` triple per statement checked at a point, and
 :func:`scan` reports the first triple whose sides differ, with the point's
 indices followed by the extra params.
@@ -32,7 +32,6 @@ import math
 import time
 from enum import Enum
 from fractions import Fraction
-from types import CodeType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import oracle
@@ -159,6 +158,8 @@ class CheckReport(NamedTuple):
     ms: int
     witness: Witness | None = None
     error: str | None = None
+    # Grid points evaluated, the witness point included; not rendered.
+    points: int = 0
 
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
@@ -211,17 +212,7 @@ def _json_scalar(value: object) -> object:
 # grids
 
 
-# Axis ends and constraints are expressions written in this module; they
-# see the outer indices, the axis helpers, min and max, and nothing else.
-_EXPR_GLOBALS: dict[str, object] = {"__builtins__": {}, "min": min, "max": max}
-
-
-def _term(end: int | str) -> int | CodeType:
-    return end if isinstance(end, int) else compile(end, end, "eval")
-
-
-def _value(term: int | CodeType, env: dict[str, int]) -> int:
-    return term if isinstance(term, int) else eval(term, _EXPR_GLOBALS, env)
+_GRID_GLOBALS: dict[str, object] = {"__builtins__": {}, "min": min, "max": max, "range": range}
 
 
 class Grid:
@@ -235,6 +226,9 @@ class Grid:
     where it is false, rendered under the key ``constraint``, and ``notes``
     are further bounds entries.  ``params`` lists the indices a witness
     reports, in order; by default every axis, outermost first.
+
+    The loop nest is compiled once into one generator function; its
+    expressions see the outer indices, helpers, min and max, no builtins.
     """
 
     def __init__(
@@ -245,35 +239,27 @@ class Grid:
         params: tuple[str, ...] | None = None,
         **axes: tuple[int | str, ...],
     ) -> None:
-        self._axes = []
         self.bounds: dict[str, str] = {}
+        lines, pad = ["def points():"], " "
         for name, (lo, hi, *defs) in axes.items():
-            helpers = [(h, _term(expr)) for h, _, expr in (d.partition("=") for d in defs)]
-            self._axes.append((name, _term(lo), _term(hi), helpers))
+            lines += [f"{pad}{h} = ({expr})" for h, _, expr in (d.partition("=") for d in defs)]
+            lines.append(f"{pad}for {name} in range(({lo}), ({hi}) + 1):")
+            pad += " "
             self.bounds[name] = ", ".join([f"{lo}..{hi}", *defs])
-        self._constraint = None if constraint is None else _term(constraint)
         if constraint is not None:
+            lines.append(f"{pad}if ({constraint}):")
+            pad += " "
             self.bounds["constraint"] = constraint
+        lines.append(f"{pad}yield {{{', '.join(f'{name!r}: {name}' for name in axes)}}}")
+        scope = dict(_GRID_GLOBALS)
+        exec("\n".join(lines), scope)
+        self._points = scope.pop("points")  # its globals keep no cycle back to it
         self.bounds.update(notes or {})
         self.params = tuple(axes) if params is None else params
 
     def points(self) -> Iterator[dict[str, int]]:
         """The grid points in scan order, each as {axis name: value}."""
-        env: dict[str, int] = {}
-
-        def walk(depth: int) -> Iterator[dict[str, int]]:
-            if depth == len(self._axes):
-                if self._constraint is None or _value(self._constraint, env):
-                    yield {name: env[name] for name, *_ in self._axes}
-                return
-            name, lo, hi, helpers = self._axes[depth]
-            for helper, term in helpers:
-                env[helper] = _value(term, env)
-            for value in range(_value(lo, env), _value(hi, env) + 1):
-                env[name] = value
-                yield from walk(depth + 1)
-
-        return walk(0)
+        return self._points()
 
 
 Comparisons = Iterable[tuple[Mapping[str, object], object, object]]
@@ -391,8 +377,9 @@ def approx_e(eps: Fraction) -> Fraction:
 
 def _scaled(weights: list[Fraction]) -> tuple[int, list[int]]:
     """The lcm L of the weights' denominators, and the integers L*w."""
-    scale = math.lcm(*(w.denominator for w in weights))
-    return scale, [w.numerator * (scale // w.denominator) for w in weights]
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, [p * (scale // d) for p, d in ratios]
 
 
 def _dec_str(x: Fraction, places: int = 40) -> str:
@@ -581,12 +568,18 @@ def _certify(n: int, r: int, cfg: SuiteConfig, tail: Callable[[int], Fraction | 
     )
 
 
-def _alternating(r: int, J: int, term: Callable[[int, int], Fraction]) -> Fraction:
-    """sum_i (-1)^(r-i) C(r,i) * sum_{j<J} term(i, j)."""
-    return sum(
-        (-1) ** (r - i) * math.comb(r, i) * sum(term(i, j) for j in range(J))
+def _alternating(
+    r: int, J: int, num: Callable[[int, int], int], den: Callable[[int], int]
+) -> Fraction:
+    """sum_i (-1)^(r-i) C(r,i) * sum_{j<J} num(i, j)/den(j), where every
+    den(j) divides den(J-1): the integer terms are summed over den(J-1)."""
+    scale = den(J - 1)
+    lifts = [scale // den(j) for j in range(J)]
+    total = sum(
+        (-1) ** (r - i) * math.comb(r, i) * sum(num(i, j) * lift for j, lift in enumerate(lifts))
         for i in range(r + 1)
     )
+    return Fraction(total, scale)
 
 
 def _tail_a(n: int, r: int, cfg: SuiteConfig, J: int) -> Fraction | None:
@@ -630,11 +623,16 @@ def _e_error(cfg: SuiteConfig) -> Fraction:
 def _thm_2_10_a(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     J = _certify(n, r, cfg, functools.partial(_tail_a, n, r, cfg))
     lhs = _alternating(
-        r, J, lambda i, j: Fraction((-1) ** j * seq.r_ordered_bell(n, i + j), math.factorial(j))
+        r, J, lambda i, j: (-1) ** j * seq.r_ordered_bell(n, i + j), math.factorial
     )
     rhs = math.factorial(r) * seq.pdb_number(n, r) / approx_e(_e_error(cfg))
     # Sides within the tolerance count as equal.
     yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
+
+
+def _complementary_r_bell_row(n: int, m: int) -> list[int]:
+    """``row[k]`` is complementary_r_bell(n, k) for k <= m."""
+    return _row(("complementary_r_bell", n), m, lambda k: seq.complementary_r_bell(n, k))
 
 
 def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
@@ -646,10 +644,11 @@ def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
     is re-checked against the actual term at the cutoff.
     """
     total = Fraction(0)
+    row = _complementary_r_bell_row(n, J + r)
     for i in range(r + 1):
         base = J + i + 1
         ratio = Fraction((base + 1) ** n, 2 * base**n)
-        if ratio >= 1 or abs(seq.complementary_r_bell(n, J + i)) > M * base**n:
+        if ratio >= 1 or abs(row[J + i]) > M * base**n:
             return None
         first = Fraction(M * base**n, 2 ** (J + 1))
         total += math.comb(r, i) * first / (1 - ratio)
@@ -666,9 +665,8 @@ def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
 def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     M = max(abs(seq.complementary_bell(m)) for m in range(n + 1))
     J = _certify(n, r, cfg, functools.partial(_tail_b, n, r, M))
-    lhs = _alternating(
-        r, J, lambda i, j: Fraction(seq.complementary_r_bell(n, j + i), 2 ** (j + 1))
-    )
+    row = _complementary_r_bell_row(n, J + r)
+    lhs = _alternating(r, J, lambda i, j: row[j + i], lambda j: 2 ** (j + 1))
     rhs = Fraction(math.factorial(r) * seq.pdb_number(n, r))
     # Sides within the tolerance count as equal.
     yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
@@ -868,8 +866,26 @@ def _prop_3_6_grid(cfg: SuiteConfig) -> Grid:
     return Grid(n=(0, cfg.max_n), z=("-zmax", "zmax", "zmax=max(3,(n+2)//2)"))
 
 
+def _at_both_signs(
+    key: object, n: int, c: int, qs: Callable[[], list[poly.IntPolynomial]]
+) -> poly.IntPolynomial:
+    """sum_k c^k * Q_k over [Q_0, Q_1, ...] = qs() as E + O, its even and odd
+    parts.  The value at -c, E - O, is kept under ``key`` until read (for the
+    latest n only): the z-grid of prop_3_6_* is symmetric."""
+    slot = _tables.get(key)
+    if slot is None or slot[0] != n:
+        slot = _tables[key] = (n, {})
+    if c in slot[1]:
+        return slot[1].pop(c)
+    terms = [(c**k, q) for k, q in enumerate(qs())]
+    even, odd = poly.weighted_sum(terms[::2]), poly.weighted_sum(terms[1::2])
+    if c:
+        slot[1][-c] = even - odd
+    return even + odd
+
+
 def _row_poly_at(n: int, z: int) -> poly.IntPolynomial:
-    return poly.weighted_sum((z**r, poly.pdb_poly(n, r)) for r in range(n + 1))
+    return _at_both_signs("row_at", n, z, lambda: [poly.pdb_poly(n, r) for r in range(n + 1)])
 
 
 def _regrouped(
@@ -900,7 +916,7 @@ def _convolved_at(
     slot = _tables.get(key)
     if slot is None or slot[0] != n:
         slot = _tables[key] = (n, _regrouped(n, other))
-    return poly.weighted_sum((c**k, h) for k, h in enumerate(slot[1]))
+    return _at_both_signs((key, "pairs"), n, c, lambda: slot[1])
 
 
 @_check(
@@ -1243,7 +1259,7 @@ def check(check_id: str, config: SuiteConfig | None = None) -> CheckReport:
         else:
             status = Status.KNOWN_FAILING if defn.known_failing else Status.FAIL
     ms = int(round((time.perf_counter() - start) * 1000))
-    return CheckReport(check_id=check_id, status=status, bounds=bounds, ms=ms, witness=witness)
+    return CheckReport(check_id, status, bounds, ms, witness, points=points)
 
 
 def run_all(

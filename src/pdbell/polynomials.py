@@ -35,9 +35,9 @@ class IntPolynomial:
 
     def __init__(self, coefficients: Iterable[int] = ()) -> None:
         coeffs = list(coefficients)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
+        if not all(map(isinstance, coeffs, repeat(int))):
+            bad = next(c for c in coeffs if not isinstance(c, int))
+            raise TypeError(f"integer coefficient expected, got {bad!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)

@@ -3,10 +3,12 @@
 import hashlib
 import importlib.util
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pdbell import checks, cli, oracle
 from pdbell import polynomials as poly
@@ -205,6 +207,57 @@ def test_grid_walks_axes_in_order_and_renders_its_bounds():
     helpers = checks.Grid(n=(0, 1), z=("-w", "w", "w=n+1"))
     assert helpers.bounds == {"n": "0..1", "z": "-w..w, w=n+1"}
     assert [p["z"] for p in helpers.points()] == [-1, 0, 1, -2, -1, 0, 1, 2]
+
+
+def _reference_points(constraint=None, notes=None, params=None, **axes):
+    """The points of Grid(**spec), by a nested walk that evaluates each end
+    with eval() where the loop reaches it."""
+    scope = {"__builtins__": {}, "min": min, "max": max}
+    env = {}
+    names = list(axes)
+
+    def value(end):
+        return end if isinstance(end, int) else eval(end, scope, env)
+
+    def walk(depth):
+        if depth == len(names):
+            if constraint is None or value(constraint):
+                yield {name: env[name] for name in names}
+            return
+        lo, hi, *defs = axes[names[depth]]
+        for helper, _, expr in (d.partition("=") for d in defs):
+            env[helper] = value(expr)
+        for v in range(value(lo), value(hi) + 1):
+            env[names[depth]] = v
+            yield from walk(depth + 1)
+
+    return list(walk(0))
+
+
+@pytest.mark.parametrize(
+    "cfg", [SMALL, SuiteConfig(), SuiteConfig(max_n=32)], ids=["small", "default", "max_n=32"]
+)
+def test_compiled_grid_points_equal_a_nested_walk(monkeypatch, cfg):
+    specs = []
+    grid_type = checks.Grid
+
+    def recording_grid(**spec):
+        specs.append(spec)
+        return grid_type(**spec)
+
+    monkeypatch.setattr(checks, "Grid", recording_grid)
+    for defn in checks._REGISTRY.values():
+        defn.grids(cfg)
+    assert len(specs) == 32  # cor_3_8 and thm_3_10 scan two grids each
+    for spec in specs:
+        assert list(grid_type(**spec).points()) == _reference_points(**spec)
+
+
+def test_grid_expressions_see_no_builtins():
+    with pytest.raises(NameError):
+        list(checks.Grid(n=(0, "abs(-1)")).points())
+    with pytest.raises(NameError):
+        list(checks.Grid(n=(0, 2), constraint="len([n])").points())
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +478,77 @@ def test_polynomial_fault_injection(monkeypatch, check_id, kernel, at, params):
     assert list(rep.witness.params.items()) == list(params.items())
 
 
+def test_both_signs_of_z_equal_direct_sums():
+    # In scan order, as the checks read them, and with the tables emptied
+    # first, as check() does.
+    checks._tables.clear()
+    for point in checks._prop_3_6_grid(SuiteConfig(max_n=12)).points():
+        n, z = point["n"], point["z"]
+        row = poly.weighted_sum((z**r, poly.pdb_poly(n, r)) for r in range(n + 1))
+        assert checks._row_poly_at(n, z) == row
+        for key, c, other in [
+            ("prop_3_6_a", z - 1, poly.geometric_poly),
+            ("prop_3_6_b", z, lambda m: poly.pdb_poly(m, 0)),
+        ]:
+            direct = poly.weighted_sum(
+                (math.comb(n, r), poly.exponential_poly(r).scale_variable(c) * other(n - r))
+                for r in range(n + 1)
+            )
+            assert checks._convolved_at(key, n, c, other) == direct
+    checks._tables.clear()
+
+
+@pytest.mark.parametrize("check_id", ["prop_3_6_a", "prop_3_6_b"])
+def test_prop_3_6_witness_keeps_the_sign_of_z(monkeypatch, check_id):
+    # The added terms sum to y^7 * z(z+1)(z+2)(z+3) on the left side at
+    # n = 5, which vanishes at z = -3..0, so the first point they change is
+    # z = 1.  A sum that swapped the values at z and -z would fail at z = -1.
+    pdb_poly = poly.pdb_poly
+    added = {1: 6, 2: 11, 3: 6, 4: 1}
+
+    def perturbed(n, r):
+        value = pdb_poly(n, r)
+        if n == 5 and r in added:
+            return value + poly.IntPolynomial([0] * 7 + [added[r]])
+        return value
+
+    monkeypatch.setattr(poly, "pdb_poly", perturbed)
+    rep = checks.check(check_id, SMALL)
+    assert rep.status is Status.FAIL
+    assert rep.witness.params == {"n": 5, "z": 1}
+
+
+@pytest.mark.parametrize("check_id, shift", [("prop_3_6_a", 1), ("prop_3_6_b", 0)])
+def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
+    # One regrouping per n, and two weighted sums (the even and the odd
+    # part) per distinct |c| on each side: c = z on the left, c = z - shift
+    # on the right.
+    regrouped, weighted_sum = checks._regrouped, poly.weighted_sum
+    calls = {"regrouped": [], "sums": 0, "inside": False}
+
+    def counted_regrouped(n, other):
+        calls["regrouped"].append(n)
+        calls["inside"] = True
+        try:
+            return regrouped(n, other)
+        finally:
+            calls["inside"] = False
+
+    def counted_weighted_sum(pairs):
+        calls["sums"] += not calls["inside"]
+        return weighted_sum(pairs)
+
+    monkeypatch.setattr(checks, "_regrouped", counted_regrouped)
+    monkeypatch.setattr(poly, "weighted_sum", counted_weighted_sum)
+    assert checks.check(check_id, SMALL).status is Status.PASS
+    assert calls["regrouped"] == list(range(SMALL.max_n + 1))
+    expected = 0
+    for n in range(SMALL.max_n + 1):
+        zs = range(-max(3, (n + 2) // 2), max(3, (n + 2) // 2) + 1)
+        expected += 2 * len({abs(z) for z in zs}) + 2 * len({abs(z - shift) for z in zs})
+    assert calls["sums"] == expected
+
+
 @pytest.mark.parametrize(
     "check_id, params",
     [
@@ -520,6 +644,23 @@ def test_uncertifiable_tail_reports_inconclusive():
     assert report.overall == "fail"
 
 
+@given(
+    r=st.integers(0, 4),
+    J=st.integers(1, 24),
+    values=st.lists(st.integers(-(10**30), 10**30), min_size=30, max_size=30),
+    den=st.sampled_from([math.factorial, lambda j: 2 ** (j + 1)]),
+)
+def test_alternating_sum_equals_the_plain_fraction_sum(r, J, values, den):
+    def num(i, j):
+        return values[i + j]
+
+    plain = sum(
+        (-1) ** (r - i) * math.comb(r, i) * sum(Fraction(num(i, j), den(j)) for j in range(J))
+        for i in range(r + 1)
+    )
+    assert checks._alternating(r, J, num, den) == plain
+
+
 def test_resource_cap_escape_becomes_error_report(monkeypatch):
     from pdbell import oracle
 
@@ -581,6 +722,26 @@ def test_report_to_dict_shape(small_run):
         assert isinstance(doc["bounds"], dict)
         if rep.witness is not None:
             assert set(doc["witness"]) == {"params", "lhs", "rhs"}
+
+
+def _points_to_witness(grids, witness):
+    count = 0
+    for grid in grids if isinstance(grids, tuple) else (grids,):
+        for point in grid.points():
+            count += 1
+            if witness and all(witness.params[k] == point[k] for k in grid.params):
+                return count
+    return count
+
+
+def test_reports_count_the_points_up_to_the_witness(small_run):
+    for rep in small_run.results:
+        grids = checks._REGISTRY[rep.check_id].grids(SMALL)
+        assert rep.points == _points_to_witness(grids, rep.witness) > 0
+        assert "points" not in rep.to_dict()
+    assert sum(rep.witness is not None for rep in small_run.results) == 4
+    vacuous = checks.check("thm_2_9", SuiteConfig(max_n=0))
+    assert (vacuous.status, vacuous.points) == (Status.VACUOUS, 0)
 
 
 def test_json_scalar_big_integers_become_strings(small_run):

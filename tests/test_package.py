@@ -57,9 +57,9 @@ RECORDS = {
     ),
     "CheckReport": (
         checks.CheckReport,
-        ("check_id", "status", "bounds", "ms", "witness", "error"),
-        ("thm_2_3", Status.FAIL, {"n": "0..3"}, 7, _WITNESS, "boom"),
-        {"witness": None, "error": None},
+        ("check_id", "status", "bounds", "ms", "witness", "error", "points"),
+        ("thm_2_3", Status.FAIL, {"n": "0..3"}, 7, _WITNESS, "boom", 12),
+        {"witness": None, "error": None, "points": 0},
     ),
     "SuiteReport": (
         checks.SuiteReport,

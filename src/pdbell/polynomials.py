@@ -194,7 +194,8 @@ def r_exponential_poly(n: int, r: int) -> IntPolynomial:
     """
     if n < 0 or r < 0:
         raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
-    return IntPolynomial(seq.r_stirling2(n + r, k + r, r) for k in range(n + 1))
+    # Entries j = r..n + r of the triangle row are the coefficients k = 0..n.
+    return IntPolynomial(seq._row(r, n + r))
 
 
 @lru_cache(maxsize=4096)

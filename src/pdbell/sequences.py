@@ -12,28 +12,33 @@ until it holds at least entries ``0..n``.  An entry, once published, never
 changes.  The tables are:
 
 * ``_triangles[r]``: the Stirling triangle for ``r`` (the ordinary one is
-  ``r = 0``); entry ``i`` is the whole row ``m = r + i``, ``j = r..m``.
+  ``r = 0``), made on first use; entry ``i`` is the whole row ``m = r + i``,
+  ``j = r..m``.  Only ``r_stirling2`` and ``r_exponential_poly`` read a
+  triangle for ``r > 0``.
 * ``_derangements``: D(0), D(1), ... .
-* ``_rencontres[r]``: column ``r`` of the rencontres matrix; entry ``i`` is
-  ``partial_derangement(r + i, r) = C(r + i, r) * D(i)``.
 * ``_comp_bell``: the alternating Bell numbers.
+* ``_ordered_bells``: the ordered Bell numbers.
 * ``_factorials``: 0!, 1!, ... .
 
-The per-``r`` memos are made on first use.  The memos may be read from
-several threads at once, under one rule: a reader calls ``upto`` on the
-very memo it is about to read, with the largest index it will read.  The
-length of some other memo says nothing about this one, which another
-thread may still be growing.  The list returned may be longer than asked
-and must not be mutated.  Given that, concurrent callers always see the
-single-threaded values.
+The memos may be read from several threads at once, under one rule: a
+reader calls ``upto`` on the very memo it is about to read, with the
+largest index it will read.  The length of some other memo says nothing
+about this one, which another thread may still be growing.  The list
+returned may be longer than asked and must not be mutated.  Given that,
+concurrent callers always see the single-threaded values.
 
 Most kernels are dot products over these lists, summed in C with
 ``sum(map(mul, ...))``: ``pdb_number(n, r)`` is Stirling row ``n`` from
-``k = r`` on times rencontres column ``r``, and ``ordered_bell(n)`` is the
-same row times the factorials.  A whole row of the triangle is cheaper as
-a polynomial shift than as n + 1 such dot products.  With
-``c_i = truncated_ordered_bell(n, i) / i!``, an integer, the all-r form of
-``thm_2_4`` reads
+``k = r`` on times the rencontres column ``C(k, r) * D(k - r)``, built per
+call, and ``ordered_bell(n)`` is the same row times the factorials.  The
+r-ordered Bell numbers need no triangle of their own: applying
+``x^j -> ordered_bell(j)`` to ``(x + r)^n`` gives
+
+    r_ordered_bell(n, r) = sum_j C(n, j) * r^(n - j) * ordered_bell(j).
+
+A whole row of the triangle is cheaper as a polynomial shift than as
+n + 1 dot products.  With ``c_i = truncated_ordered_bell(n, i) / i!``, an
+integer, the all-r form of ``thm_2_4`` reads
 
     pdb_number(n, r) = sum_{i >= r} (-1)^(i - r) * C(i, r) * c_i,
 
@@ -41,7 +46,7 @@ so ``pdb_row(n)`` holds the coefficients of ``sum_i c_i * s^i`` at
 ``s = t - 1``.  The ``c_i`` follow from Stirling row ``n`` alone, top down:
 ``c_n = 1`` and ``c_i = S(n, i) + (i + 1) * c_(i+1)``.  The shift is ``n``
 prefix sums, done in C by ``accumulate``: O(n^2) big-integer additions and
-no big-integer products, and no rencontres column is read.
+no big-integer products, and no rencontres column is built.
 
 Conventions:
 
@@ -60,7 +65,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import add, mul, neg
 from typing import Any, Callable
 
@@ -108,16 +113,6 @@ class _Memo:
         return rows
 
 
-def _per_r(memos: dict[int, _Memo], r: int, step: Callable, first: Any) -> _Memo:
-    """The memo ``memos[r]``, made on first use with step ``step(r, entries, m)``."""
-    memo = memos.get(r)
-    if memo is None:
-        # setdefault is one atomic dict operation: racing callers all get
-        # the memo that was stored first.
-        memo = memos.setdefault(r, _Memo(partial(step, r), first))
-    return memo
-
-
 def _triangle_row(r: int, rows: list[list[int]], i: int) -> list[int]:
     # T(m, j) = T(m-1, j-1) + j*T(m-1, j) for row m = r + i, j = r..m.
     prev = rows[i - 1]
@@ -129,7 +124,12 @@ _triangles: dict[int, _Memo] = {}
 
 def _row(r: int, m: int) -> list[int]:
     """Row m (m >= r) of triangle r, entries j = r..m; callers must not mutate it."""
-    return _per_r(_triangles, r, _triangle_row, [1]).upto(m - r)[m - r]
+    memo = _triangles.get(r)
+    if memo is None:
+        # setdefault is one atomic dict operation: racing callers all get
+        # the memo that was stored first.
+        memo = _triangles.setdefault(r, _Memo(partial(_triangle_row, r), [1]))
+    return memo.upto(m - r)[m - r]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -173,25 +173,13 @@ def partial_derangement(n: int, r: int) -> int:
     return math.comb(n, r) * _derangements.upto(n - r)[n - r]
 
 
-def _rencontres_entry(r: int, _: list[int], i: int) -> int:
-    return math.comb(r + i, r) * _derangements.upto(i)[i]
-
-
-_rencontres: dict[int, _Memo] = {}
-
-
-def _column(r: int, n: int) -> list[int]:
-    """Rencontres column r (r <= n), entry i = C(r + i, r) * D(i) for at least
-    i = 0..n - r; callers must not mutate it."""
-    return _per_r(_rencontres, r, _rencontres_entry, 1).upto(n - r)
-
-
 def partial_derangement_column(r: int, n: int) -> list[int]:
     """[partial_derangement(k, r) for k = r..n], as a fresh list ([] if r > n)."""
     _require_nonnegative(n=n, r=r)
     if r > n:
         return []
-    return _column(r, n)[: n - r + 1]
+    binomials = map(math.comb, range(r, n + 1), repeat(r))
+    return list(map(mul, binomials, _derangements.upto(n - r)))
 
 
 def bell(n: int) -> int:
@@ -225,19 +213,31 @@ def complementary_r_bell(n: int, r: int) -> int:
     return sum(math.comb(n, k) * r**k * comp[n - k] for k in range(n + 1))
 
 
+_ordered_bells = _Memo(lambda _, m: sum(map(mul, _row(0, m), _factorials.upto(m))), 1)
+
+
 def ordered_bell(n: int) -> int:
     """Number of ordered partitions (partitions with ordered blocks)."""
     _require_nonnegative(n=n)
-    return sum(map(mul, _row(0, n), _factorials.upto(n)))
+    return _ordered_bells.upto(n)[n]
 
 
 def r_ordered_bell(n: int, r: int) -> int:
     """Ordered partitions counted with r distinguished seed elements.
 
-    Defined as the sum over k of ``r_stirling2(n + r, k + r, r) * k!``.
+    Defined as the sum over k of ``r_stirling2(n + r, k + r, r) * k!``, and
+    computed as the sum over j of ``C(n, j) * r^(n - j) * ordered_bell(j)``;
+    the weight is carried from j = n down, one exact small-integer step each.
     """
     _require_nonnegative(n=n, r=r)
-    return sum(map(mul, _row(r, n + r), _factorials.upto(n)))
+    bells = _ordered_bells.upto(n)
+    if not r:
+        return bells[n]
+    total, t = 0, 1
+    for j in range(n, -1, -1):
+        total += t * bells[j]
+        t = t * j * r // (n - j + 1)
+    return total
 
 
 def truncated_ordered_bell(n: int, r: int) -> int:
@@ -279,7 +279,7 @@ def pdb_number(n: int, r: int) -> int:
     _require_nonnegative(n=n, r=r)
     if r > n:
         return 0
-    return sum(map(mul, _row(0, n)[r:], _column(r, n)))
+    return sum(map(mul, _row(0, n)[r:], partial_derangement_column(r, n)))
 
 
 def pdb_row(n: int) -> list[int]:

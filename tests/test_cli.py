@@ -135,6 +135,20 @@ def test_table_family_caps(capsys, monkeypatch, family):
     assert len(computed) == 3
 
 
+@pytest.mark.parametrize("mode, flag", [("--n", "--max-r"), ("--max-n", "--r")])
+def test_table_r_ordered_bell_r_caps(capsys, mode, flag):
+    code, out, err = run_cli(capsys, "table", "r_ordered_bell", mode, "3", flag, "1001")
+    assert code == 3
+    assert out == ""
+    assert f"resource cap: table r_ordered_bell {flag} is limited to 1000;" in err
+    assert "60 s" in err
+    code, out, _ = run_cli(
+        capsys, "table", "r_ordered_bell", mode, "3", flag, "1000", "--format", "csv"
+    )
+    assert code == 0
+    assert len(out.splitlines()) == (1002 if flag == "--max-r" else 5)
+
+
 def test_table_unknown_family_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "table", "no_such_family")
     assert code == 2

@@ -181,8 +181,9 @@ def test_ordered_bell_kernels_match_factorial_sums_to_80():
 
 
 def test_r_ordered_bell_matches_definition():
+    # Triangle r against the kernel's binomial sum over ordered_bell(j).
     for n in range(41):
-        for r in range(13):
+        for r in range(40):
             expected = sum(
                 seq.r_stirling2(n + r, k + r, r) * math.factorial(k)
                 for k in range(n + 1)
@@ -197,9 +198,9 @@ def test_complementary_bell_matches_alternating_stirling_sum_to_80():
 
 
 def test_pdb_kernels_do_not_depend_on_query_order(monkeypatch):
-    # A fresh column memo, grown high first, then read lower, then grown
+    # A fresh triangle memo, grown high first, then read lower, then grown
     # again from the middle, by both entry points.
-    monkeypatch.setattr(seq, "_rencontres", {})
+    monkeypatch.setattr(seq, "_triangles", {})
     queries = [
         ("number", 70, 5),
         ("row", 12, None),
@@ -222,18 +223,10 @@ def test_pdb_kernels_do_not_depend_on_query_order(monkeypatch):
             assert seq.pdb_row(n) == expected, n
 
 
-def test_pdb_number_past_the_diagonal_grows_no_memo(monkeypatch):
-    monkeypatch.setattr(seq, "_rencontres", {})
-    assert seq.pdb_number(3, 7) == 0
-    assert seq.partial_derangement_column(7, 3) == []
-    assert seq._rencontres == {}
-
-
 @pytest.mark.parametrize("n", [150, 300, 450])
-def test_pdb_row_shift_matches_cell_dot_products_at_cap_sizes(monkeypatch, n):
+def test_pdb_row_shift_matches_cell_dot_products_at_cap_sizes(n):
     # The row is a Taylor shift of c_i = truncated_ordered_bell(n, i) / i!,
     # the cell a dot product with a rencontres column: two derivations.
-    monkeypatch.setattr(seq, "_rencontres", {})
     assert seq.pdb_row(n) == [seq.pdb_number(n, r) for r in range(n + 1)]
 
 
@@ -241,10 +234,20 @@ def test_pdb_row_1000_sums_to_ordered_bell():
     assert sum(seq.pdb_row(1000)) == seq.ordered_bell(1000)
 
 
-def test_pdb_row_grows_no_rencontres_memo(monkeypatch):
-    monkeypatch.setattr(seq, "_rencontres", {})
+def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
+    # Only r_stirling2 keeps a triangle per r; the r-indexed kernels read
+    # the r = 0 triangle and one-index memos, whatever r they are asked for.
+    monkeypatch.setattr(seq, "_triangles", {})
+    assert seq.pdb_number(3, 7) == 0
+    assert seq.partial_derangement_column(7, 3) == []
     assert seq.pdb_row(60) == [pdb_by_definition(60, r) for r in range(61)]
-    assert seq._rencontres == {}
+    assert [seq.pdb_number(60, r) for r in range(61)] == seq.pdb_row(60)
+    previous = None
+    for r in range(401):
+        value = seq.r_ordered_bell(200, r)
+        assert set(seq._triangles) <= {0}, r
+        assert r == 0 or value == 2 * previous - (r - 1) ** 200, r
+        previous = value
 
 
 def test_row_accessors_return_copies():
@@ -383,15 +386,14 @@ def test_concurrent_readers_match_single_threaded():
     assert failures == []
 
 
-def test_concurrent_pdb_readers_match_definition(monkeypatch):
-    # Four threads read pdb_number at interleaved n while every column of a
-    # fresh rencontres memo grows under them; a reader that trusted some
-    # other column's length would return a short sum here.
+def test_concurrent_pdb_readers_match_definition():
+    # Four threads read pdb_number at interleaved n, each call building its
+    # rencontres column from the shared derangement memo; every value must
+    # be the one of the definition.
     max_n = 64
     expected = {
         (n, r): pdb_by_definition(n, r) for n in range(max_n + 1) for r in range(n + 1)
     }
-    monkeypatch.setattr(seq, "_rencontres", {})
     failures = []
 
     def worker(shift):
@@ -415,9 +417,10 @@ def test_concurrent_pdb_readers_match_definition(monkeypatch):
 
 
 def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
-    # Four threads read r_stirling2 for r = 0..6 and complementary_bell at
-    # interleaved indices while fresh triangle and alternating Bell memos
-    # grow under them; every value must be the single-threaded one.
+    # Four threads read r_stirling2 and r_ordered_bell for r = 0..6 and
+    # complementary_bell at interleaved indices while fresh triangle,
+    # alternating Bell and ordered Bell memos grow under them; every value
+    # must be the single-threaded one.
     max_m, max_r = 60, 6
     expected_stirling = {
         (m, j, r): seq.r_stirling2(m, j, r)
@@ -426,8 +429,12 @@ def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
         for r in range(max_r + 1)
     }
     expected_comp = [seq.complementary_bell(m) for m in range(max_m + 1)]
+    expected_ordered = {
+        (m, r): seq.r_ordered_bell(m, r) for m in range(max_m + 1) for r in range(max_r + 1)
+    }
     monkeypatch.setattr(seq, "_triangles", {})
     monkeypatch.setattr(seq, "_comp_bell", seq._Memo(seq._comp_bell._step, 1))
+    monkeypatch.setattr(seq, "_ordered_bells", seq._Memo(seq._ordered_bells._step, 1))
     failures = []
 
     def worker(shift):
@@ -435,6 +442,8 @@ def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
             if seq.complementary_bell(m) != expected_comp[m]:
                 failures.append(("comp", m))
             for r in range(max_r, -1, -1) if shift % 2 else range(max_r + 1):
+                if seq.r_ordered_bell(m, r) != expected_ordered[m, r]:
+                    failures.append(("ordered", m, r))
                 for j in range(m + 2):
                     if seq.r_stirling2(m, j, r) != expected_stirling[m, j, r]:
                         failures.append((m, j, r))

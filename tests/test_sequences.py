@@ -234,14 +234,28 @@ def test_pdb_row_1000_sums_to_ordered_bell():
     assert sum(seq.pdb_row(1000)) == seq.ordered_bell(1000)
 
 
-def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
-    # Only r_stirling2 keeps a triangle per r; the r-indexed kernels read
-    # the r = 0 triangle and one-index memos, whatever r they are asked for.
+def test_pdb_number_past_the_diagonal_grows_no_memo(monkeypatch):
     monkeypatch.setattr(seq, "_triangles", {})
+    monkeypatch.setattr(seq, "_derangements", seq._Memo(seq._derangements._step, 1))
     assert seq.pdb_number(3, 7) == 0
     assert seq.partial_derangement_column(7, 3) == []
+    assert seq._triangles == {}
+    assert seq._derangements._rows == [1]
+
+
+def test_pdb_row_grows_no_rencontres_memo(monkeypatch):
+    # The row and its cells read only the r = 0 triangle and the derangement
+    # memo; no memo is kept per r.
+    monkeypatch.setattr(seq, "_triangles", {})
     assert seq.pdb_row(60) == [pdb_by_definition(60, r) for r in range(61)]
     assert [seq.pdb_number(60, r) for r in range(61)] == seq.pdb_row(60)
+    assert set(seq._triangles) == {0}
+
+
+def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
+    # Only r_stirling2 keeps a triangle per r; r_ordered_bell reads the
+    # r = 0 triangle and one-index memos, whatever r it is asked for.
+    monkeypatch.setattr(seq, "_triangles", {})
     previous = None
     for r in range(401):
         value = seq.r_ordered_bell(200, r)

@@ -185,6 +185,7 @@ PROCESS_CASES = {
     "table_pdb_n180_json": "table pdb --max-n 180 --format json",
     "table_stirling2_n300_csv": "table stirling2 --max-n 300 --format csv",
     "table_r_ordered_bell_n200_max_r400": "table r_ordered_bell --n 200 --max-r 400",
+    "table_r_ordered_bell_n500_max_r1000": "table r_ordered_bell --n 500 --max-r 1000",
     "startup_table_help": "table --help",
     "egf_deranged_bell_256_cli": "egf deranged_bell --order 256",
 }

@@ -46,20 +46,21 @@ __all__ = ["RunConfig", "canonical_json", "main"]
 # oracle has its own hard cap.
 MAX_TABLE_N = 1000
 MAX_ORDER = 256
-# The two families whose cost grows fastest have caps of their own, one on a
-# whole table (--max-n) and one on a single row (--n), and r_ordered_bell
-# caps its r flags, all set so that a request at the cap stays within
+# Four families have caps of their own, on a whole table (--max-n), a single
+# row (--n) or r, all set so that a request at the cap stays within
 # TABLE_BUDGET even on a vCPU running at half speed.  CPU time and peak RSS,
 # shared 2-vCPU x86 host, Python 3.11 (a range is the spread of repeated
-# runs), with tables written row by row and text rows cell by cell:
+# runs or of the three formats), with tables written row by row and text
+# rows cell by cell:
 #   pdb       --max-n 450: 2.1-2.9 s, 35 MB
 #             --n 1000:    0.7-0.8 s, 214 MB
 #   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
 #             --n 550:     4.9-5.5 s, 293 MB  (--n 600: 7.1 s, 377 MB)
-#   r_ordered_bell --n 1000 --max-r 1000: 24.5-36.9 s, 215 MB
+#   truncated_ordered_bell --max-n 800: 15.0-20.6 s, 118-128 MB
+#                          (--max-n 900: 28.8-33.0 s, 162-175 MB), mostly str(int)
+#   r_ordered_bell --n 1000 --max-r 1000: 0.9 s, 214-223 MB
 #                  --max-n 1000 --r 1000: 12.3-16.1 s, 214 MB
-# The pdb caps were set when a row took n + 1 dot products (28.5 s and 16.5 s
-# at the caps); a row is now one Taylor shift, and the caps have headroom
+# The pdb caps have headroom since a row became one Taylor shift; they stay
 # until they are measured again as a whole.
 # For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
@@ -189,13 +190,13 @@ _TABLES: dict[str, Spec] = {
     "r_ordered_bell": Spec(
         {"--max-n": _TABLE_N, "--r": (1000, _MEASURED)},
         lambda c, n: (
-            seq.r_ordered_bell(n, c.r or 0)
-            if c.n is None
-            else [seq.r_ordered_bell(n, r) for r in range(c.max_r + 1)]
+            seq.r_ordered_bell(n, c.r or 0) if c.n is None else seq.r_ordered_bell_row(n, c.max_r)
         ),
         {"--n": _TABLE_N, "--max-r": (1000, _MEASURED)},
     ),
-    "truncated_ordered_bell": Spec(_WHOLE, lambda c, n: seq.truncated_ordered_bell_row(n), _ROW),
+    "truncated_ordered_bell": Spec(
+        {"--max-n": (800, _MEASURED)}, lambda c, n: seq.truncated_ordered_bell_row(n), _ROW
+    ),
     "deranged_bell": Spec(_WHOLE, lambda c, n: seq.deranged_bell(n)),
     "pdb": Spec(
         {"--max-n": (450, _MEASURED)},

@@ -81,6 +81,7 @@ __all__ = [
     "complementary_r_bell",
     "ordered_bell",
     "r_ordered_bell",
+    "r_ordered_bell_row",
     "truncated_ordered_bell",
     "truncated_ordered_bell_row",
     "deranged_bell",
@@ -238,6 +239,18 @@ def r_ordered_bell(n: int, r: int) -> int:
         total += t * bells[j]
         t = t * j * r // (n - j + 1)
     return total
+
+
+def r_ordered_bell_row(n: int, max_r: int) -> list[int]:
+    """Row [r_ordered_bell(n, r) for r = 0..max_r] by the shift recurrence
+    r_ordered_bell(n, r + 1) = 2 * r_ordered_bell(n, r) - r^n, which follows
+    from F_(r+1) = e^t * F_r for the EGFs F_r in n: one power and one
+    subtraction per cell, where ``r_ordered_bell`` is a sum of n + 1 terms.
+    The first cell, ordered_bell(n), is read as one dot product, so the row
+    does not grow the memo of every ordered Bell number up to n."""
+    _require_nonnegative(n=n, max_r=max_r)
+    first = truncated_ordered_bell(n, 0)
+    return list(accumulate(range(max_r), lambda v, r: 2 * v - r**n, initial=first))
 
 
 def truncated_ordered_bell(n: int, r: int) -> int:

@@ -1,22 +1,23 @@
 """Truncated formal power series with exact rational coefficients.
 
-A ``TruncatedSeries`` of order N stands for sum c_n t^n, n = 0..N, and
-stores the EGF-scaled values A_n = n!·c_n: an ``int`` when A_n is integral,
-a ``Fraction`` only otherwise.  The generating functions built here are
-exponential ones, so the store holds the sequence itself (rational only for
-Bernoulli numbers and rational arguments): ``egf_coeff(n)`` reads A_n
-straight from it, while ``coeff(n)`` and ``coefficients`` divide by n! and
-return ``Fraction``s.
+A ``TruncatedSeries`` of order N stands for sum c_n t^n, n = 0..N.  The
+generating functions built here are exponential ones, so it stores the
+EGF-scaled values A_n = n!·c_n, which are the sequence itself: integer
+numerators ``_num`` over one positive common denominator ``_den`` (1 unless
+some value is not an integer, as for Bernoulli numbers and rational
+arguments), A_n = ``_num[n] / _den``, in lowest terms.  ``egf_coeff(n)``
+returns A_n, an ``int`` when it is integral; ``coeff(n)`` and
+``coefficients`` divide by n! and return ``Fraction``s.
 
 In EGF values a product is the binomial convolution
 C_m = sum_k C(m,k) A_k B_{m-k}; exp is the division-free recurrence
 B_m = sum_{k>=1} C(m-1,k-1) A_k B_{m-k}; and a quotient Q = A / B solves
 A_m = sum_k C(m,k) Q_k B_{m-k}, dividing only by B_0.  Each coefficient is
-one C-level dot product over a Pascal row rolled from the previous one.  An
-operand with ``Fraction`` values is first brought to integer numerators
-over the lcm of its denominators; exp and division keep the values they
-have produced as numerators over a running common denominator.  Either way
-a result coefficient costs at most one exact division.
+one C-level dot product of numerators over a Pascal row rolled from the
+previous one.  A product is its numerators' convolution over the product of
+the two denominators; exp and division keep the values they have produced
+as numerators over a running common denominator, at the cost of one exact
+division per value.  Every result is brought to lowest terms by one gcd.
 
 Binary operations truncate to the smaller order of the two operands and
 never read coefficients beyond it.  Asking for a coefficient beyond the
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul, sub
-from typing import Iterable, Sequence, Union
+from operator import add, mul
+from typing import Iterable, Union
 
 __all__ = [
     "TruncatedSeries",
@@ -59,19 +60,6 @@ def _exact(num: int, den: int) -> Rational:
     return Fraction(num, den) if rem else q
 
 
-def _normal(value: Rational) -> Rational:
-    """An integral Fraction as an int; anything else unchanged."""
-    return value.numerator if value.denominator == 1 else value
-
-
-def _over_lcm(values: Sequence[Rational]) -> tuple[Sequence[int], int]:
-    """Integer numerators of ``values`` over the lcm of their denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    if den == 1:
-        return values, 1
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _push(nums: list[int], den: int, value: Rational) -> int:
     """Append ``value`` to the numerators ``nums`` over the common denominator
     ``den``, rescaling them if ``value`` needs a larger one; return it."""
@@ -93,7 +81,7 @@ def _next_row(row: list[int]) -> list[int]:
 class TruncatedSeries:
     """Immutable truncated power series over exact rationals."""
 
-    __slots__ = ("_egf", "_order")
+    __slots__ = ("_num", "_den", "_order")
 
     def __init__(self, coefficients: Iterable[Rational], order: int | None = None):
         coeffs = [Fraction(c) for c in coefficients]
@@ -103,19 +91,24 @@ class TruncatedSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        egf = [
-            _exact(c.numerator * math.factorial(n), c.denominator)
-            for n, c in enumerate(coeffs[: order + 1])
-        ]
-        egf.extend([0] * (order + 1 - len(egf)))
-        self._egf = tuple(egf)
+        egf = [c * math.factorial(n) for n, c in enumerate(coeffs[: order + 1])]
+        # The lcm of reduced denominators is already the smallest common one.
+        den = math.lcm(*(a.denominator for a in egf))
+        num = [a.numerator * (den // a.denominator) for a in egf]
+        num.extend([0] * (order + 1 - len(num)))
+        self._num = tuple(num)
+        self._den = den
         self._order = order
 
     @classmethod
-    def _from_egf(cls, egf: Iterable[Rational], order: int) -> "TruncatedSeries":
-        """A series from order + 1 EGF values, already ints where integral."""
+    def _from_egf(cls, num: Iterable[int], den: int, order: int) -> "TruncatedSeries":
+        """A series from order + 1 EGF numerators over the positive ``den``,
+        brought to lowest terms."""
         s = object.__new__(cls)
-        s._egf = tuple(egf)
+        num = tuple(num)
+        g = math.gcd(den, *num)
+        s._num = num if g == 1 else tuple([x // g for x in num])
+        s._den = den // g
         s._order = order
         return s
 
@@ -142,7 +135,8 @@ class TruncatedSeries:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, math.factorial(n)) for n, a in enumerate(self._egf))
+        den = self._den
+        return tuple(Fraction(a, den * math.factorial(n)) for n, a in enumerate(self._num))
 
     def _check_index(self, n: int) -> None:
         if n < 0 or n > self._order:
@@ -153,73 +147,76 @@ class TruncatedSeries:
     def coeff(self, n: int) -> Fraction:
         """Coefficient of t**n; n beyond the truncation order is an error."""
         self._check_index(n)
-        return Fraction(self._egf[n], math.factorial(n))
+        return Fraction(self._num[n], self._den * math.factorial(n))
 
     def egf_coeff(self, n: int) -> Rational:
         """n! times the coefficient of t**n, an int when integral."""
         self._check_index(n)
-        return self._egf[n]
+        return _exact(self._num[n], self._den)
 
     def _common_order(self, other: "TruncatedSeries") -> int:
         return min(self._order, other._order)
 
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other, both numerators rescaled to the lcm denominator."""
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        n = self._common_order(other)
+        return self._from_egf([fa * x + fb * y for x, y in zip(self._num, other._num)], den, n)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common_order(other)
-        return self._from_egf(map(_normal, map(add, self._egf, other._egf)), n)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common_order(other)
-        return self._from_egf(map(_normal, map(sub, self._egf, other._egf)), n)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        return self._from_egf([-a for a in self._egf], self._order)
+        return self._from_egf([-x for x in self._num], self._den, self._order)
 
     def scale(self, c: Rational) -> "TruncatedSeries":
         c = Fraction(c)
-        return self._from_egf([_normal(c * a) for a in self._egf], self._order)
+        k = c.numerator
+        return self._from_egf([k * x for x in self._num], self._den * c.denominator, self._order)
 
     def shift(self, r: int) -> "TruncatedSeries":
         """Multiply by t**r, truncating at the same order."""
         if r < 0:
             raise ValueError(f"r must be nonnegative, got {r}")
         n = self._order
-        shifted = [_normal(math.perm(m, r) * self._egf[m - r]) for m in range(r, n + 1)]
-        return self._from_egf([0] * min(r, n + 1) + shifted, n)
+        shifted = [math.perm(m, r) * self._num[m - r] for m in range(r, n + 1)]
+        return self._from_egf([0] * min(r, n + 1) + shifted, self._den, n)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = self._common_order(other)
-        a, da = _over_lcm(self._egf[: n + 1])
-        b, db = _over_lcm(other._egf[: n + 1])
-        den = da * db
+        a, b = self._num, other._num
         out = []
         row = [1]
         for m in range(n + 1):
             if m:
                 row = _next_row(row)
             # sum over k of C(m,k) * a_k * b_{m-k}
-            out.append(_exact(sum(map(mul, map(mul, row, a), b[m::-1])), den))
-        return self._from_egf(out, n)
+            out.append(sum(map(mul, map(mul, row, a), b[m::-1])))
+        return self._from_egf(out, self._den * other._den, n)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = self._common_order(other)
-        if other._egf[0] == 0:
+        a, da = self._num, self._den
+        b, db = other._num, other._den
+        if b[0] == 0:
             raise SeriesDivisionError(
                 "cannot divide by a series with zero constant term"
             )
-        a, da = _over_lcm(self._egf[: n + 1])
-        b, db = _over_lcm(other._egf[: n + 1])
         # With A = a/da, B = b/db and the quotient so far Q_k = p_k/d:
         # Q_m = (A_m - sum_{k<m} C(m,k) Q_k B_{m-k}) / B_0
         #     = (a_m*d*db - s*da) / (da*d*b_0),  s = sum_{k<m} C(m,k) p_k b_{m-k}.
-        out: list[Rational] = []
         p: list[int] = []
         d = 1
         row = [1]
@@ -227,33 +224,27 @@ class TruncatedSeries:
             if m:
                 row = _next_row(row)
             s = sum(map(mul, map(mul, row, p), b[m:0:-1]))
-            value = _exact(a[m] * d * db - s * da, da * d * b[0])
-            out.append(value)
-            d = _push(p, d, value)
-        return self._from_egf(out, n)
+            d = _push(p, d, _exact(a[m] * d * db - s * da, da * d * b[0]))
+        return self._from_egf(p, d, n)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, by the derivative recurrence."""
-        if self._egf[0] != 0:
+        if self._num[0] != 0:
             raise SeriesExpError(
-                f"exp requires a zero constant term, got {self._egf[0]}"
+                f"exp requires a zero constant term, got {self.egf_coeff(0)}"
             )
         n = self._order
-        a, den = _over_lcm(self._egf)
-        a = a[1:]
+        a, den = self._num[1:], self._den
         # With A = a/den and the values so far B_j = p_j/d:
         # B_m = sum_{k=1..m} C(m-1,k-1) A_k B_{m-k} = s / (den*d).
-        out: list[Rational] = [1]
         p = [1]
         d = 1
         row = [1]
         for m in range(1, n + 1):
             if m > 1:
                 row = _next_row(row)
-            value = _exact(sum(map(mul, map(mul, row, a), reversed(p))), den * d)
-            out.append(value)
-            d = _push(p, d, value)
-        return self._from_egf(out, n)
+            d = _push(p, d, _exact(sum(map(mul, map(mul, row, a), reversed(p))), den * d))
+        return self._from_egf(p, d, n)
 
     def pow(self, k: int) -> "TruncatedSeries":
         """Integer power by binary exponentiation, truncated at this order."""
@@ -272,10 +263,10 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._order == other._order and self._egf == other._egf
+        return (self._order, self._den, self._num) == (other._order, other._den, other._num)
 
     def __hash__(self) -> int:
-        return hash((self._order, self._egf))
+        return hash((self._order, self._den, self._num))
 
     def __repr__(self) -> str:
         shown = ", ".join(str(self.coeff(n)) for n in range(min(8, self._order + 1)))

@@ -39,6 +39,17 @@ def _cauchy_power(base, r, order):
     return acc
 
 
+def test_higher_bernoulli_obeys_norlund_recurrence():
+    # B_n^(r+1) = (1 - n/r) * B_n^(r) - n * B_(n-1)^(r), from differentiating
+    # (t/(e^t - 1))^r; it ties consecutive powers of the series together.
+    for r in range(1, 7):
+        for n in range(1, 61):
+            expected = (1 - Fraction(n, r)) * higher_bernoulli(n, r) - n * higher_bernoulli(
+                n - 1, r
+            )
+            assert higher_bernoulli(n, r + 1) == expected, (n, r)
+
+
 def test_bernoulli_frozen():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)

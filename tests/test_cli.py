@@ -135,6 +135,22 @@ def test_table_family_caps(capsys, monkeypatch, family):
     assert len(computed) == 3
 
 
+def test_table_truncated_ordered_bell_max_n_cap(capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "_table_rows", lambda cfg: computed.append(cfg) or [])
+    code, out, err = run_cli(capsys, "table", "truncated_ordered_bell", "--max-n", "801")
+    assert code == 3
+    assert out == ""
+    assert "resource cap: table truncated_ordered_bell --max-n is limited to 800;" in err
+    assert "60 s" in err
+    assert computed == []  # refused before any work
+    # A single row keeps the soft limit on table sizes.
+    for flag, n in (("--max-n", 800), ("--n", MAX_TABLE_N)):
+        code, _, _ = run_cli(capsys, "table", "truncated_ordered_bell", flag, str(n))
+        assert code == 0
+    assert len(computed) == 2
+
+
 @pytest.mark.parametrize("mode, flag", [("--n", "--max-r"), ("--max-n", "--r")])
 def test_table_r_ordered_bell_r_caps(capsys, mode, flag):
     code, out, err = run_cli(capsys, "table", "r_ordered_bell", mode, "3", flag, "1001")

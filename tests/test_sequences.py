@@ -264,6 +264,14 @@ def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
         previous = value
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 60, 200])
+def test_r_ordered_bell_row_matches_cell_kernel(n):
+    # The row runs the shift recurrence from one dot product; each cell is a
+    # binomial sum over the ordered Bell memo.
+    assert seq.r_ordered_bell_row(n, 400) == [seq.r_ordered_bell(n, r) for r in range(401)]
+    assert seq.r_ordered_bell_row(n, 0) == [seq.ordered_bell(n)]
+
+
 def test_row_accessors_return_copies():
     row = seq.stirling2_row(6)
     row[2] = -1
@@ -369,6 +377,8 @@ def test_truncated_ordered_bell_partial_sum(n, r):
         lambda: seq.partial_derangement_column(-1, 0),
         lambda: seq.partial_derangement_column(0, -1),
         lambda: seq.truncated_ordered_bell_row(-1),
+        lambda: seq.r_ordered_bell_row(-1, 0),
+        lambda: seq.r_ordered_bell_row(0, -1),
     ],
 )
 def test_negative_arguments_raise(call):

@@ -144,6 +144,11 @@ def test_equal_series_from_constructor_and_arithmetic_hash_alike():
         assert s == by_ints and hash(s) == hash(by_ints)
         assert [type(s.egf_coeff(n)) for n in range(3)] == [int, int, int]
     assert len({by_ints, by_fractions, half + half}) == 1
+    # A non-integral series reached by two routes: the store is in lowest
+    # terms, so scaling up and back down lands on the same one.
+    round_trip = half.scale(3).scale(Fraction(1, 3))
+    assert round_trip == half and hash(round_trip) == hash(half)
+    assert round_trip.egf_coeff(0) == Fraction(1, 2)
 
 
 def test_egf_coeff_is_n_factorial_times_coeff():

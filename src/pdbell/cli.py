@@ -52,16 +52,14 @@ MAX_ORDER = 256
 # shared 2-vCPU x86 host, Python 3.11 (a range is the spread of repeated
 # runs or of the three formats), with tables written row by row and text
 # rows cell by cell:
-#   pdb       --max-n 450: 2.1-2.9 s, 35 MB
-#             --n 1000:    0.7-0.8 s, 214 MB
+#   pdb       --max-n 1000: 17.0-20.2 s, 18-27 MB, mostly str(int)
+#             --n 1000:     0.6-0.9 s, 18-21 MB
 #   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
 #             --n 550:     4.9-5.5 s, 293 MB  (--n 600: 7.1 s, 377 MB)
 #   truncated_ordered_bell --max-n 800: 15.0-20.6 s, 118-128 MB
 #                          (--max-n 900: 28.8-33.0 s, 162-175 MB), mostly str(int)
 #   r_ordered_bell --n 1000 --max-r 1000: 0.9 s, 214-223 MB
 #                  --max-n 1000 --r 1000: 12.3-16.1 s, 214 MB
-# The pdb caps have headroom since a row became one Taylor shift; they stay
-# until they are measured again as a whole.
 # For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
 
@@ -156,11 +154,14 @@ Cap = tuple[int, str]
 class Spec(NamedTuple):
     """The flags one command or family reads besides --format and --out, each
     mapped to its cap or None; ``row``, those of a table's single-row mode;
-    and the kernel giving a table family's cells at n or an egf series."""
+    the kernel giving a table family's cells at n or an egf series; and
+    ``rows``, for a family whose row n comes cheaper from row n - 1 than
+    alone, the cells of a whole table for n = 0..max_n in turn."""
 
     flags: dict[str, Cap | None]
     kernel: Callable[..., Any] | None = None
     row: dict[str, Cap | None] | None = None
+    rows: Callable[[RunConfig], Iterable[Any]] | None = None
 
 
 _TABLE_N: Cap = (MAX_TABLE_N, "the soft limit on table sizes")
@@ -176,7 +177,9 @@ _ROW: dict[str, Cap | None] = {"--n": _TABLE_N}
 # The lambdas look the kernels up at call time, so a wrapper installed on a
 # module after import (a profiler or tracer) sees the calls.
 _TABLES: dict[str, Spec] = {
-    "stirling2": Spec(_WHOLE, lambda c, n: seq.stirling2_row(n), _ROW),
+    "stirling2": Spec(
+        _WHOLE, lambda c, n: seq.stirling2_row(n), _ROW, lambda c: seq.stirling2_rows(c.max_n)
+    ),
     "r_stirling2": Spec(
         _WHOLE_R, lambda c, n: [seq.r_stirling2(n, k, c.r or 0) for k in range(n + 1)]
     ),
@@ -199,9 +202,10 @@ _TABLES: dict[str, Spec] = {
     ),
     "deranged_bell": Spec(_WHOLE, lambda c, n: seq.deranged_bell(n)),
     "pdb": Spec(
-        {"--max-n": (450, _MEASURED)},
+        {"--max-n": (MAX_TABLE_N, _MEASURED)},
         lambda c, n: seq.pdb_row(n),
         {"--n": (MAX_TABLE_N, _MEASURED)},
+        lambda c: seq.pdb_rows(c.max_n),
     ),
     "pdb_poly": Spec(
         {"--max-n": (180, _MEASURED)},
@@ -266,9 +270,11 @@ def _over_cap(cfg: RunConfig, declared: dict[str, Cap | None]) -> str | None:
 
 def _table_rows(cfg: RunConfig) -> Iterator[tuple[int, object]]:
     """One (n, cells) row per n the invocation asks for."""
-    kernel = _TABLES[cfg.family or ""].kernel
+    spec = _TABLES[cfg.family or ""]
+    if cfg.n is None and spec.rows is not None:
+        return enumerate(spec.rows(cfg))
     ns = range(cfg.max_n + 1) if cfg.n is None else (cfg.n,)
-    return ((n, kernel(cfg, n)) for n in ns)
+    return ((n, spec.kernel(cfg, n)) for n in ns)
 
 
 def _json_chunks(cfg: RunConfig) -> Iterator[str]:

@@ -4,9 +4,10 @@ deranged blocks.
 Everything is computed with Python's arbitrary precision integers; there is
 no floating point anywhere in this module.
 
-Every kernel is a sum over a few memoized tables, and every table is one
-type, ``_Memo``: an append-only list whose entry ``m`` is
-``step(entries, m)``, computed from the entries before it.
+Every kernel but the row streams and ``pdb_row`` is a sum over a few
+memoized tables, and every table is one type, ``_Memo``: an append-only
+list whose entry ``m`` is ``step(entries, m)``, computed from the entries
+before it.
 ``memo.upto(n)`` returns the list itself, grown under the memo's own lock
 until it holds at least entries ``0..n``.  An entry, once published, never
 changes.  The tables are:
@@ -30,23 +31,31 @@ concurrent callers always see the single-threaded values.
 Most kernels are dot products over these lists, summed in C with
 ``sum(map(mul, ...))``: ``pdb_number(n, r)`` is Stirling row ``n`` from
 ``k = r`` on times the rencontres column ``C(k, r) * D(k - r)``, built per
-call, and ``ordered_bell(n)`` is the same row times the factorials.  The
-r-ordered Bell numbers need no triangle of their own: applying
-``x^j -> ordered_bell(j)`` to ``(x + r)^n`` gives
+call, and ``truncated_ordered_bell(n, r)`` is the same row times the
+factorials.  The ordered Bell memo reads no triangle: entry ``m`` is
+``sum_{k >= 1} C(m, k) * a(m - k)`` over one Pascal row, rolled forward
+one row per entry.  The r-ordered Bell numbers need no triangle of their
+own: applying ``x^j -> ordered_bell(j)`` to ``(x + r)^n`` gives
 
     r_ordered_bell(n, r) = sum_j C(n, j) * r^(n - j) * ordered_bell(j).
 
-A whole row of the triangle is cheaper as a polynomial shift than as
-n + 1 dot products.  With ``c_i = truncated_ordered_bell(n, i) / i!``, an
-integer, the all-r form of ``thm_2_4`` reads
+Whole rows of the ``pdb`` triangle come one from the other, with no
+Stirling row at all.  With ``u = e^t - 1`` the rows ``P_n(x) = sum_r
+w(n, r) * x^r`` have the EGF ``F = e^((x - 1) * u) / (1 - u)``.  As
+``d/dx F = u * F``,
 
-    pdb_number(n, r) = sum_{i >= r} (-1)^(i - r) * C(i, r) * c_i,
+    (1 - d/dx) F = e^((x - 1) * u) = sum_n Q_n(x) * t^n / n!,
 
-so ``pdb_row(n)`` holds the coefficients of ``sum_i c_i * s^i`` at
-``s = t - 1``.  The ``c_i`` follow from Stirling row ``n`` alone, top down:
-``c_n = 1`` and ``c_i = S(n, i) + (i + 1) * c_(i+1)``.  The shift is ``n``
-prefix sums, done in C by ``accumulate``: O(n^2) big-integer additions and
-no big-integer products, and no rencontres column is built.
+where ``Q_n(x) = sum_k S(n, k) * (x - 1)^k`` is the Touchard polynomial at
+``x - 1``.  Since ``d/dt e^(y * u) = y * (1 + u) * e^(y * u)``, these rows
+obey ``Q_(n+1) = (x - 1) * (Q_n + Q_n')``, and ``P_n`` is read off ``Q_n``
+by ``(1 - d/dx)^-1``: with ``q_m`` the coefficient of ``x^m`` in ``Q_n``,
+``w(n, m) = q_m + (m + 1) * w(n, m + 1)`` from the top down.  (Together,
+``(1 - d/dx) P_(n+1) = (x - 1) * (P_n - P_n'')``.)
+``pdb_rows`` carries ``Q_n`` from ``Q_0 = 1``: O(n) small-by-big products
+and additions per row.  Like ``stirling2_rows``, which runs the triangle
+recurrence, it keeps only the row before and grows no memo, so a whole
+table costs memory for one row.
 
 Conventions:
 
@@ -65,13 +74,14 @@ from __future__ import annotations
 import math
 import threading
 from functools import partial
-from itertools import accumulate, islice, repeat
-from operator import add, mul, neg
-from typing import Any, Callable
+from itertools import accumulate, count, repeat
+from operator import add, mul, sub
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "stirling2",
     "stirling2_row",
+    "stirling2_rows",
     "r_stirling2",
     "derangement",
     "partial_derangement",
@@ -87,6 +97,7 @@ __all__ = [
     "deranged_bell",
     "pdb_number",
     "pdb_row",
+    "pdb_rows",
 ]
 
 
@@ -114,10 +125,21 @@ class _Memo:
         return rows
 
 
-def _triangle_row(r: int, rows: list[list[int]], i: int) -> list[int]:
-    # T(m, j) = T(m-1, j-1) + j*T(m-1, j) for row m = r + i, j = r..m.
-    prev = rows[i - 1]
-    return list(map(add, [0, *prev], map(mul, range(r, r + i + 1), [*prev, 0])))
+def _triangle_row(r: int, prev: list[int]) -> list[int]:
+    # T(m, j) = T(m-1, j-1) + j*T(m-1, j) for the row m after prev, j = r..m.
+    return list(map(add, [0, *prev], map(mul, count(r), [*prev, 0])))
+
+
+def _rows(
+    max_n: int, step: Callable[[list[int]], list[int]], read: Callable[[list[int]], list[int]]
+) -> Iterator[list[int]]:
+    """read(s_n) for n = 0..max_n, from s_0 = [1] by s_(n+1) = step(s_n), only
+    the state before kept; read makes a new list, which the caller may change."""
+    state = [1]
+    for _ in range(max_n):
+        yield read(state)
+        state = step(state)
+    yield read(state)
 
 
 _triangles: dict[int, _Memo] = {}
@@ -129,7 +151,7 @@ def _row(r: int, m: int) -> list[int]:
     if memo is None:
         # setdefault is one atomic dict operation: racing callers all get
         # the memo that was stored first.
-        memo = _triangles.setdefault(r, _Memo(partial(_triangle_row, r), [1]))
+        memo = _triangles.setdefault(r, _Memo(lambda rows, _: _triangle_row(r, rows[-1]), [1]))
     return memo.upto(m - r)[m - r]
 
 
@@ -143,6 +165,14 @@ def stirling2_row(n: int) -> list[int]:
     """Row [stirling2(n, 0), ..., stirling2(n, n)], as a fresh list."""
     _require_nonnegative(n=n)
     return list(_row(0, n))
+
+
+def stirling2_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows stirling2_row(0), ..., stirling2_row(max_n) in turn, each a fresh
+    list, by the triangle recurrence with only the row before kept: unlike
+    stirling2_row, they grow no memo."""
+    _require_nonnegative(max_n=max_n)
+    return _rows(max_n, partial(_triangle_row, 0), list.copy)
 
 
 def r_stirling2(m: int, j: int, r: int) -> int:
@@ -214,7 +244,28 @@ def complementary_r_bell(n: int, r: int) -> int:
     return sum(math.comb(n, k) * r**k * comp[n - k] for k in range(n + 1))
 
 
-_ordered_bells = _Memo(lambda _, m: sum(map(mul, _row(0, m), _factorials.upto(m))), 1)
+def _ordered_bell_step() -> Callable[[list[int], int], int]:
+    """The ordered Bell memo's step, a(m) = sum_{k >= 1} C(m, k) * a(m - k).
+
+    Pascal row m is rolled from row m - 1, kept from the call before; a row
+    of another length (a memo started afresh with this step) is built anew.
+    Each call rolls its own snapshot, so the kept row is always a whole one.
+    """
+    pascal = [1]
+
+    def step(a: list[int], m: int) -> int:
+        nonlocal pascal
+        prev = pascal
+        if len(prev) != m:
+            prev = [math.comb(m - 1, k) for k in range(m)]
+        pascal = row = list(map(add, [0, *prev], [*prev, 0]))
+        # sum_j C(m, j) * a(j) over j < m: map stops at the end of a.
+        return sum(map(mul, row, a))
+
+    return step
+
+
+_ordered_bells = _Memo(_ordered_bell_step(), 1)
 
 
 def ordered_bell(n: int) -> int:
@@ -298,24 +349,38 @@ def pdb_number(n: int, r: int) -> int:
 def pdb_row(n: int) -> list[int]:
     """Row [pdb_number(n, 0), ..., pdb_number(n, n)]; sums to ordered_bell(n).
 
-    With c_i = truncated_ordered_bell(n, i) / i!, an integer, the row is
-    w(n, r) = sum_{i >= r} (-1)^(i - r) * C(i, r) * c_i: the coefficients of
-    sum_i c_i * s^i shifted to s = t - 1.  The c_i come from the top down in
-    one pass over Stirling row n: c_n = 1 and c_i = S(n, i) + (i + 1) * c_(i+1).
-    Stored high degree first with alternating signs, y[n - i] = (-1)^i * c_i,
-    each of the n passes of the Taylor shift is a prefix sum, and after them
-    y[n - r] = (-1)^r * w(n, r).  So the row costs O(n^2) additions and no
-    products of two big integers.
+    The last row of ``pdb_rows(n)``, read off ``Q_n`` alone: O(n^2)
+    small-by-big operations in all, with no Stirling row read.
     """
     _require_nonnegative(n=n)
-    row = _row(0, n)
-    y = [0] * (n + 1)
-    c = 0
-    for i in range(n, -1, -1):
-        c = row[i] + (i + 1) * c
-        y[n - i] = -c if i & 1 else c
-    for m in range(n + 1, 1, -1):
-        y[:m] = accumulate(islice(y, m))
-    y.reverse()
-    y[1::2] = map(neg, y[1::2])
-    return y
+    q = [1]
+    for _ in range(n):
+        q = _next_touchard_row(q)
+    return _pdb_row_of(q)
+
+
+def pdb_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows pdb_row(0), ..., pdb_row(max_n) in turn, each a fresh list.
+
+    The coefficients q = (q_0..q_n) of Q_n = (1 - d/dx) P_n (see the module
+    docstring) become those of Q_(n+1) in two passes: g_j = q_j + (j + 1) *
+    q_(j+1), then g_(j-1) - g_j for j = 0..n + 1, with g_(-1) = g_(n+1) = 0.
+    Each row is read off its q from the top down: w(n, m) = q_m + (m + 1) *
+    w(n, m + 1), from w(n, n + 1) = 0.  Only the q before is kept.
+    """
+    _require_nonnegative(max_n=max_n)
+    return _rows(max_n, _next_touchard_row, _pdb_row_of)
+
+
+def _next_touchard_row(q: list[int]) -> list[int]:
+    g = list(map(add, q, map(mul, count(1), [*q[1:], 0])))
+    return list(map(sub, [0, *g], [*g, 0]))
+
+
+def _pdb_row_of(q: list[int]) -> list[int]:
+    w = q.copy()
+    acc = 0
+    for m in range(len(w) - 1, -1, -1):
+        acc = w[m] + (m + 1) * acc
+        w[m] = acc
+    return w

@@ -105,12 +105,30 @@ def test_table_resource_cap(capsys):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("family", ["pdb", "stirling2"])
+def test_table_reads_rows_in_turn(capsys, monkeypatch, family):
+    # A whole table reads the family's row stream, looked up when the table
+    # runs; a single row reads the row kernel.
+    expected = run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1]
+    row_out = run_cli(capsys, "table", family, "--n", "7")[1]
+    stream, kernel = f"{family}_rows", f"{family}_row"
+    rows, row = getattr(seq, stream), getattr(seq, kernel)
+    calls = []
+    monkeypatch.setattr(seq, stream, lambda max_n: calls.append(max_n) or rows(max_n))
+    monkeypatch.setattr(seq, kernel, lambda n: pytest.fail(f"whole table read {kernel}"))
+    assert run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1] == expected
+    assert calls == [7]
+    monkeypatch.setattr(seq, stream, lambda max_n: pytest.fail(f"row read {stream}"))
+    monkeypatch.setattr(seq, kernel, row)
+    assert run_cli(capsys, "table", family, "--n", "7")[1] == row_out
+
+
 def test_cap_refusal_does_not_create_out_file(capsys, tmp_path):
     target = tmp_path / "table.txt"
-    code, out, err = run_cli(capsys, "table", "pdb", "--max-n", "451", "--out", str(target))
+    code, out, err = run_cli(capsys, "table", "pdb", "--max-n", "1001", "--out", str(target))
     assert code == 3
     assert out == ""
-    assert err.startswith("resource cap: table pdb --max-n is limited to 450;")
+    assert err.startswith("resource cap: table pdb --max-n is limited to 1000;")
     assert not target.exists()
 
 
@@ -118,7 +136,10 @@ def test_cap_refusal_does_not_create_out_file(capsys, tmp_path):
 def test_table_family_caps(capsys, monkeypatch, family):
     spec = cli._TABLES[family]
     table_cap, row_cap = spec.flags["--max-n"][0], spec.row["--n"][0]
-    assert table_cap < row_cap <= MAX_TABLE_N
+    # pdb rows stream one from the other, so a whole table fits the budget
+    # up to the row cap.
+    assert table_cap == row_cap if family == "pdb" else table_cap < row_cap
+    assert row_cap <= MAX_TABLE_N
     computed = []
     monkeypatch.setattr(cli, "_table_rows", lambda cfg: computed.append(cfg) or [])
     for flag, cap in (("--max-n", table_cap), ("--n", row_cap)):
@@ -129,7 +150,7 @@ def test_table_family_caps(capsys, monkeypatch, family):
         assert "60 s" in err
         assert computed == []  # refused before any work
     # The whole-table cap does not apply to a single row.
-    for flag, n in (("--max-n", table_cap), ("--n", table_cap + 1), ("--n", row_cap)):
+    for flag, n in (("--max-n", table_cap), ("--n", min(table_cap + 1, row_cap)), ("--n", row_cap)):
         code, _, _ = run_cli(capsys, "table", family, flag, str(n))
         assert code == 0
     assert len(computed) == 3
@@ -562,6 +583,7 @@ def test_empty_table_prints_canonical_empty_results(capsys, monkeypatch):
 def test_table_cells_needing_quotes_match_generic_encoders(capsys, monkeypatch):
     odd = ['a,"b', "c\nd", "e\rf", 'g"', "h,", "é"]
     monkeypatch.setattr(seq, "stirling2_row", lambda n: [n, *odd[: n + 1]])
+    monkeypatch.setattr(seq, "stirling2_rows", lambda m: map(seq.stirling2_row, range(m + 1)))
     monkeypatch.setattr(seq, "bell", lambda n: odd[n])
     for family, max_n in (("stirling2", 5), ("bell", 5)):
         rows = [(n, cli._TABLES[family].kernel(None, n)) for n in range(max_n + 1)]

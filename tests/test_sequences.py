@@ -7,7 +7,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdbell import sequences as seq
+from pdbell import oracle, sequences as seq
 
 small_n = st.integers(min_value=0, max_value=18)
 small_k = st.integers(min_value=0, max_value=18)
@@ -225,8 +225,8 @@ def test_pdb_kernels_do_not_depend_on_query_order(monkeypatch):
 
 @pytest.mark.parametrize("n", [150, 300, 450])
 def test_pdb_row_shift_matches_cell_dot_products_at_cap_sizes(n):
-    # The row is a Taylor shift of c_i = truncated_ordered_bell(n, i) / i!,
-    # the cell a dot product with a rencontres column: two derivations.
+    # The row comes from the row before by the EGF's row recurrence, the
+    # cell is a dot product with a rencontres column: two derivations.
     assert seq.pdb_row(n) == [seq.pdb_number(n, r) for r in range(n + 1)]
 
 
@@ -250,6 +250,60 @@ def test_pdb_row_grows_no_rencontres_memo(monkeypatch):
     assert seq.pdb_row(60) == [pdb_by_definition(60, r) for r in range(61)]
     assert [seq.pdb_number(60, r) for r in range(61)] == seq.pdb_row(60)
     assert set(seq._triangles) == {0}
+
+
+def test_pdb_row_reads_no_triangle(monkeypatch):
+    monkeypatch.setattr(seq, "_triangles", {})
+    row = seq.pdb_row(200)
+    assert seq._triangles == {}
+    assert sum(row) == seq.truncated_ordered_bell(200, 0)
+
+
+def test_pdb_rows_yield_every_row_in_turn():
+    rows = list(seq.pdb_rows(60))
+    assert len(rows) == 61
+    assert all(row == seq.pdb_row(n) for n, row in enumerate(rows))
+    assert list(seq.pdb_rows(0)) == [[1]]
+
+
+@pytest.mark.parametrize(
+    "rows, cell",
+    [(seq.pdb_rows, pdb_by_definition), (seq.stirling2_rows, seq.stirling2)],
+)
+def test_row_streams_hand_out_fresh_lists(rows, cell):
+    # Changing a row as it is handed out leaves the rows after it intact.
+    for n, row in enumerate(rows(12)):
+        assert row == [cell(n, k) for k in range(n + 1)], n
+        row[:] = [-1] * len(row)
+
+
+def test_stirling2_rows_grow_no_memo(monkeypatch):
+    monkeypatch.setattr(seq, "_triangles", {})
+    rows = list(seq.stirling2_rows(40))
+    assert seq._triangles == {}
+    assert rows == [seq.stirling2_row(n) for n in range(41)]
+    assert list(seq.stirling2_rows(0)) == [[1]]
+
+
+def test_pdb_rows_match_enumeration_to_8():
+    for n, row in enumerate(seq.pdb_rows(8)):
+        assert row == oracle.brute_pdb_row(n), n
+
+
+def test_ordered_bell_memo_matches_truncated_dot_product_to_300():
+    # The memo's binomial recurrence against Stirling row n times 0!..n!.
+    for n in range(301):
+        assert seq.ordered_bell(n) == seq.truncated_ordered_bell(n, 0), n
+
+
+def test_ordered_bell_memos_sharing_one_step():
+    # Two memos grown in turn by one step: each call rolls the Pascal row it
+    # finds only if the row fits its own memo.
+    step = seq._ordered_bell_step()
+    first, second = seq._Memo(step, 1), seq._Memo(step, 1)
+    for n in (5, 3, 9, 12, 10, 40):
+        assert first.upto(n)[n] == seq.truncated_ordered_bell(n, 0), n
+        assert second.upto(n + 2)[n + 2] == seq.truncated_ordered_bell(n + 2, 0), n
 
 
 def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
@@ -379,6 +433,8 @@ def test_truncated_ordered_bell_partial_sum(n, r):
         lambda: seq.truncated_ordered_bell_row(-1),
         lambda: seq.r_ordered_bell_row(-1, 0),
         lambda: seq.r_ordered_bell_row(0, -1),
+        lambda: seq.pdb_rows(-1),
+        lambda: seq.stirling2_rows(-1),
     ],
 )
 def test_negative_arguments_raise(call):

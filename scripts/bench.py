@@ -74,9 +74,9 @@ CASES: dict[str, tuple[str, str, str]] = {
         "for n in range(301):\n    seq.pdb_row(n)",
     ),
     "pdb_rows_to_450": (
-        "pdb rows 0..450 in turn: pdb_rows(450), or pdb_row(n) per n in a tree without it",
-        "rows = getattr(seq, 'pdb_rows', None)",
-        "for row in rows(450) if rows else map(seq.pdb_row, range(451)):\n    pass",
+        "pdb rows 0..450 in turn, pdb_rows(450)",
+        "",
+        "for row in seq.pdb_rows(450):\n    pass",
     ),
     "pdb_poly_to_120": (
         "pdb_poly(n, r) for n = 0..120, r = 0..n",
@@ -183,15 +183,18 @@ CASES["check_thm_2_10_b_tol_1e-100"] = (
     "checks.check('thm_2_10_b', checks.SuiteConfig(tolerance=Fraction(1, 10**100)))",
 )
 # Jobs through the command line, each a process of its own whose CPU time and
-# peak RSS are the sample's: whole tables (kernels, rendering and writing),
-# start-up alone (``--help``), and an egf job of the benchmark's series
-# workload, most of whose cost is start-up.
+# peak RSS are the sample's: whole tables and single rows (kernels, rendering
+# and writing), start-up alone (``--help``), and an egf job of the benchmark's
+# series workload, most of whose cost is start-up.
 PROCESS_CASES = {
     "table_pdb_n180_json": "table pdb --max-n 180 --format json",
     "table_pdb_n450_csv": "table pdb --max-n 450 --format csv",
     "table_stirling2_n300_csv": "table stirling2 --max-n 300 --format csv",
+    "table_stirling2_n1000_row": "table stirling2 --n 1000 --format csv",
+    "table_pdb_n1000_row": "table pdb --n 1000 --format csv",
     "table_r_ordered_bell_n200_max_r400": "table r_ordered_bell --n 200 --max-r 400",
     "table_r_ordered_bell_n500_max_r1000": "table r_ordered_bell --n 500 --max-r 1000",
+    "table_r_ordered_bell_n1000_max_r1000": "table r_ordered_bell --n 1000 --max-r 1000",
     "startup_table_help": "table --help",
     "egf_deranged_bell_256_cli": "egf deranged_bell --order 256",
 }

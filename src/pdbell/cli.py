@@ -27,6 +27,7 @@ from collections import Counter
 from contextlib import nullcontext
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -53,13 +54,13 @@ MAX_ORDER = 256
 # runs or of the three formats), with tables written row by row and text
 # rows cell by cell:
 #   pdb       --max-n 1000: 17.0-20.2 s, 18-27 MB, mostly str(int)
-#             --n 1000:     0.6-0.9 s, 18-21 MB
+#             --n 1000:     0.8-1.2 s, 18-22 MB, reading every row before n
 #   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
 #             --n 550:     4.9-5.5 s, 293 MB  (--n 600: 7.1 s, 377 MB)
 #   truncated_ordered_bell --max-n 800: 15.0-20.6 s, 118-128 MB
 #                          (--max-n 900: 28.8-33.0 s, 162-175 MB), mostly str(int)
-#   r_ordered_bell --n 1000 --max-r 1000: 0.9 s, 214-223 MB
-#                  --max-n 1000 --r 1000: 12.3-16.1 s, 214 MB
+#   r_ordered_bell --n 1000 --max-r 1000: 1.2-2.3 s, 17-26 MB
+#                  --max-n 1000 --r 1000: 10.5-16.1 s, 18 MB
 # For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
 
@@ -154,14 +155,13 @@ Cap = tuple[int, str]
 class Spec(NamedTuple):
     """The flags one command or family reads besides --format and --out, each
     mapped to its cap or None; ``row``, those of a table's single-row mode;
-    the kernel giving a table family's cells at n or an egf series; and
-    ``rows``, for a family whose row n comes cheaper from row n - 1 than
-    alone, the cells of a whole table for n = 0..max_n in turn."""
+    and the kernel: for a table family, ``kernel(cfg, ns)`` yields the cells
+    of each n of ``ns`` in turn (``ns`` is 0..max_n, or the one n of --n);
+    for an egf family, ``kernel(cfg)`` is the series."""
 
     flags: dict[str, Cap | None]
     kernel: Callable[..., Any] | None = None
     row: dict[str, Cap | None] | None = None
-    rows: Callable[[RunConfig], Iterable[Any]] | None = None
 
 
 _TABLE_N: Cap = (MAX_TABLE_N, "the soft limit on table sizes")
@@ -177,44 +177,45 @@ _ROW: dict[str, Cap | None] = {"--n": _TABLE_N}
 # The lambdas look the kernels up at call time, so a wrapper installed on a
 # module after import (a profiler or tracer) sees the calls.
 _TABLES: dict[str, Spec] = {
-    "stirling2": Spec(
-        _WHOLE, lambda c, n: seq.stirling2_row(n), _ROW, lambda c: seq.stirling2_rows(c.max_n)
-    ),
+    "stirling2": Spec(_WHOLE, lambda c, ns: islice(seq.stirling2_rows(ns[-1]), ns[0], None), _ROW),
     "r_stirling2": Spec(
-        _WHOLE_R, lambda c, n: [seq.r_stirling2(n, k, c.r or 0) for k in range(n + 1)]
+        _WHOLE_R,
+        lambda c, ns: ([seq.r_stirling2(n, k, c.r or 0) for k in range(n + 1)] for n in ns),
     ),
-    "derangement": Spec(_WHOLE, lambda c, n: seq.derangement(n)),
+    "derangement": Spec(_WHOLE, lambda c, ns: map(seq.derangement, ns)),
     "partial_derangement": Spec(
-        _WHOLE, lambda c, n: [seq.partial_derangement(n, r) for r in range(n + 1)], _ROW
+        _WHOLE,
+        lambda c, ns: ([seq.partial_derangement(n, r) for r in range(n + 1)] for n in ns),
+        _ROW,
     ),
-    "bell": Spec(_WHOLE, lambda c, n: seq.bell(n)),
-    "complementary_bell": Spec(_WHOLE, lambda c, n: seq.complementary_bell(n)),
-    "ordered_bell": Spec(_WHOLE, lambda c, n: seq.ordered_bell(n)),
+    "bell": Spec(_WHOLE, lambda c, ns: map(seq.bell, ns)),
+    "complementary_bell": Spec(_WHOLE, lambda c, ns: map(seq.complementary_bell, ns)),
+    "ordered_bell": Spec(_WHOLE, lambda c, ns: map(seq.ordered_bell, ns)),
     "r_ordered_bell": Spec(
         {"--max-n": _TABLE_N, "--r": (1000, _MEASURED)},
-        lambda c, n: (
+        lambda c, ns: (
             seq.r_ordered_bell(n, c.r or 0) if c.n is None else seq.r_ordered_bell_row(n, c.max_r)
+            for n in ns
         ),
         {"--n": _TABLE_N, "--max-r": (1000, _MEASURED)},
     ),
     "truncated_ordered_bell": Spec(
-        {"--max-n": (800, _MEASURED)}, lambda c, n: seq.truncated_ordered_bell_row(n), _ROW
+        {"--max-n": (800, _MEASURED)}, lambda c, ns: map(seq.truncated_ordered_bell_row, ns), _ROW
     ),
-    "deranged_bell": Spec(_WHOLE, lambda c, n: seq.deranged_bell(n)),
+    "deranged_bell": Spec(_WHOLE, lambda c, ns: map(seq.deranged_bell, ns)),
     "pdb": Spec(
         {"--max-n": (MAX_TABLE_N, _MEASURED)},
-        lambda c, n: seq.pdb_row(n),
+        lambda c, ns: islice(seq.pdb_rows(ns[-1]), ns[0], None),
         {"--n": (MAX_TABLE_N, _MEASURED)},
-        lambda c: seq.pdb_rows(c.max_n),
     ),
     "pdb_poly": Spec(
         {"--max-n": (180, _MEASURED)},
-        lambda c, n: [str(poly.pdb_poly(n, r)) for r in range(n + 1)],
+        lambda c, ns: ([str(poly.pdb_poly(n, r)) for r in range(n + 1)] for n in ns),
         {"--n": (550, _MEASURED)},
     ),
-    "bernoulli": Spec(_WHOLE, lambda c, n: bernoulli_number(n)),
+    "bernoulli": Spec(_WHOLE, lambda c, ns: map(bernoulli_number, ns)),
     "higher_bernoulli": Spec(
-        _WHOLE_R, lambda c, n: higher_bernoulli(n, 1 if c.r is None else c.r)
+        _WHOLE_R, lambda c, ns: map(higher_bernoulli, ns, repeat(1 if c.r is None else c.r))
     ),
 }
 
@@ -269,12 +270,10 @@ def _over_cap(cfg: RunConfig, declared: dict[str, Cap | None]) -> str | None:
 
 
 def _table_rows(cfg: RunConfig) -> Iterator[tuple[int, object]]:
-    """One (n, cells) row per n the invocation asks for."""
-    spec = _TABLES[cfg.family or ""]
-    if cfg.n is None and spec.rows is not None:
-        return enumerate(spec.rows(cfg))
+    """One (n, cells) row per n the invocation asks for; a kernel that yields
+    too few or too many rows raises ValueError."""
     ns = range(cfg.max_n + 1) if cfg.n is None else (cfg.n,)
-    return ((n, spec.kernel(cfg, n)) for n in ns)
+    return zip(ns, _TABLES[cfg.family or ""].kernel(cfg, ns), strict=True)
 
 
 def _json_chunks(cfg: RunConfig) -> Iterator[str]:

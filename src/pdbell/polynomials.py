@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat, starmap, zip_longest
+from itertools import accumulate, repeat, starmap, zip_longest
 from operator import add, mul, neg, sub
 from typing import Iterable, Union
 
@@ -194,8 +194,7 @@ def r_exponential_poly(n: int, r: int) -> IntPolynomial:
     """
     if n < 0 or r < 0:
         raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
-    # Entries j = r..n + r of the triangle row are the coefficients k = 0..n.
-    return IntPolynomial(seq._row(r, n + r))
+    return IntPolynomial([seq.r_stirling2(n + r, k + r, r) for k in range(n + 1)])
 
 
 @lru_cache(maxsize=4096)
@@ -203,7 +202,8 @@ def geometric_poly(n: int) -> IntPolynomial:
     """Ordered partition polynomial: coefficient of y**k is stirling2(n, k)*k!."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return IntPolynomial(map(mul, seq.stirling2_row(n), seq._factorials.upto(n)))
+    factorials = accumulate(range(1, n + 1), mul, initial=1)
+    return IntPolynomial(map(mul, seq.stirling2_row(n), factorials))
 
 
 @lru_cache(maxsize=4096)

@@ -14,8 +14,7 @@ changes.  The tables are:
 
 * ``_triangles[r]``: the Stirling triangle for ``r`` (the ordinary one is
   ``r = 0``), made on first use; entry ``i`` is the whole row ``m = r + i``,
-  ``j = r..m``.  Only ``r_stirling2`` and ``r_exponential_poly`` read a
-  triangle for ``r > 0``.
+  ``j = r..m``.  Only ``r_stirling2`` reads a triangle for ``r > 0``.
 * ``_derangements``: D(0), D(1), ... .
 * ``_comp_bell``: the alternating Bell numbers.
 * ``_ordered_bells``: the ordered Bell numbers.
@@ -297,10 +296,10 @@ def r_ordered_bell_row(n: int, max_r: int) -> list[int]:
     r_ordered_bell(n, r + 1) = 2 * r_ordered_bell(n, r) - r^n, which follows
     from F_(r+1) = e^t * F_r for the EGFs F_r in n: one power and one
     subtraction per cell, where ``r_ordered_bell`` is a sum of n + 1 terms.
-    The first cell, ordered_bell(n), is read as one dot product, so the row
-    does not grow the memo of every ordered Bell number up to n."""
+    The first cell is read off the ordered Bell memo, which keeps one int
+    per n and reads no Stirling triangle."""
     _require_nonnegative(n=n, max_r=max_r)
-    first = truncated_ordered_bell(n, 0)
+    first = ordered_bell(n)
     return list(accumulate(range(max_r), lambda v, r: 2 * v - r**n, initial=first))
 
 

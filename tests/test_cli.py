@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -107,20 +108,47 @@ def test_table_resource_cap(capsys):
 
 @pytest.mark.parametrize("family", ["pdb", "stirling2"])
 def test_table_reads_rows_in_turn(capsys, monkeypatch, family):
-    # A whole table reads the family's row stream, looked up when the table
-    # runs; a single row reads the row kernel.
+    # A whole table and a single row both read the family's row stream, once,
+    # up to the n asked for and looked up when the table runs; neither reads
+    # the per-n row kernel of either family.
     expected = run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1]
-    row_out = run_cli(capsys, "table", family, "--n", "7")[1]
-    stream, kernel = f"{family}_rows", f"{family}_row"
-    rows, row = getattr(seq, stream), getattr(seq, kernel)
+    row_out = run_cli(capsys, "table", family, "--n", "5")[1]
+    stream = f"{family}_rows"
+    rows = getattr(seq, stream)
     calls = []
     monkeypatch.setattr(seq, stream, lambda max_n: calls.append(max_n) or rows(max_n))
-    monkeypatch.setattr(seq, kernel, lambda n: pytest.fail(f"whole table read {kernel}"))
+    for kernel in ("pdb_row", "stirling2_row"):
+        monkeypatch.setattr(seq, kernel, lambda n, kernel=kernel: pytest.fail(f"read {kernel}"))
     assert run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1] == expected
     assert calls == [7]
-    monkeypatch.setattr(seq, stream, lambda max_n: pytest.fail(f"row read {stream}"))
-    monkeypatch.setattr(seq, kernel, row)
-    assert run_cli(capsys, "table", family, "--n", "7")[1] == row_out
+    assert run_cli(capsys, "table", family, "--n", "5")[1] == row_out
+    assert calls == [7, 5]
+
+
+@pytest.mark.parametrize("family", ["pdb", "stirling2"])
+@pytest.mark.parametrize("n", [0, 7, 60])
+def test_table_row_is_that_row_of_the_whole_table(capsys, family, n):
+    whole = run_cli(capsys, "table", family, "--max-n", str(n), "--format", "csv")[1]
+    head, *lines = whole.splitlines(keepends=True)
+    last = [line for line in lines if line.startswith(f"{family},{n},")]
+    assert len(last) == n + 1
+    row = run_cli(capsys, "table", family, "--n", str(n), "--format", "csv")[1]
+    assert row == head + "".join(last)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("flag", ["--max-n", "--n"])
+def test_table_kernel_short_of_rows_raises(capsys, monkeypatch, fmt, flag):
+    # A row stream that ends early fails the run instead of ending the table
+    # short: what was written before is a part of the table, never a whole.
+    argv = ["table", "pdb", flag, "5", "--format", fmt]
+    whole = run_cli(capsys, *argv)[1]
+    rows = seq.pdb_rows
+    monkeypatch.setattr(seq, "pdb_rows", lambda max_n: islice(rows(max_n), max_n))
+    with pytest.raises(ValueError, match="shorter"):
+        main(argv)
+    out = capsys.readouterr().out
+    assert whole.startswith(out) and len(out) < len(whole)
 
 
 def test_cap_refusal_does_not_create_out_file(capsys, tmp_path):
@@ -586,7 +614,8 @@ def test_table_cells_needing_quotes_match_generic_encoders(capsys, monkeypatch):
     monkeypatch.setattr(seq, "stirling2_rows", lambda m: map(seq.stirling2_row, range(m + 1)))
     monkeypatch.setattr(seq, "bell", lambda n: odd[n])
     for family, max_n in (("stirling2", 5), ("bell", 5)):
-        rows = [(n, cli._TABLES[family].kernel(None, n)) for n in range(max_n + 1)]
+        ns = range(max_n + 1)
+        rows = list(zip(ns, cli._TABLES[family].kernel(None, ns), strict=True))
         argv = ["table", family, "--max-n", str(max_n)]
         code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0

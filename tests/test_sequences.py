@@ -320,10 +320,17 @@ def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 60, 200])
 def test_r_ordered_bell_row_matches_cell_kernel(n):
-    # The row runs the shift recurrence from one dot product; each cell is a
-    # binomial sum over the ordered Bell memo.
+    # The row runs the shift recurrence from the ordered Bell memo; each cell
+    # is a binomial sum over that memo.
     assert seq.r_ordered_bell_row(n, 400) == [seq.r_ordered_bell(n, r) for r in range(401)]
     assert seq.r_ordered_bell_row(n, 0) == [seq.ordered_bell(n)]
+
+
+def test_r_ordered_bell_row_reads_no_triangle(monkeypatch):
+    monkeypatch.setattr(seq, "_triangles", {})
+    row = seq.r_ordered_bell_row(200, 3)
+    assert seq._triangles == {}
+    assert row == [seq.r_ordered_bell(200, r) for r in range(4)]
 
 
 def test_row_accessors_return_copies():

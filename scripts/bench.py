@@ -140,8 +140,9 @@ CASES: dict[str, tuple[str, str, str]] = {
     ),
 }
 # The costliest checks, cold: grids, kernels, polynomial arithmetic and,
-# for oracle_all, enumeration.  The regrouped prop_3_6_* and the row-reading
-# cor_3_5_a and cor_3_11 are also timed on wider grids.
+# for oracle_all, enumeration.  The regrouped prop_3_6_*, the row- and
+# column-reading thm_2_9, cor_3_5_a, cor_3_5_b and cor_3_11, and
+# r_ordered_bell_geometric are also timed on wider grids.
 CASES.update(
     (
         f"check_{check_id}_n{n}",
@@ -159,8 +160,11 @@ CASES.update(
         ),
         ("prop_3_6_a", 60),
         ("prop_3_6_b", 60),
+        ("thm_2_9", 40),
         ("cor_3_5_a", 40),
+        ("cor_3_5_b", 40),
         ("cor_3_11", 40),
+        ("r_ordered_bell_geometric", 40),
     ]
 )
 # The whole suite, cold, as the grid widens; max_n = 32 is the size the

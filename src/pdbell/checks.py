@@ -140,15 +140,7 @@ class SuiteConfig(_SuiteBounds):
         return cls(*iterable)
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "max_n": self.max_n,
-            "max_r": self.max_r,
-            "max_m": self.max_m,
-            "oracle_cap": self.oracle_cap,
-            "series_order": self.series_order,
-            "tolerance": str(self.tolerance),
-            "wilf_bound": self.wilf_bound,
-        }
+        return {**self._asdict(), "tolerance": str(self.tolerance)}
 
 
 class CheckReport(NamedTuple):
@@ -375,13 +367,6 @@ def approx_e(eps: Fraction) -> Fraction:
             return total
 
 
-def _scaled(weights: list[Fraction]) -> tuple[int, list[int]]:
-    """The lcm L of the weights' denominators, and the integers L*w."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    scale = math.lcm(*(d for _, d in ratios))
-    return scale, [p * (scale // d) for p, d in ratios]
-
-
 def _dec_str(x: Fraction, places: int = 40) -> str:
     """Exact fixed-point decimal rendering of a rational, sign included."""
     sign = "-" if x < 0 else ""
@@ -404,11 +389,12 @@ def _tol_str(x: Fraction) -> str:
 # ----------------------------------------------------------------------
 # per-run tables
 #
-# What a check reads at many grid points (kernel rows, the regrouped
-# polynomials of prop_3_6_*, the series of egf_all) is made once and kept
-# here.  check() empties the tables before every run, so each run reads the
-# kernels afresh and a kernel replaced between two runs is seen by the
-# second.
+# What a check reads at many grid points (kernel rows and columns, scaled
+# Bernoulli weights, the regrouped polynomials of prop_3_6_*, the series of
+# egf_all) is made once and kept here.  Every cell comes from the public
+# kernel, looked up in ``seq`` when the table grows.  check() empties the
+# tables before every run, so each run reads the kernels afresh and a kernel
+# replaced between two runs is seen by the second.
 
 _tables: dict[object, object] = {}
 
@@ -416,7 +402,8 @@ _tables: dict[object, object] = {}
 def _row(key: object, n: int, entry: Callable[[int], object]) -> list:
     """The list [entry(0), ..., entry(n)], or a longer one, grown once per run."""
     row = _tables.setdefault(key, [])
-    row.extend(map(entry, range(len(row), n + 1)))
+    if len(row) <= n:
+        row.extend(map(entry, range(len(row), n + 1)))
     return row
 
 
@@ -425,9 +412,32 @@ def _stirling_rows(n: int) -> list[list[int]]:
     return _row("stirling2_row", n, seq.stirling2_row)
 
 
-def _bernoulli_row(n: int, r: int) -> list[Fraction]:
-    """``row[i]`` is higher_bernoulli(i, r) for i <= n."""
-    return _row(("higher_bernoulli", r), n, lambda i: higher_bernoulli(i, r))
+def _kernel_row(name: str, n: int) -> list[int]:
+    """``row[i]`` is seq.<name>(i) for i <= n."""
+    return _row(name, n, getattr(seq, name))
+
+
+def _column(name: str, n: int, r: int) -> list[int]:
+    """``col[j]`` is seq.<name>(j, r) for j <= n."""
+    return _row((name, r), n, lambda j: getattr(seq, name)(j, r))
+
+
+def _fixed_n_row(name: str, n: int, top: int, *rest: int) -> list[int]:
+    """``row[k]`` is seq.<name>(n, k, *rest) for k <= top."""
+    return _row((name, "n", n, *rest), top, lambda k: getattr(seq, name)(n, k, *rest))
+
+
+def _bernoulli_weights(top: int, r: int | None) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of B_0..B_top, and the integers L*B_i for
+    i = top down to 0, where B_i is higher_bernoulli(i, r), or bernoulli(i)
+    for r None.  A run keeps the (numerator, denominator) pairs of each r and
+    their prefix lcms, so L is read off, not recomputed."""
+    pairs, lcms = _tables.setdefault(("bernoulli", r), ([], [1]))
+    for i in range(len(pairs), top + 1):
+        p, d = (bernoulli_number(i) if r is None else higher_bernoulli(i, r)).as_integer_ratio()
+        pairs.append((p, d))
+        lcms.append(math.lcm(lcms[-1], d))
+    return lcms[top + 1], [p * (lcms[top + 1] // d) for p, d in pairs[top::-1]]
 
 
 # ----------------------------------------------------------------------
@@ -440,11 +450,9 @@ def _bernoulli_row(n: int, r: int) -> list[Fraction]:
     lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
 def _thm_2_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    S = _stirling_rows(n)
-    rhs = sum(
-        math.comb(n, k) * S[k][r] * seq.deranged_bell(n - k) for k in range(r, n + 1)
-    )
-    yield {}, seq.pdb_number(n, r), rhs
+    S, D = _stirling_rows(n), _kernel_row("deranged_bell", n)
+    rhs = sum(math.comb(n, k) * S[k][r] * D[n - k] for k in range(r, n + 1))
+    yield {}, _column("pdb_number", n, r)[n], rhs
 
 
 @_check(
@@ -469,11 +477,9 @@ def _thm_2_4(cfg: SuiteConfig, n: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), r=(0, f"min(n,{c.max_r})")),
 )
 def _thm_2_7(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    lhs = seq.pdb_number(n, r) - (r + 1) * seq.pdb_number(n, r + 1)
-    S = _stirling_rows(n)
-    rhs = sum(
-        math.comb(n, k) * S[k][r] * seq.complementary_bell(n - k) for k in range(r, n + 1)
-    )
+    lhs = _column("pdb_number", n, r)[n] - (r + 1) * _column("pdb_number", n, r + 1)[n]
+    S, phi = _stirling_rows(n), _kernel_row("complementary_bell", n)
+    rhs = sum(math.comb(n, k) * S[k][r] * phi[n - k] for k in range(r, n + 1))
     yield {}, lhs, rhs
 
 
@@ -528,13 +534,10 @@ def _remark_2_8_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
     lambda c: Grid(n=(1, c.max_n), r=(0, f"min(n-1,{c.max_r})")),
 )
 def _thm_2_9(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    rhs = sum(
-        math.comb(n, j)
-        * seq.ordered_bell(n - j)
-        * (seq.pdb_number(j, r) - (r + 1) * seq.pdb_number(j, r + 1))
-        for j in range(r, n)
-    )
-    yield {}, (r + 1) * seq.pdb_number(n, r + 1), rhs
+    ob = _kernel_row("ordered_bell", n)
+    w, w1 = _column("pdb_number", n, r), _column("pdb_number", n, r + 1)
+    rhs = sum(math.comb(n, j) * ob[n - j] * (w[j] - (r + 1) * w1[j]) for j in range(r, n))
+    yield {}, (r + 1) * w1[n], rhs
 
 
 # ----------------------------------------------------------------------
@@ -593,10 +596,9 @@ def _tail_a(n: int, r: int, cfg: SuiteConfig, J: int) -> Fraction | None:
     guarded again here at the cutoff.
     """
     total_tail = Fraction(0)
+    row = _fixed_n_row("r_ordered_bell", n, r + J + 1)
     for i in range(r + 1):
-        w_prev = seq.r_ordered_bell(n, i + J - 1)
-        w_last = seq.r_ordered_bell(n, i + J)
-        w_next = seq.r_ordered_bell(n, i + J + 1)
+        w_prev, w_last, w_next = row[i + J - 1 : i + J + 2]
         t_prev = Fraction(w_prev, math.factorial(J - 1))
         t_last = Fraction(w_last, math.factorial(J))
         if t_last >= t_prev or w_next > 2 * w_last or t_prev >= cfg.tolerance / 100:
@@ -622,17 +624,11 @@ def _e_error(cfg: SuiteConfig) -> Fraction:
 )
 def _thm_2_10_a(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     J = _certify(n, r, cfg, functools.partial(_tail_a, n, r, cfg))
-    lhs = _alternating(
-        r, J, lambda i, j: (-1) ** j * seq.r_ordered_bell(n, i + j), math.factorial
-    )
-    rhs = math.factorial(r) * seq.pdb_number(n, r) / approx_e(_e_error(cfg))
+    row = _fixed_n_row("r_ordered_bell", n, r + J)
+    lhs = _alternating(r, J, lambda i, j: (-1) ** j * row[i + j], math.factorial)
+    rhs = math.factorial(r) * _column("pdb_number", n, r)[n] / approx_e(_e_error(cfg))
     # Sides within the tolerance count as equal.
     yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
-
-
-def _complementary_r_bell_row(n: int, m: int) -> list[int]:
-    """``row[k]`` is complementary_r_bell(n, k) for k <= m."""
-    return _row(("complementary_r_bell", n), m, lambda k: seq.complementary_r_bell(n, k))
 
 
 def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
@@ -644,7 +640,7 @@ def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
     is re-checked against the actual term at the cutoff.
     """
     total = Fraction(0)
-    row = _complementary_r_bell_row(n, J + r)
+    row = _fixed_n_row("complementary_r_bell", n, J + r)
     for i in range(r + 1):
         base = J + i + 1
         ratio = Fraction((base + 1) ** n, 2 * base**n)
@@ -663,11 +659,11 @@ def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
     show=_dec_str,
 )
 def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    M = max(abs(seq.complementary_bell(m)) for m in range(n + 1))
+    M = max(map(abs, _kernel_row("complementary_bell", n)[: n + 1]))
     J = _certify(n, r, cfg, functools.partial(_tail_b, n, r, M))
-    row = _complementary_r_bell_row(n, J + r)
+    row = _fixed_n_row("complementary_r_bell", n, J + r)
     lhs = _alternating(r, J, lambda i, j: row[j + i], lambda j: 2 ** (j + 1))
-    rhs = Fraction(math.factorial(r) * seq.pdb_number(n, r))
+    rhs = Fraction(math.factorial(r) * _column("pdb_number", n, r)[n])
     # Sides within the tolerance count as equal.
     yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
 
@@ -708,12 +704,13 @@ def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
     """Both sides of the division-free form from the sequence kernels."""
     S = _stirling_rows(n)
     # stirling2(n-k, r) vanishes for k > n-r, and stirling2(n, j+r) for j+r > n.
-    lhs = seq.partial_derangement(j, m) * sum(
+    lhs = _column("partial_derangement", j, m)[j] * sum(
         math.comb(n, k) * S[n - k][r] * S[k][j] for k in range(j, n - r + 1)
     )
     if j + r > n:
         return lhs, 0
-    return lhs, math.comb(m + r, m) * S[n][j + r] * seq.partial_derangement(j + r, r + m)
+    d = _column("partial_derangement", j + r, r + m)[j + r]
+    return lhs, math.comb(m + r, m) * S[n][j + r] * d
 
 
 @_check(
@@ -729,7 +726,7 @@ def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
 )
 def _cor_3_2_printed(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comparisons:
     lhs, numerator = _cor_3_2_sides(n, m, r, j)
-    denom = seq.partial_derangement(j - r, r)
+    denom = _column("partial_derangement", j - r, r)[j - r]
     if denom == 0:
         yield {}, lhs, f"undefined: division by partial_derangement({j - r},{r}) = 0"
     else:
@@ -804,15 +801,11 @@ def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
     S = _stirling_rows(n)
+    d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
     i = j - r + 1
     # stirling2(n-k, r-1) vanishes for k > n-r+1.
     lhs = sum(math.comb(n, k) * S[n - k][r - 1] * S[k][i] for k in range(i, n - r + 2))
-    rhs = (
-        (-1) ** i
-        * S[n][j]
-        * (seq.partial_derangement(j, r - 1) - r * seq.partial_derangement(j, r))
-    )
-    yield {}, lhs, rhs
+    yield {}, lhs, (-1) ** i * S[n][j] * (d0[j] - r * d1[j])
 
 
 def _cor_3_5_b_sides(n: int, r: int, j: int) -> tuple[int, int]:
@@ -820,16 +813,11 @@ def _cor_3_5_b_sides(n: int, r: int, j: int) -> tuple[int, int]:
     lhs = sum(
         (-1) ** i
         * math.comb(r - 1, i)
-        * seq.r_stirling2(n + i, j - (r - 1 - i), i)
-        for i in range(r)
-        if j - (r - 1 - i) >= 0
+        * _fixed_n_row("r_stirling2", n + i, n + i, i)[j - r + i + 1]
+        for i in range(max(0, r - 1 - j), r)
     )
-    base = (
-        (-1) ** j
-        * _stirling_rows(n)[n][j]
-        * (seq.partial_derangement(j, r - 1) - r * seq.partial_derangement(j, r))
-    )
-    return lhs, base
+    d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
+    return lhs, (-1) ** j * _stirling_rows(n)[n][j] * (d0[j] - r * d1[j])
 
 
 def _cor_3_5_b_grid(cfg: SuiteConfig) -> Grid:
@@ -967,27 +955,19 @@ def _cor_3_7(cfg: SuiteConfig, n: int) -> Comparisons:
 )
 def _cor_3_8(cfg: SuiteConfig, n: int | None = None, k: int | None = None) -> Comparisons:
     if k is not None:  # part 3, on the second grid
-        conv = sum(
-            (-1) ** i * math.comb(k, i) * seq.derangement(i) * seq.derangement(k - i)
-            for i in range(k + 1)
-        )
+        d = _kernel_row("derangement", k)
+        conv = sum((-1) ** i * math.comb(k, i) * d[i] * d[k - i] for i in range(k + 1))
         yield {"part": 3}, conv, 0 if k % 2 else math.factorial(k)
         return
-    lhs = poly.weighted_sum(
-        (2 * (-1) ** r * seq.derangement(r), poly.pdb_poly(n, r)) for r in range(n + 1)
-    )
+    d = _kernel_row("derangement", n)
+    lhs = poly.weighted_sum((2 * (-1) ** r * d[r], poly.pdb_poly(n, r)) for r in range(n + 1))
     g = poly.geometric_poly(n)
     yield {"part": 1}, lhs, g + g.reflected()
     even_value = seq.ordered_bell(n) + (-1) ** n
-    at_plus = 2 * sum(
-        (-1) ** r * seq.derangement(r) * seq.pdb_number(n, r) for r in range(n + 1)
-    )
+    at_plus = 2 * sum((-1) ** r * d[r] * seq.pdb_number(n, r) for r in range(n + 1))
     yield {"part": 2, "y": 1}, at_plus, even_value
-    at_minus = 2 * sum(
-        (-1) ** r * seq.derangement(r) * poly.pdb_poly(n, r).evaluate(-1)
-        for r in range(n + 1)
-    )
-    yield {"part": 2, "y": -1}, at_minus, even_value
+    # Evaluation is linear: the part 1 sum at -1 is the weighted sum of the values at -1.
+    yield {"part": 2, "y": -1}, lhs.evaluate(-1), even_value
 
 
 @_check(
@@ -1021,14 +1001,14 @@ def _cor_3_9(cfg: SuiteConfig, n: int) -> Comparisons:
 def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Comparisons:
     ks = range(m, n + 1)
     if r is None:  # the first-order form, on the second grid
-        scale, weights = _scaled(_row("bernoulli", n, bernoulli_number)[n - m :: -1])
+        scale, weights = _bernoulli_weights(n - m, None)
         lhs = poly.weighted_sum(
             (m * math.comb(n, k) * w, poly.pdb_poly(k, m)) for k, w in zip(ks, weights)
         )
         rhs = scale * n * poly.pdb_poly(n - 1, m - 1).times_y_power(1)
         yield {"r": 1, "form": "first-order", "scale": scale}, lhs, rhs
         return
-    scale, weights = _scaled(_bernoulli_row(n, r)[n - m :: -1])
+    scale, weights = _bernoulli_weights(n - m, r)
     outer = math.comb(m + r, m)
     lhs = poly.weighted_sum(
         (outer * math.comb(n + r, k + r) * w, poly.pdb_poly(k + r, m + r))
@@ -1048,7 +1028,7 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
 )
 def _cor_3_11(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
     S = _stirling_rows(n + r)
-    scale, weights = _scaled(_bernoulli_row(n, r)[n - j :: -1])
+    scale, weights = _bernoulli_weights(n - j, r)
     lhs = math.comb(j + r, r) * sum(
         math.comb(n + r, k + r) * S[k + r][j + r] * w for k, w in zip(range(j, n + 1), weights)
     )
@@ -1212,10 +1192,9 @@ def _eq_15(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
 def _r_ordered_bell_geometric(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
+    powers = [(i + r) ** n for i in range(n + 1)]
     rhs = sum(
-        (-1) ** (m - i) * math.comb(m, i) * (i + r) ** n
-        for m in range(n + 1)
-        for i in range(m + 1)
+        (-1) ** (m - i) * math.comb(m, i) * powers[i] for m in range(n + 1) for i in range(m + 1)
     )
     yield {}, seq.r_ordered_bell(n, r), rhs
 

@@ -159,7 +159,7 @@ def weighted_sum(pairs: Iterable[tuple[int, IntPolynomial]]) -> IntPolynomial:
     """The polynomial sum of w*p over (w, p) pairs with integer weights w.
 
     The terms are accumulated in one coefficient list, so no polynomial is
-    built per term; zero weights are skipped.
+    built per term; zero weights and zero coefficients are skipped.
     """
     out: list[int] = []
     for w, p in pairs:
@@ -169,7 +169,8 @@ def weighted_sum(pairs: Iterable[tuple[int, IntPolynomial]]) -> IntPolynomial:
         if len(coeffs) > len(out):
             out.extend(repeat(0, len(coeffs) - len(out)))
         for k, c in enumerate(coeffs):
-            out[k] += w * c
+            if c:
+                out[k] += w * c
     return IntPolynomial(out)
 
 

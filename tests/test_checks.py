@@ -443,6 +443,38 @@ def test_every_check_run_reads_the_kernels_afresh(monkeypatch):
         lambda n, r: original(n, r) + (Fraction(1, 7) if (n, r) == (2, 1) else 0),
     )
     assert checks.check("cor_3_11", cfg).status is Status.FAIL
+    # The same for the sequence kernels' columns.
+    cfg = SuiteConfig(max_n=3, max_r=1)
+    assert checks.check("thm_2_9", cfg).status is Status.PASS
+    pdb_number = seq.pdb_number
+    monkeypatch.setattr(seq, "pdb_number", lambda n, r: pdb_number(n, r) + ((n, r) == (2, 0)))
+    assert checks.check("thm_2_9", cfg).status is Status.FAIL
+
+
+# ----------------------------------------------------------------------
+# kernels read from per-run rows and columns: one perturbed sequence value
+# must fail the check at the same first point as the sums that called the
+# kernel term by term did
+
+
+@pytest.mark.parametrize(
+    "check_id, kernel, at, params",
+    [
+        ("thm_2_3", "deranged_bell", (3,), {"n": 3, "r": 0}),
+        ("thm_2_7", "complementary_bell", (3,), {"n": 3, "r": 0}),
+        ("thm_2_9", "pdb_number", (2, 0), {"n": 3, "r": 0}),
+        ("thm_2_9", "ordered_bell", (2,), {"n": 2, "r": 0}),
+        ("cor_3_5_a", "partial_derangement", (3, 1), {"n": 3, "r": 1, "j": 3}),
+        ("cor_3_5_b", "r_stirling2", (5, 3, 2), {"n": 3, "r": 3, "j": 3}),
+        ("thm_2_10_a", "r_ordered_bell", (2, 1), {"n": 2, "r": 0, "J": 18}),
+    ],
+)
+def test_sequence_fault_injection(monkeypatch, check_id, kernel, at, params):
+    original = getattr(seq, kernel)
+    monkeypatch.setattr(seq, kernel, lambda *args: original(*args) + (args == at))
+    rep = checks.check(check_id, SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == list(params.items())
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,24 @@ def test_table_r_ordered_bell_r_caps(capsys, mode, flag):
     assert len(out.splitlines()) == (1002 if flag == "--max-r" else 5)
 
 
+def test_table_higher_bernoulli_r_cap(capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "_table_rows", lambda cfg: computed.append(cfg) or [])
+    cap = cli._TABLES["higher_bernoulli"].flags["--r"][0]
+    for max_n in ("3", "200"):
+        code, out, err = run_cli(
+            capsys, "table", "higher_bernoulli", "--max-n", max_n, "--r", str(cap + 1)
+        )
+        assert code == 3
+        assert out == ""
+        assert f"resource cap: table higher_bernoulli --r is limited to {cap};" in err
+        assert "60 s" in err
+    assert computed == []  # refused before any work
+    code, _, _ = run_cli(capsys, "table", "higher_bernoulli", "--max-n", "3", "--r", str(cap))
+    assert code == 0
+    assert len(computed) == 1
+
+
 def test_table_unknown_family_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "table", "no_such_family")
     assert code == 2

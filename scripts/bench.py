@@ -63,6 +63,12 @@ CASES: dict[str, tuple[str, str, str]] = {
         "",
         "for n in range(301):\n    seq.ordered_bell(n)",
     ),
+    "bell_family_to_1000": (
+        "bell, complementary_bell, deranged_bell and ordered_bell for n = 0..1000",
+        "",
+        "for n in range(1001):\n"
+        "    seq.bell(n), seq.complementary_bell(n), seq.deranged_bell(n), seq.ordered_bell(n)",
+    ),
     "r_ordered_bell_to_60_r_to_20": (
         "r_ordered_bell(n, r) for n = 0..60, r = 0..20",
         "",
@@ -196,6 +202,8 @@ PROCESS_CASES = {
     "table_stirling2_n300_csv": "table stirling2 --max-n 300 --format csv",
     "table_stirling2_n1000_row": "table stirling2 --n 1000 --format csv",
     "table_pdb_n1000_row": "table pdb --n 1000 --format csv",
+    "table_complementary_bell_n1000_csv": "table complementary_bell --max-n 1000 --format csv",
+    "table_deranged_bell_n1000_csv": "table deranged_bell --max-n 1000 --format csv",
     "table_r_ordered_bell_n200_max_r400": "table r_ordered_bell --n 200 --max-r 400",
     "table_r_ordered_bell_n500_max_r1000": "table r_ordered_bell --n 500 --max-r 1000",
     "table_r_ordered_bell_n1000_max_r1000": "table r_ordered_bell --n 1000 --max-r 1000",

@@ -462,8 +462,8 @@ def _thm_2_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _thm_2_4(cfg: SuiteConfig, n: int) -> Comparisons:
     rhs = sum(
-        Fraction((-1) ** r * seq.truncated_ordered_bell(n, r), math.factorial(r))
-        for r in range(n + 1)
+        Fraction((-1) ** r * t, math.factorial(r))
+        for r, t in enumerate(seq.truncated_ordered_bell_row(n))
     )
     yield {}, Fraction(seq.deranged_bell(n)), rhs
 

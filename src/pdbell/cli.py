@@ -27,7 +27,7 @@ from collections import Counter
 from contextlib import nullcontext
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,12 +54,12 @@ MAX_ORDER = 256
 # runs or of the three formats), with tables written row by row and text
 # rows cell by cell:
 #   pdb       --max-n 1000: 17.0-20.2 s, 18-27 MB, mostly str(int)
-#             --n 1000:     0.8-1.2 s, 18-22 MB, reading every row before n
+#             --n 1000:     0.5-0.7 s, 18-22 MB, rolling every row before n forward
 #   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
 #             --n 550:     4.9-5.5 s, 293 MB  (--n 600: 7.1 s, 377 MB)
 #   truncated_ordered_bell --max-n 800: 15.0-20.6 s, 118-128 MB
 #                          (--max-n 900: 28.8-33.0 s, 162-175 MB), mostly str(int)
-#   r_ordered_bell --n 1000 --max-r 1000: 1.2-2.3 s, 17-26 MB
+#   r_ordered_bell --n 1000 --max-r 1000: 1.6-1.7 s, 21-30 MB
 #                  --max-n 1000 --r 1000: 10.5-16.1 s, 18 MB
 #   higher_bernoulli --max-n 1000 --r 4: 14.6-16.7 s, 18 MB, mostly the series
 #                    power (--r 5: 20.0-25.2 s, --r 6: 20.3-21.9 s, --r 8: 29 s);
@@ -179,7 +179,7 @@ _ROW: dict[str, Cap | None] = {"--n": _TABLE_N}
 # The lambdas look the kernels up at call time, so a wrapper installed on a
 # module after import (a profiler or tracer) sees the calls.
 _TABLES: dict[str, Spec] = {
-    "stirling2": Spec(_WHOLE, lambda c, ns: islice(seq.stirling2_rows(ns[-1]), ns[0], None), _ROW),
+    "stirling2": Spec(_WHOLE, lambda c, ns: seq.stirling2_rows(ns[-1], ns[0]), _ROW),
     "r_stirling2": Spec(
         {"--max-n": _TABLE_N, "--r": None},
         lambda c, ns: ([seq.r_stirling2(n, k, c.r or 0) for k in range(n + 1)] for n in ns),
@@ -207,7 +207,7 @@ _TABLES: dict[str, Spec] = {
     "deranged_bell": Spec(_WHOLE, lambda c, ns: map(seq.deranged_bell, ns)),
     "pdb": Spec(
         {"--max-n": (MAX_TABLE_N, _MEASURED)},
-        lambda c, ns: islice(seq.pdb_rows(ns[-1]), ns[0], None),
+        lambda c, ns: seq.pdb_rows(ns[-1], ns[0]),
         {"--n": (MAX_TABLE_N, _MEASURED)},
     ),
     "pdb_poly": Spec(

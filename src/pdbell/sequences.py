@@ -4,8 +4,8 @@ deranged blocks.
 Everything is computed with Python's arbitrary precision integers; there is
 no floating point anywhere in this module.
 
-Every kernel but the row streams and ``pdb_row`` is a sum over a few
-memoized tables, and every table is one type, ``_Memo``: an append-only
+Every kernel but the row streams and ``pdb_row`` reads a few memoized
+tables, and every table is one type, ``_Memo``: an append-only
 list whose entry ``m`` is ``step(entries, m)``, computed from the entries
 before it.
 ``memo.upto(n)`` returns the list itself, grown under the memo's own lock
@@ -14,10 +14,10 @@ changes.  The tables are:
 
 * ``_triangles[r]``: the Stirling triangle for ``r`` (the ordinary one is
   ``r = 0``), made on first use; entry ``i`` is the whole row ``m = r + i``,
-  ``j = r..m``.  Only ``r_stirling2`` reads a triangle for ``r > 0``.
+  ``j = r..m``.  Only the two-index kernels read a triangle, and only
+  ``r_stirling2`` one for ``r > 0``.
 * ``_derangements``: D(0), D(1), ... .
-* ``_comp_bell``: the alternating Bell numbers.
-* ``_ordered_bells``: the ordered Bell numbers.
+* ``_bells``: (bell, complementary_bell, deranged_bell, ordered_bell) at m.
 * ``_factorials``: 0!, 1!, ... .
 
 The memos may be read from several threads at once, under one rule: a
@@ -27,14 +27,12 @@ about this one, which another thread may still be growing.  The list
 returned may be longer than asked and must not be mutated.  Given that,
 concurrent callers always see the single-threaded values.
 
-Most kernels are dot products over these lists, summed in C with
+The two-index kernels are dot products over these lists, summed in C with
 ``sum(map(mul, ...))``: ``pdb_number(n, r)`` is Stirling row ``n`` from
 ``k = r`` on times the rencontres column ``C(k, r) * D(k - r)``, built per
 call, and ``truncated_ordered_bell(n, r)`` is the same row times the
-factorials.  The ordered Bell memo reads no triangle: entry ``m`` is
-``sum_{k >= 1} C(m, k) * a(m - k)`` over one Pascal row, rolled forward
-one row per entry.  The r-ordered Bell numbers need no triangle of their
-own: applying ``x^j -> ordered_bell(j)`` to ``(x + r)^n`` gives
+factorials.  The r-ordered Bell numbers need no triangle of their own:
+applying ``x^j -> ordered_bell(j)`` to ``(x + r)^n`` gives
 
     r_ordered_bell(n, r) = sum_j C(n, j) * r^(n - j) * ordered_bell(j).
 
@@ -56,6 +54,12 @@ and additions per row.  Like ``stirling2_rows``, which runs the triangle
 recurrence, it keeps only the row before and grows no memo, so a whole
 table costs memory for one row.
 
+As the paper writes them, the one-index Bell numbers at ``m`` are read off
+``Q_m`` and its row ``w(m, .)``: ``bell = Q_m(2)``, ``complementary_bell =
+q_0 = w(m, 0) - w(m, 1)`` (the paper's headline identity), ``deranged_bell
+= w(m, 0)`` and ``ordered_bell = sum_r w(m, r)``.  ``_bells`` rolls ``Q_m``
+on from the entry before and reads no Stirling triangle.
+
 Conventions:
 
 * ``stirling2(n, k)`` counts partitions of an n-set into k nonempty blocks.
@@ -74,7 +78,7 @@ import math
 import threading
 from functools import partial
 from itertools import accumulate, count, repeat
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Any, Callable, Iterator
 
 __all__ = [
@@ -130,15 +134,20 @@ def _triangle_row(r: int, prev: list[int]) -> list[int]:
 
 
 def _rows(
-    max_n: int, step: Callable[[list[int]], list[int]], read: Callable[[list[int]], list[int]]
+    max_n: int,
+    step: Callable[[list[int]], list[int]],
+    read: Callable[[list[int]], list[int]],
+    first: int = 0,
 ) -> Iterator[list[int]]:
-    """read(s_n) for n = 0..max_n, from s_0 = [1] by s_(n+1) = step(s_n), only
-    the state before kept; read makes a new list, which the caller may change."""
+    """read(s_n) for n = first..max_n, from s_0 = [1] by s_(n+1) = step(s_n),
+    only the state before kept; read makes a new list, which the caller may
+    change.  The states before first are stepped through but not read."""
     state = [1]
-    for _ in range(max_n):
-        yield read(state)
-        state = step(state)
-    yield read(state)
+    for n in range(max_n + 1):
+        if n:
+            state = step(state)
+        if n >= first:
+            yield read(state)
 
 
 _triangles: dict[int, _Memo] = {}
@@ -166,12 +175,12 @@ def stirling2_row(n: int) -> list[int]:
     return list(_row(0, n))
 
 
-def stirling2_rows(max_n: int) -> Iterator[list[int]]:
-    """Rows stirling2_row(0), ..., stirling2_row(max_n) in turn, each a fresh
-    list, by the triangle recurrence with only the row before kept: unlike
-    stirling2_row, they grow no memo."""
-    _require_nonnegative(max_n=max_n)
-    return _rows(max_n, partial(_triangle_row, 0), list.copy)
+def stirling2_rows(max_n: int, first: int = 0) -> Iterator[list[int]]:
+    """Rows stirling2_row(first), ..., stirling2_row(max_n) in turn, each a
+    fresh list, by the triangle recurrence with only the row before kept:
+    unlike stirling2_row, they grow no memo."""
+    _require_nonnegative(max_n=max_n, first=first)
+    return _rows(max_n, partial(_triangle_row, 0), list.copy, first)
 
 
 def r_stirling2(m: int, j: int, r: int) -> int:
@@ -212,24 +221,37 @@ def partial_derangement_column(r: int, n: int) -> list[int]:
     return list(map(mul, binomials, _derangements.upto(n - r)))
 
 
+def _bell_step() -> Callable[[list, int], tuple[int, int, int, int]]:
+    """The ``_bells`` step: Q_m is rolled from Q_(m - 1), kept from the call
+    before, or built anew if that row has another length (a memo started
+    afresh); each call rolls its own snapshot, so the kept row is whole."""
+    touchard = [1]
+
+    def step(_: list, m: int) -> tuple[int, int, int, int]:
+        nonlocal touchard
+        prev = touchard
+        if len(prev) != m:
+            prev = next(_rows(m - 1, _next_touchard_row, list.copy, m - 1))
+        touchard = q = _next_touchard_row(prev)
+        w = _pdb_row_of(q)
+        return sum(map(lshift, q, count())), q[0], w[0], sum(w)
+
+    return step
+
+
+_bells = _Memo(_bell_step(), (1, 1, 1, 1))
+
+
 def bell(n: int) -> int:
     """Number of partitions of an n-set."""
     _require_nonnegative(n=n)
-    return sum(_row(0, n))
-
-
-def _alternating_row_sum(_: list[int], m: int) -> int:
-    row = _row(0, m)
-    return sum(row[0::2]) - sum(row[1::2])
-
-
-_comp_bell = _Memo(_alternating_row_sum, 1)
+    return _bells.upto(n)[n][0]
 
 
 def complementary_bell(n: int) -> int:
     """Alternating Bell number: sum of (-1)^k * stirling2(n, k) over k."""
     _require_nonnegative(n=n)
-    return _comp_bell.upto(n)[n]
+    return _bells.upto(n)[n][1]
 
 
 def complementary_r_bell(n: int, r: int) -> int:
@@ -239,38 +261,14 @@ def complementary_r_bell(n: int, r: int) -> int:
     so each query is O(n) once the base sequence exists.
     """
     _require_nonnegative(n=n, r=r)
-    comp = _comp_bell.upto(n)
-    return sum(math.comb(n, k) * r**k * comp[n - k] for k in range(n + 1))
-
-
-def _ordered_bell_step() -> Callable[[list[int], int], int]:
-    """The ordered Bell memo's step, a(m) = sum_{k >= 1} C(m, k) * a(m - k).
-
-    Pascal row m is rolled from row m - 1, kept from the call before; a row
-    of another length (a memo started afresh with this step) is built anew.
-    Each call rolls its own snapshot, so the kept row is always a whole one.
-    """
-    pascal = [1]
-
-    def step(a: list[int], m: int) -> int:
-        nonlocal pascal
-        prev = pascal
-        if len(prev) != m:
-            prev = [math.comb(m - 1, k) for k in range(m)]
-        pascal = row = list(map(add, [0, *prev], [*prev, 0]))
-        # sum_j C(m, j) * a(j) over j < m: map stops at the end of a.
-        return sum(map(mul, row, a))
-
-    return step
-
-
-_ordered_bells = _Memo(_ordered_bell_step(), 1)
+    bells = _bells.upto(n)
+    return sum(math.comb(n, k) * r**k * bells[n - k][1] for k in range(n + 1))
 
 
 def ordered_bell(n: int) -> int:
     """Number of ordered partitions (partitions with ordered blocks)."""
     _require_nonnegative(n=n)
-    return _ordered_bells.upto(n)[n]
+    return _bells.upto(n)[n][3]
 
 
 def r_ordered_bell(n: int, r: int) -> int:
@@ -281,12 +279,12 @@ def r_ordered_bell(n: int, r: int) -> int:
     the weight is carried from j = n down, one exact small-integer step each.
     """
     _require_nonnegative(n=n, r=r)
-    bells = _ordered_bells.upto(n)
+    bells = _bells.upto(n)
     if not r:
-        return bells[n]
+        return bells[n][3]
     total, t = 0, 1
     for j in range(n, -1, -1):
-        total += t * bells[j]
+        total += t * bells[j][3]
         t = t * j * r // (n - j + 1)
     return total
 
@@ -296,8 +294,8 @@ def r_ordered_bell_row(n: int, max_r: int) -> list[int]:
     r_ordered_bell(n, r + 1) = 2 * r_ordered_bell(n, r) - r^n, which follows
     from F_(r+1) = e^t * F_r for the EGFs F_r in n: one power and one
     subtraction per cell, where ``r_ordered_bell`` is a sum of n + 1 terms.
-    The first cell is read off the ordered Bell memo, which keeps one int
-    per n and reads no Stirling triangle."""
+    The first cell is ``ordered_bell(n)``, read off Q_n with no Stirling
+    triangle."""
     _require_nonnegative(n=n, max_r=max_r)
     first = ordered_bell(n)
     return list(accumulate(range(max_r), lambda v, r: 2 * v - r**n, initial=first))
@@ -329,7 +327,7 @@ def deranged_bell(n: int) -> int:
     each k-block partition by the derangement number of k.
     """
     _require_nonnegative(n=n)
-    return sum(map(mul, _row(0, n), _derangements.upto(n)))
+    return _bells.upto(n)[n][2]
 
 
 def pdb_number(n: int, r: int) -> int:
@@ -352,23 +350,21 @@ def pdb_row(n: int) -> list[int]:
     small-by-big operations in all, with no Stirling row read.
     """
     _require_nonnegative(n=n)
-    q = [1]
-    for _ in range(n):
-        q = _next_touchard_row(q)
-    return _pdb_row_of(q)
+    return next(_rows(n, _next_touchard_row, _pdb_row_of, n))
 
 
-def pdb_rows(max_n: int) -> Iterator[list[int]]:
-    """Rows pdb_row(0), ..., pdb_row(max_n) in turn, each a fresh list.
+def pdb_rows(max_n: int, first: int = 0) -> Iterator[list[int]]:
+    """Rows pdb_row(first), ..., pdb_row(max_n) in turn, each a fresh list.
 
     The coefficients q = (q_0..q_n) of Q_n = (1 - d/dx) P_n (see the module
     docstring) become those of Q_(n+1) in two passes: g_j = q_j + (j + 1) *
     q_(j+1), then g_(j-1) - g_j for j = 0..n + 1, with g_(-1) = g_(n+1) = 0.
     Each row is read off its q from the top down: w(n, m) = q_m + (m + 1) *
-    w(n, m + 1), from w(n, n + 1) = 0.  Only the q before is kept.
+    w(n, m + 1), from w(n, n + 1) = 0.  Only the q before is kept, and the
+    rows before first are not read off.
     """
-    _require_nonnegative(max_n=max_n)
-    return _rows(max_n, _next_touchard_row, _pdb_row_of)
+    _require_nonnegative(max_n=max_n, first=first)
+    return _rows(max_n, _next_touchard_row, _pdb_row_of, first)
 
 
 def _next_touchard_row(q: list[int]) -> list[int]:

@@ -109,20 +109,22 @@ def test_table_resource_cap(capsys):
 @pytest.mark.parametrize("family", ["pdb", "stirling2"])
 def test_table_reads_rows_in_turn(capsys, monkeypatch, family):
     # A whole table and a single row both read the family's row stream, once,
-    # up to the n asked for and looked up when the table runs; neither reads
-    # the per-n row kernel of either family.
+    # from the first n asked for up to the last, looked up when the table
+    # runs; neither reads the per-n row kernel of either family.
     expected = run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1]
     row_out = run_cli(capsys, "table", family, "--n", "5")[1]
     stream = f"{family}_rows"
     rows = getattr(seq, stream)
     calls = []
-    monkeypatch.setattr(seq, stream, lambda max_n: calls.append(max_n) or rows(max_n))
+    monkeypatch.setattr(
+        seq, stream, lambda max_n, first: calls.append((max_n, first)) or rows(max_n, first)
+    )
     for kernel in ("pdb_row", "stirling2_row"):
         monkeypatch.setattr(seq, kernel, lambda n, kernel=kernel: pytest.fail(f"read {kernel}"))
     assert run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1] == expected
-    assert calls == [7]
+    assert calls == [(7, 0)]
     assert run_cli(capsys, "table", family, "--n", "5")[1] == row_out
-    assert calls == [7, 5]
+    assert calls == [(7, 0), (5, 5)]
 
 
 @pytest.mark.parametrize("family", ["pdb", "stirling2"])
@@ -144,7 +146,9 @@ def test_table_kernel_short_of_rows_raises(capsys, monkeypatch, fmt, flag):
     argv = ["table", "pdb", flag, "5", "--format", fmt]
     whole = run_cli(capsys, *argv)[1]
     rows = seq.pdb_rows
-    monkeypatch.setattr(seq, "pdb_rows", lambda max_n: islice(rows(max_n), max_n))
+    monkeypatch.setattr(
+        seq, "pdb_rows", lambda max_n, first: islice(rows(max_n, first), max_n - first)
+    )
     with pytest.raises(ValueError, match="shorter"):
         main(argv)
     out = capsys.readouterr().out
@@ -629,7 +633,9 @@ def test_empty_table_prints_canonical_empty_results(capsys, monkeypatch):
 def test_table_cells_needing_quotes_match_generic_encoders(capsys, monkeypatch):
     odd = ['a,"b', "c\nd", "e\rf", 'g"', "h,", "é"]
     monkeypatch.setattr(seq, "stirling2_row", lambda n: [n, *odd[: n + 1]])
-    monkeypatch.setattr(seq, "stirling2_rows", lambda m: map(seq.stirling2_row, range(m + 1)))
+    monkeypatch.setattr(
+        seq, "stirling2_rows", lambda m, first: map(seq.stirling2_row, range(first, m + 1))
+    )
     monkeypatch.setattr(seq, "bell", lambda n: odd[n])
     for family, max_n in (("stirling2", 5), ("bell", 5)):
         ns = range(max_n + 1)

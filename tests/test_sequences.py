@@ -22,6 +22,18 @@ def pdb_by_definition(n, r):
     )
 
 
+def bell_forms(n):
+    """(bell, complementary_bell, deranged_bell, ordered_bell) at n as sums
+    over Stirling row n: plain, alternating, times D(k) and times k!."""
+    row = seq.stirling2_row(n)
+    return (
+        sum(row),
+        sum(row[0::2]) - sum(row[1::2]),
+        sum(v * seq.derangement(k) for k, v in enumerate(row)),
+        sum(v * math.factorial(k) for k, v in enumerate(row)),
+    )
+
+
 # ----------------------------------------------------------------------
 # frozen values
 
@@ -230,8 +242,12 @@ def test_pdb_row_shift_matches_cell_dot_products_at_cap_sizes(n):
     assert seq.pdb_row(n) == [seq.pdb_number(n, r) for r in range(n + 1)]
 
 
-def test_pdb_row_1000_sums_to_ordered_bell():
-    assert sum(seq.pdb_row(1000)) == seq.ordered_bell(1000)
+def test_pdb_row_1000_sums_to_ordered_bell(monkeypatch):
+    # Both read Q_1000; the Stirling row times 0!..1000! is the independent
+    # value (its triangle is dropped after the test).
+    monkeypatch.setattr(seq, "_triangles", {})
+    total = sum(seq.pdb_row(1000))
+    assert total == seq.ordered_bell(1000) == seq.truncated_ordered_bell(1000, 0)
 
 
 def test_pdb_number_past_the_diagonal_grows_no_memo(monkeypatch):
@@ -290,25 +306,35 @@ def test_pdb_rows_match_enumeration_to_8():
         assert row == oracle.brute_pdb_row(n), n
 
 
-def test_ordered_bell_memo_matches_truncated_dot_product_to_300():
-    # The memo's binomial recurrence against Stirling row n times 0!..n!.
+def test_bell_kernels_match_stirling_row_forms_to_300(monkeypatch):
+    # The four one-index kernels, read off Q_n by a fresh memo, against their
+    # sums over Stirling row n.  Neither they nor the r-indexed kernels over
+    # them read a Stirling triangle.
+    expected = [bell_forms(n) for n in range(301)]
+    monkeypatch.setattr(seq, "_triangles", {})
+    monkeypatch.setattr(seq, "_bells", seq._Memo(seq._bells._step, (1, 1, 1, 1)))
+    kernels = (seq.bell, seq.complementary_bell, seq.deranged_bell, seq.ordered_bell)
     for n in range(301):
-        assert seq.ordered_bell(n) == seq.truncated_ordered_bell(n, 0), n
+        assert tuple(kernel(n) for kernel in kernels) == expected[n], n
+    seq.r_ordered_bell(300, 7)
+    seq.r_ordered_bell_row(300, 7)
+    seq.complementary_r_bell(300, 7)
+    assert seq._triangles == {}
 
 
-def test_ordered_bell_memos_sharing_one_step():
-    # Two memos grown in turn by one step: each call rolls the Pascal row it
-    # finds only if the row fits its own memo.
-    step = seq._ordered_bell_step()
-    first, second = seq._Memo(step, 1), seq._Memo(step, 1)
+def test_bell_memos_sharing_one_step():
+    # Two memos grown in turn by one step: each call rolls the Touchard row it
+    # finds only if the row fits its own memo, and builds it anew if not.
+    step = seq._bell_step()
+    first, second = seq._Memo(step, (1, 1, 1, 1)), seq._Memo(step, (1, 1, 1, 1))
     for n in (5, 3, 9, 12, 10, 40):
-        assert first.upto(n)[n] == seq.truncated_ordered_bell(n, 0), n
-        assert second.upto(n + 2)[n + 2] == seq.truncated_ordered_bell(n + 2, 0), n
+        assert first.upto(n)[n] == bell_forms(n), n
+        assert second.upto(n + 2)[n + 2] == bell_forms(n + 2), n
 
 
 def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
     # Only r_stirling2 keeps a triangle per r; r_ordered_bell reads the
-    # r = 0 triangle and one-index memos, whatever r it is asked for.
+    # one-index Bell memo, whatever r it is asked for.
     monkeypatch.setattr(seq, "_triangles", {})
     previous = None
     for r in range(401):
@@ -505,9 +531,9 @@ def test_concurrent_pdb_readers_match_definition():
 
 def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
     # Four threads read r_stirling2 and r_ordered_bell for r = 0..6 and
-    # complementary_bell at interleaved indices while fresh triangle,
-    # alternating Bell and ordered Bell memos grow under them; every value
-    # must be the single-threaded one.
+    # complementary_bell at interleaved indices while fresh triangle and
+    # Bell memos grow under them; every value must be the single-threaded
+    # one.
     max_m, max_r = 60, 6
     expected_stirling = {
         (m, j, r): seq.r_stirling2(m, j, r)
@@ -520,8 +546,7 @@ def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
         (m, r): seq.r_ordered_bell(m, r) for m in range(max_m + 1) for r in range(max_r + 1)
     }
     monkeypatch.setattr(seq, "_triangles", {})
-    monkeypatch.setattr(seq, "_comp_bell", seq._Memo(seq._comp_bell._step, 1))
-    monkeypatch.setattr(seq, "_ordered_bells", seq._Memo(seq._ordered_bells._step, 1))
+    monkeypatch.setattr(seq, "_bells", seq._Memo(seq._bells._step, (1, 1, 1, 1)))
     failures = []
 
     def worker(shift):

@@ -56,7 +56,9 @@ MAX_ORDER = 256
 #   pdb       --max-n 1000: 17.0-20.2 s, 18-27 MB, mostly str(int)
 #             --n 1000:     0.5-0.7 s, 18-22 MB, rolling every row before n forward
 #   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
-#             --n 550:     4.9-5.5 s, 293 MB  (--n 600: 7.1 s, 377 MB)
+#             --n 550:     5.1-7.1 s, 258-672 MB (text 258 MB, CSV 534 MB,
+#                          JSON 672 MB: CSV and JSON join the row into one string)
+#                          (--n 600 as text: 7.1 s, 377 MB)
 #   truncated_ordered_bell --max-n 800: 15.0-20.6 s, 118-128 MB
 #                          (--max-n 900: 28.8-33.0 s, 162-175 MB), mostly str(int)
 #   r_ordered_bell --n 1000 --max-r 1000: 1.6-1.7 s, 21-30 MB

@@ -4,20 +4,24 @@ deranged blocks.
 Everything is computed with Python's arbitrary precision integers; there is
 no floating point anywhere in this module.
 
-Every kernel but the row streams and ``pdb_row`` reads a few memoized
-tables, and every table is one type, ``_Memo``: an append-only
-list whose entry ``m`` is ``step(entries, m)``, computed from the entries
-before it.
-``memo.upto(n)`` returns the list itself, grown under the memo's own lock
-until it holds at least entries ``0..n``.  An entry, once published, never
-changes.  The tables are:
+Each recurrence is written once, as a step of ``_rows``: a generator that
+runs it from the state ``[1]`` and reads every state off.  The row streams
+(``stirling2_rows``, ``pdb_rows``, ``pdb_row``) read a ``_rows`` stream
+once and keep only the state before.  The other kernels read memos, and a
+memo (``_Memo``) is the cached prefix of a stream: an append-only list of
+its entries, pulled under the memo's own lock.  ``memo.upto(n)`` returns
+the list itself, grown until it holds at least entries ``0..n``.  An
+entry, once published, never changes; a growth that raises drops the
+stream, and the next one restarts it past the entries kept.  The memos
+are:
 
 * ``_triangles[r]``: the Stirling triangle for ``r`` (the ordinary one is
   ``r = 0``), made on first use; entry ``i`` is the whole row ``m = r + i``,
-  ``j = r..m``.  Only the two-index kernels read a triangle, and only
-  ``r_stirling2`` one for ``r > 0``.
+  ``j = r..m``, by the step of ``stirling2_rows``.  Only the two-index
+  kernels read a triangle, and only ``r_stirling2`` one for ``r > 0``.
 * ``_derangements``: D(0), D(1), ... .
-* ``_bells``: (bell, complementary_bell, deranged_bell, ordered_bell) at m.
+* ``_bells``: (bell, complementary_bell, deranged_bell, ordered_bell) at m,
+  by the step of ``pdb_rows``.
 * ``_factorials``: 0!, 1!, ... .
 
 The memos may be read from several threads at once, under one rule: a
@@ -57,8 +61,8 @@ table costs memory for one row.
 As the paper writes them, the one-index Bell numbers at ``m`` are read off
 ``Q_m`` and its row ``w(m, .)``: ``bell = Q_m(2)``, ``complementary_bell =
 q_0 = w(m, 0) - w(m, 1)`` (the paper's headline identity), ``deranged_bell
-= w(m, 0)`` and ``ordered_bell = sum_r w(m, r)``.  ``_bells`` rolls ``Q_m``
-on from the entry before and reads no Stirling triangle.
+= w(m, 0)`` and ``ordered_bell = sum_r w(m, r)``.  ``_bells`` is the
+cached prefix of that stream of read-offs and reads no Stirling triangle.
 
 Conventions:
 
@@ -77,7 +81,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import partial
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import add, lshift, mul, sub
 from typing import Any, Callable, Iterator
 
@@ -111,11 +115,12 @@ def _require_nonnegative(**values: int) -> None:
 
 
 class _Memo:
-    """Append-only list: entry 0 is ``first``, entry m is ``step(entries, m)``."""
+    """Cached prefix of ``stream()``, a zero-argument stream factory."""
 
-    def __init__(self, step: Callable[[list, int], Any], first: Any) -> None:
-        self._rows = [first]
-        self._step = step
+    def __init__(self, stream: Callable[[], Iterator[Any]]) -> None:
+        self._rows: list = []
+        self._stream = stream
+        self._tail: Iterator[Any] | None = None
         self._lock = threading.Lock()
 
     def upto(self, n: int) -> list:
@@ -123,8 +128,14 @@ class _Memo:
         rows = self._rows
         if n >= len(rows):
             with self._lock:
-                while len(rows) <= n:
-                    rows.append(self._step(rows, len(rows)))
+                if self._tail is None:
+                    self._tail = islice(self._stream(), len(rows), None)
+                try:
+                    rows.extend(islice(self._tail, max(0, n + 1 - len(rows))))
+                except BaseException:
+                    # A stream that raised has ended; the next growth restarts it.
+                    self._tail = None
+                    raise
         return rows
 
 
@@ -134,16 +145,17 @@ def _triangle_row(r: int, prev: list[int]) -> list[int]:
 
 
 def _rows(
-    max_n: int,
     step: Callable[[list[int]], list[int]],
-    read: Callable[[list[int]], list[int]],
+    read: Callable[[list[int]], Any],
     first: int = 0,
-) -> Iterator[list[int]]:
-    """read(s_n) for n = first..max_n, from s_0 = [1] by s_(n+1) = step(s_n),
-    only the state before kept; read makes a new list, which the caller may
-    change.  The states before first are stepped through but not read."""
+    last: int | None = None,
+) -> Iterator[Any]:
+    """read(s_n) for n = first..last, or without end if last is None, from
+    s_0 = [1] by s_(n+1) = step(s_n), only the state before kept.  read
+    returns a tuple or a new list, which the caller may change.  The states
+    before first are stepped through but not read."""
     state = [1]
-    for n in range(max_n + 1):
+    for n in count() if last is None else range(last + 1):
         if n:
             state = step(state)
         if n >= first:
@@ -159,7 +171,7 @@ def _row(r: int, m: int) -> list[int]:
     if memo is None:
         # setdefault is one atomic dict operation: racing callers all get
         # the memo that was stored first.
-        memo = _triangles.setdefault(r, _Memo(lambda rows, _: _triangle_row(r, rows[-1]), [1]))
+        memo = _triangles.setdefault(r, _Memo(lambda: _rows(partial(_triangle_row, r), list.copy)))
     return memo.upto(m - r)[m - r]
 
 
@@ -180,7 +192,7 @@ def stirling2_rows(max_n: int, first: int = 0) -> Iterator[list[int]]:
     fresh list, by the triangle recurrence with only the row before kept:
     unlike stirling2_row, they grow no memo."""
     _require_nonnegative(max_n=max_n, first=first)
-    return _rows(max_n, partial(_triangle_row, 0), list.copy, first)
+    return _rows(partial(_triangle_row, 0), list.copy, first, max_n)
 
 
 def r_stirling2(m: int, j: int, r: int) -> int:
@@ -194,8 +206,8 @@ def r_stirling2(m: int, j: int, r: int) -> int:
     return _row(r, m)[j - r] if r <= j <= m else 0
 
 
-_derangements = _Memo(lambda d, m: m * d[m - 1] + (-1) ** m, 1)
-_factorials = _Memo(lambda f, m: m * f[m - 1], 1)
+_derangements = _Memo(lambda: accumulate(count(1), lambda d, m: m * d + (-1) ** m, initial=1))
+_factorials = _Memo(lambda: accumulate(count(1), mul, initial=1))
 
 
 def derangement(n: int) -> int:
@@ -221,25 +233,13 @@ def partial_derangement_column(r: int, n: int) -> list[int]:
     return list(map(mul, binomials, _derangements.upto(n - r)))
 
 
-def _bell_step() -> Callable[[list, int], tuple[int, int, int, int]]:
-    """The ``_bells`` step: Q_m is rolled from Q_(m - 1), kept from the call
-    before, or built anew if that row has another length (a memo started
-    afresh); each call rolls its own snapshot, so the kept row is whole."""
-    touchard = [1]
-
-    def step(_: list, m: int) -> tuple[int, int, int, int]:
-        nonlocal touchard
-        prev = touchard
-        if len(prev) != m:
-            prev = next(_rows(m - 1, _next_touchard_row, list.copy, m - 1))
-        touchard = q = _next_touchard_row(prev)
-        w = _pdb_row_of(q)
-        return sum(map(lshift, q, count())), q[0], w[0], sum(w)
-
-    return step
+def _bell_entry(q: list[int]) -> tuple[int, int, int, int]:
+    """(bell, complementary_bell, deranged_bell, ordered_bell) read off Q_m."""
+    w = _pdb_row_of(q)
+    return sum(map(lshift, q, count())), q[0], w[0], sum(w)
 
 
-_bells = _Memo(_bell_step(), (1, 1, 1, 1))
+_bells = _Memo(lambda: _rows(_next_touchard_row, _bell_entry))
 
 
 def bell(n: int) -> int:
@@ -350,7 +350,7 @@ def pdb_row(n: int) -> list[int]:
     small-by-big operations in all, with no Stirling row read.
     """
     _require_nonnegative(n=n)
-    return next(_rows(n, _next_touchard_row, _pdb_row_of, n))
+    return next(_rows(_next_touchard_row, _pdb_row_of, n))
 
 
 def pdb_rows(max_n: int, first: int = 0) -> Iterator[list[int]]:
@@ -364,7 +364,7 @@ def pdb_rows(max_n: int, first: int = 0) -> Iterator[list[int]]:
     rows before first are not read off.
     """
     _require_nonnegative(max_n=max_n, first=first)
-    return _rows(max_n, _next_touchard_row, _pdb_row_of, first)
+    return _rows(_next_touchard_row, _pdb_row_of, first, max_n)
 
 
 def _next_touchard_row(q: list[int]) -> list[int]:

@@ -252,11 +252,11 @@ def test_pdb_row_1000_sums_to_ordered_bell(monkeypatch):
 
 def test_pdb_number_past_the_diagonal_grows_no_memo(monkeypatch):
     monkeypatch.setattr(seq, "_triangles", {})
-    monkeypatch.setattr(seq, "_derangements", seq._Memo(seq._derangements._step, 1))
+    monkeypatch.setattr(seq, "_derangements", seq._Memo(seq._derangements._stream))
     assert seq.pdb_number(3, 7) == 0
     assert seq.partial_derangement_column(7, 3) == []
     assert seq._triangles == {}
-    assert seq._derangements._rows == [1]
+    assert seq._derangements._rows == []
 
 
 def test_pdb_row_grows_no_rencontres_memo(monkeypatch):
@@ -312,7 +312,7 @@ def test_bell_kernels_match_stirling_row_forms_to_300(monkeypatch):
     # them read a Stirling triangle.
     expected = [bell_forms(n) for n in range(301)]
     monkeypatch.setattr(seq, "_triangles", {})
-    monkeypatch.setattr(seq, "_bells", seq._Memo(seq._bells._step, (1, 1, 1, 1)))
+    monkeypatch.setattr(seq, "_bells", seq._Memo(seq._bells._stream))
     kernels = (seq.bell, seq.complementary_bell, seq.deranged_bell, seq.ordered_bell)
     for n in range(301):
         assert tuple(kernel(n) for kernel in kernels) == expected[n], n
@@ -322,14 +322,29 @@ def test_bell_kernels_match_stirling_row_forms_to_300(monkeypatch):
     assert seq._triangles == {}
 
 
-def test_bell_memos_sharing_one_step():
-    # Two memos grown in turn by one step: each call rolls the Touchard row it
-    # finds only if the row fits its own memo, and builds it anew if not.
-    step = seq._bell_step()
-    first, second = seq._Memo(step, (1, 1, 1, 1)), seq._Memo(step, (1, 1, 1, 1))
-    for n in (5, 3, 9, 12, 10, 40):
-        assert first.upto(n)[n] == bell_forms(n), n
-        assert second.upto(n + 2)[n + 2] == bell_forms(n + 2), n
+@pytest.mark.parametrize("name", ["bells", "triangle_2", "derangements"])
+def test_memo_growth_that_raises_restarts_its_stream(monkeypatch, name):
+    # A stream that raises part way leaves the entries before the fault; the
+    # next growth restarts the factory past them, so no entry goes stale.
+    monkeypatch.setattr(seq, "_triangles", {})
+    seq.r_stirling2(2, 2, 2)
+    memos = {"bells": seq._bells, "derangements": seq._derangements}
+    factory, calls = memos.get(name, seq._triangles[2])._stream, []
+    expected = seq._Memo(factory).upto(40)[:41]
+
+    def faulty():
+        calls.append(len(calls))
+        for m, entry in enumerate(factory()):
+            if m == 9 and len(calls) == 1:
+                raise KeyboardInterrupt
+            yield entry
+
+    memo = seq._Memo(faulty)
+    with pytest.raises(KeyboardInterrupt):
+        memo.upto(20)
+    assert memo._rows == expected[:9]
+    assert memo.upto(40) == expected
+    assert len(calls) == 2
 
 
 def test_r_indexed_kernels_grow_no_per_r_memo(monkeypatch):
@@ -531,9 +546,9 @@ def test_concurrent_pdb_readers_match_definition():
 
 def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
     # Four threads read r_stirling2 and r_ordered_bell for r = 0..6 and
-    # complementary_bell at interleaved indices while fresh triangle and
-    # Bell memos grow under them; every value must be the single-threaded
-    # one.
+    # complementary_bell and the derangements at interleaved indices while
+    # fresh triangle, Bell and derangement memos grow under them; every
+    # value must be the single-threaded one.
     max_m, max_r = 60, 6
     expected_stirling = {
         (m, j, r): seq.r_stirling2(m, j, r)
@@ -542,17 +557,21 @@ def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
         for r in range(max_r + 1)
     }
     expected_comp = [seq.complementary_bell(m) for m in range(max_m + 1)]
+    expected_derangements = [seq.derangement(m) for m in range(max_m + 1)]
     expected_ordered = {
         (m, r): seq.r_ordered_bell(m, r) for m in range(max_m + 1) for r in range(max_r + 1)
     }
     monkeypatch.setattr(seq, "_triangles", {})
-    monkeypatch.setattr(seq, "_bells", seq._Memo(seq._bells._step, (1, 1, 1, 1)))
+    monkeypatch.setattr(seq, "_bells", seq._Memo(seq._bells._stream))
+    monkeypatch.setattr(seq, "_derangements", seq._Memo(seq._derangements._stream))
     failures = []
 
     def worker(shift):
         for m in range(shift, max_m + 1, 4):
             if seq.complementary_bell(m) != expected_comp[m]:
                 failures.append(("comp", m))
+            if seq.partial_derangement_column(0, m) != expected_derangements[: m + 1]:
+                failures.append(("derangements", m))
             for r in range(max_r, -1, -1) if shift % 2 else range(max_r + 1):
                 if seq.r_ordered_bell(m, r) != expected_ordered[m, r]:
                     failures.append(("ordered", m, r))

@@ -94,6 +94,11 @@ CASES: dict[str, tuple[str, str, str]] = {
         "",
         "for n in range(301):\n    seq.truncated_ordered_bell_row(n)",
     ),
+    "higher_bernoulli_to_300_r4": (
+        "higher_bernoulli(n, 4) for n = 0..300",
+        "from pdbell.bernoulli import higher_bernoulli",
+        "for n in range(301):\n    higher_bernoulli(n, 4)",
+    ),
     "int_poly_mul_deg_40": (
         "200 products of two IntPolynomials of degree 40",
         "a, b = poly.geometric_poly(40), poly.pdb_poly(40, 0)",
@@ -207,6 +212,7 @@ PROCESS_CASES = {
     "table_r_ordered_bell_n200_max_r400": "table r_ordered_bell --n 200 --max-r 400",
     "table_r_ordered_bell_n500_max_r1000": "table r_ordered_bell --n 500 --max-r 1000",
     "table_r_ordered_bell_n1000_max_r1000": "table r_ordered_bell --n 1000 --max-r 1000",
+    "table_higher_bernoulli_n1000_r4_csv": "table higher_bernoulli --max-n 1000 --r 4 --format csv",
     "startup_table_help": "table --help",
     "egf_deranged_bell_256_cli": "egf deranged_bell --order 256",
 }

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pdbell.bernoulli import bernoulli, higher_bernoulli
+from pdbell.series import egf_family
 
 
 def _base_coefficients(order):
@@ -96,21 +97,21 @@ def test_higher_order_matches_repeated_cauchy_products():
             assert higher_bernoulli(n, r) == math.factorial(n) * power[n]
 
 
-def test_ascending_scan_grows_the_cache_by_doubling(monkeypatch):
+def test_ascending_scan_runs_the_stream_once(monkeypatch):
     # ``pdbell.bernoulli`` is the re-exported function, so reach the module
     # through sys.modules.
     module = sys.modules["pdbell.bernoulli"]
-    egf_family = module.ser.egf_family
-    builds = []
+    stream = module._stream
+    runs = []
 
-    def counting_egf_family(family, order, *params):
-        builds.append(order)
-        return egf_family(family, order, *params)
+    def counting_stream(r):
+        runs.append(r)
+        return stream(r)
 
     monkeypatch.setattr(module, "_cache", {})
-    monkeypatch.setattr(module.ser, "egf_family", counting_egf_family)
+    monkeypatch.setattr(module, "_stream", counting_stream)
     values = [higher_bernoulli(n, 3) for n in range(257)]
-    assert len(builds) <= 5, builds
+    assert runs == [3]
     reference = egf_family("higher_bernoulli", 256, 3)
     assert values == [Fraction(reference.egf_coeff(n)) for n in range(257)]
 

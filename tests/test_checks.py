@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 from pdbell import checks, cli, oracle
 from pdbell import polynomials as poly
 from pdbell import sequences as seq
+from pdbell import series as ser
 from pdbell.checks import Status, SuiteConfig
 
 SMALL = SuiteConfig(max_n=8, max_r=3, max_m=3, oracle_cap=6)
@@ -658,6 +660,26 @@ def test_egf_all_fault_injection(monkeypatch):
     ]
     assert rep.witness.lhs == str(higher_bernoulli(3, 2))
     assert rep.witness.rhs == str(higher_bernoulli(3, 2) + Fraction(1, 7))
+
+
+def test_egf_all_fails_on_a_faulty_bernoulli_series(monkeypatch):
+    # The Bernoulli kernel has its own recurrence, so a fault in the series
+    # family shows against it, even with no value of the kernel kept.
+    base = ser.bernoulli_base_series
+    bump = [0, 0, 0, Fraction(1, 7)]
+    monkeypatch.setattr(
+        ser,
+        "bernoulli_base_series",
+        lambda order: base(order) + ser.TruncatedSeries(bump, order),
+    )
+    monkeypatch.setattr(sys.modules["pdbell.bernoulli"], "_cache", {})
+    rep = checks.check("egf_all", SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == [
+        ("family", "higher_bernoulli"),
+        ("n", 3),
+        ("param", 1),
+    ]
 
 
 # ----------------------------------------------------------------------

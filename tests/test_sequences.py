@@ -1,5 +1,6 @@
 """Integer sequence kernel: frozen values, closed laws, and recurrences."""
 
+import importlib
 import math
 import sys
 import threading
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdbell import oracle, sequences as seq
+
+# ``pdbell.bernoulli`` is the re-exported function, not the module.
+bern = importlib.import_module("pdbell.bernoulli")
 
 small_n = st.integers(min_value=0, max_value=18)
 small_k = st.integers(min_value=0, max_value=18)
@@ -322,13 +326,15 @@ def test_bell_kernels_match_stirling_row_forms_to_300(monkeypatch):
     assert seq._triangles == {}
 
 
-@pytest.mark.parametrize("name", ["bells", "triangle_2", "derangements"])
+@pytest.mark.parametrize("name", ["bells", "triangle_2", "derangements", "bernoulli_3"])
 def test_memo_growth_that_raises_restarts_its_stream(monkeypatch, name):
     # A stream that raises part way leaves the entries before the fault; the
     # next growth restarts the factory past them, so no entry goes stale.
     monkeypatch.setattr(seq, "_triangles", {})
+    monkeypatch.setattr(bern, "_cache", {})
     seq.r_stirling2(2, 2, 2)
-    memos = {"bells": seq._bells, "derangements": seq._derangements}
+    bern.higher_bernoulli(0, 3)
+    memos = {"bells": seq._bells, "derangements": seq._derangements, "bernoulli_3": bern._cache[3]}
     factory, calls = memos.get(name, seq._triangles[2])._stream, []
     expected = seq._Memo(factory).upto(40)[:41]
 
@@ -545,10 +551,11 @@ def test_concurrent_pdb_readers_match_definition():
 
 
 def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
-    # Four threads read r_stirling2 and r_ordered_bell for r = 0..6 and
-    # complementary_bell and the derangements at interleaved indices while
-    # fresh triangle, Bell and derangement memos grow under them; every
-    # value must be the single-threaded one.
+    # Four threads read r_stirling2 and r_ordered_bell for r = 0..6,
+    # complementary_bell, the derangements and the order-3 Bernoulli numbers
+    # at interleaved indices while fresh triangle, Bell, derangement and
+    # Bernoulli memos grow under them; every value must be the
+    # single-threaded one.
     max_m, max_r = 60, 6
     expected_stirling = {
         (m, j, r): seq.r_stirling2(m, j, r)
@@ -558,12 +565,14 @@ def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
     }
     expected_comp = [seq.complementary_bell(m) for m in range(max_m + 1)]
     expected_derangements = [seq.derangement(m) for m in range(max_m + 1)]
+    expected_bernoulli = [bern.higher_bernoulli(m, 3) for m in range(max_m + 1)]
     expected_ordered = {
         (m, r): seq.r_ordered_bell(m, r) for m in range(max_m + 1) for r in range(max_r + 1)
     }
     monkeypatch.setattr(seq, "_triangles", {})
     monkeypatch.setattr(seq, "_bells", seq._Memo(seq._bells._stream))
     monkeypatch.setattr(seq, "_derangements", seq._Memo(seq._derangements._stream))
+    monkeypatch.setattr(bern, "_cache", {})
     failures = []
 
     def worker(shift):
@@ -572,6 +581,8 @@ def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
                 failures.append(("comp", m))
             if seq.partial_derangement_column(0, m) != expected_derangements[: m + 1]:
                 failures.append(("derangements", m))
+            if bern.higher_bernoulli(m, 3) != expected_bernoulli[m]:
+                failures.append(("bernoulli", m))
             for r in range(max_r, -1, -1) if shift % 2 else range(max_r + 1):
                 if seq.r_ordered_bell(m, r) != expected_ordered[m, r]:
                     failures.append(("ordered", m, r))
@@ -592,3 +603,4 @@ def test_concurrent_triangle_and_alternating_bell_readers(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert sorted(seq._triangles) == list(range(max_r + 1))
+    assert list(bern._cache) == [3]

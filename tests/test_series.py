@@ -303,6 +303,11 @@ def test_bernoulli_base_series_matches_kernel():
     base = bernoulli_base_series(16)
     for n in range(17):
         assert base.coeff(n) * math.factorial(n) == bernoulli(n)
+    # Its powers, by series products, against the kernel's own recurrence.
+    for r in range(9):
+        series = egf_family("higher_bernoulli", 120, r)
+        for n in range(121):
+            assert series.egf_coeff(n) == higher_bernoulli(n, r), (r, n)
 
 
 def test_egf_pdb_matches_polynomials():

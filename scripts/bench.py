@@ -74,6 +74,16 @@ CASES: dict[str, tuple[str, str, str]] = {
         "",
         "for n in range(61):\n    for r in range(21):\n        seq.r_ordered_bell(n, r)",
     ),
+    "complementary_r_bell_1000_r_to_20": (
+        "complementary_r_bell(1000, r) for r = 0..19, the Bell memo warm",
+        "seq.complementary_bell(1000)",
+        "for r in range(20):\n    seq.complementary_r_bell(1000, r)",
+    ),
+    "partial_derangement_column_1000_r_to_100": (
+        "partial_derangement_column(r, 1000) for r = 0..99, the derangement memo warm",
+        "seq.derangement(1000)",
+        "for r in range(100):\n    seq.partial_derangement_column(r, 1000)",
+    ),
     "pdb_row_to_300": (
         "pdb_row(n) for n = 0..300",
         "",

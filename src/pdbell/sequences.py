@@ -22,7 +22,6 @@ are:
 * ``_derangements``: D(0), D(1), ... .
 * ``_bells``: (bell, complementary_bell, deranged_bell, ordered_bell) at m,
   by the step of ``pdb_rows``.
-* ``_factorials``: 0!, 1!, ... .
 
 The memos may be read from several threads at once, under one rule: a
 reader calls ``upto`` on the very memo it is about to read, with the
@@ -31,14 +30,16 @@ about this one, which another thread may still be growing.  The list
 returned may be longer than asked and must not be mutated.  Given that,
 concurrent callers always see the single-threaded values.
 
-The two-index kernels are dot products over these lists, summed in C with
-``sum(map(mul, ...))``: ``pdb_number(n, r)`` is Stirling row ``n`` from
-``k = r`` on times the rencontres column ``C(k, r) * D(k - r)``, built per
-call, and ``truncated_ordered_bell(n, r)`` is the same row times the
-factorials.  The r-ordered Bell numbers need no triangle of their own:
-applying ``x^j -> ordered_bell(j)`` to ``(x + r)^n`` gives
+``pdb_number(n, r)`` is Stirling row ``n`` from ``k = r`` on times the
+rencontres column ``C(k, r) * D(k - r)``, built per call, summed in C with
+``sum(map(mul, ...))``.  A ``truncated_ordered_bell`` cell is read off its
+row.  The r-shifted kernels need no triangle: applying ``x^j -> a_j`` to
+``(x + r)^n`` gives the one transform ``_shifted``,
 
-    r_ordered_bell(n, r) = sum_j C(n, j) * r^(n - j) * ordered_bell(j).
+    sum_j C(n, j) * r^(n - j) * a_j,
+
+with ``a_j = ordered_bell(j)`` for ``r_ordered_bell`` and ``a_j =
+complementary_bell(j)`` for ``complementary_r_bell``.
 
 Whole rows of the ``pdb`` triangle come one from the other, with no
 Stirling row at all.  With ``u = e^t - 1`` the rows ``P_n(x) = sum_r
@@ -207,7 +208,6 @@ def r_stirling2(m: int, j: int, r: int) -> int:
 
 
 _derangements = _Memo(lambda: accumulate(count(1), lambda d, m: m * d + (-1) ** m, initial=1))
-_factorials = _Memo(lambda: accumulate(count(1), mul, initial=1))
 
 
 def derangement(n: int) -> int:
@@ -242,6 +242,19 @@ def _bell_entry(q: list[int]) -> tuple[int, int, int, int]:
 _bells = _Memo(lambda: _rows(_next_touchard_row, _bell_entry))
 
 
+def _shifted(n: int, r: int, i: int) -> int:
+    """sum_j C(n, j) * r^(n - j) * _bells[j][i]; the weight is carried from
+    j = n down, one exact small-integer step each."""
+    bells = _bells.upto(n)
+    if not r:
+        return bells[n][i]
+    total, t = 0, 1
+    for j in range(n, -1, -1):
+        total += t * bells[j][i]
+        t = t * j * r // (n - j + 1)
+    return total
+
+
 def bell(n: int) -> int:
     """Number of partitions of an n-set."""
     _require_nonnegative(n=n)
@@ -255,14 +268,10 @@ def complementary_bell(n: int) -> int:
 
 
 def complementary_r_bell(n: int, r: int) -> int:
-    """Restricted variant of the alternating Bell number.
-
-    Computed from the binomial expansion over cached alternating Bell values,
-    so each query is O(n) once the base sequence exists.
-    """
+    """Restricted variant of the alternating Bell number: the sum over j of
+    ``C(n, j) * r^(n - j) * complementary_bell(j)``, by ``_shifted``."""
     _require_nonnegative(n=n, r=r)
-    bells = _bells.upto(n)
-    return sum(math.comb(n, k) * r**k * bells[n - k][1] for k in range(n + 1))
+    return _shifted(n, r, 1)
 
 
 def ordered_bell(n: int) -> int:
@@ -275,18 +284,11 @@ def r_ordered_bell(n: int, r: int) -> int:
     """Ordered partitions counted with r distinguished seed elements.
 
     Defined as the sum over k of ``r_stirling2(n + r, k + r, r) * k!``, and
-    computed as the sum over j of ``C(n, j) * r^(n - j) * ordered_bell(j)``;
-    the weight is carried from j = n down, one exact small-integer step each.
+    computed as the sum over j of ``C(n, j) * r^(n - j) * ordered_bell(j)``
+    by ``_shifted``, the transform ``complementary_r_bell`` also reads.
     """
     _require_nonnegative(n=n, r=r)
-    bells = _bells.upto(n)
-    if not r:
-        return bells[n][3]
-    total, t = 0, 1
-    for j in range(n, -1, -1):
-        total += t * bells[j][3]
-        t = t * j * r // (n - j + 1)
-    return total
+    return _shifted(n, r, 3)
 
 
 def r_ordered_bell_row(n: int, max_r: int) -> list[int]:
@@ -304,16 +306,14 @@ def r_ordered_bell_row(n: int, max_r: int) -> list[int]:
 def truncated_ordered_bell(n: int, r: int) -> int:
     """Ordered partitions of an n-set using at least r blocks."""
     _require_nonnegative(n=n, r=r)
-    if r > n:
-        return 0
-    return sum(map(mul, _row(0, n)[r:], _factorials.upto(n)[r:]))
+    return truncated_ordered_bell_row(n)[r] if r <= n else 0
 
 
 def truncated_ordered_bell_row(n: int) -> list[int]:
     """Row [truncated_ordered_bell(n, r) for r = 0..n]: suffix sums of
     stirling2(n, k) * k!, so O(n) additions for the whole row."""
     _require_nonnegative(n=n)
-    terms = list(map(mul, _row(0, n), _factorials.upto(n)))
+    terms = list(map(mul, _row(0, n), accumulate(range(1, n + 1), mul, initial=1)))
     terms.reverse()
     row = list(accumulate(terms))
     row.reverse()

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import add, mul
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "TruncatedSeries",
@@ -73,9 +74,12 @@ def _push(nums: list[int], den: int, value: Rational) -> int:
     return den
 
 
-def _next_row(row: list[int]) -> list[int]:
-    """Pascal row m + 1 from row m."""
-    return [1, *map(add, row, row[1:]), 1]
+def _pascal_rows() -> Iterator[list[int]]:
+    """Pascal rows 0, 1, 2, ... without end, each rolled from the one before."""
+    row = [1]
+    while True:
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
 
 
 class TruncatedSeries:
@@ -196,10 +200,7 @@ class TruncatedSeries:
         n = self._common_order(other)
         a, b = self._num, other._num
         out = []
-        row = [1]
-        for m in range(n + 1):
-            if m:
-                row = _next_row(row)
+        for m, row in zip(range(n + 1), _pascal_rows()):
             # sum over k of C(m,k) * a_k * b_{m-k}
             out.append(sum(map(mul, map(mul, row, a), b[m::-1])))
         return self._from_egf(out, self._den * other._den, n)
@@ -219,10 +220,7 @@ class TruncatedSeries:
         #     = (a_m*d*db - s*da) / (da*d*b_0),  s = sum_{k<m} C(m,k) p_k b_{m-k}.
         p: list[int] = []
         d = 1
-        row = [1]
-        for m in range(n + 1):
-            if m:
-                row = _next_row(row)
+        for m, row in zip(range(n + 1), _pascal_rows()):
             s = sum(map(mul, map(mul, row, p), b[m:0:-1]))
             d = _push(p, d, _exact(a[m] * d * db - s * da, da * d * b[0]))
         return self._from_egf(p, d, n)
@@ -239,10 +237,7 @@ class TruncatedSeries:
         # B_m = sum_{k=1..m} C(m-1,k-1) A_k B_{m-k} = s / (den*d).
         p = [1]
         d = 1
-        row = [1]
-        for m in range(1, n + 1):
-            if m > 1:
-                row = _next_row(row)
+        for row in islice(_pascal_rows(), n):
             d = _push(p, d, _exact(sum(map(mul, map(mul, row, a), reversed(p))), den * d))
         return self._from_egf(p, d, n)
 

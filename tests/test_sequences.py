@@ -152,6 +152,11 @@ def test_partial_derangement_laws_to_25():
                 seq.partial_derangement(k, r) for k in range(r, n + 1)
             ]
         assert seq.partial_derangement_column(n + 1, n) == []
+    # Long columns, to n = 200.
+    for r in (0, 1, 5, 100, 200):
+        assert seq.partial_derangement_column(r, 200) == [
+            math.comb(k, r) * seq.derangement(k - r) for k in range(r, 201)
+        ], r
 
 
 def test_pdb_laws_to_25():
@@ -203,6 +208,13 @@ def test_r_ordered_bell_matches_definition():
             expected = sum(
                 seq.r_stirling2(n + r, k + r, r) * math.factorial(k)
                 for k in range(n + 1)
+            )
+            assert seq.r_ordered_bell(n, r) == expected, (n, r)
+    # The binomial sum itself, over a deterministic sweep.
+    for r in (0, 1, 2, 7, 1000):
+        for n in range(201):
+            expected = sum(
+                math.comb(n, j) * r ** (n - j) * seq.ordered_bell(j) for j in range(n + 1)
             )
             assert seq.r_ordered_bell(n, r) == expected, (n, r)
 
@@ -439,6 +451,16 @@ def test_complementary_r_bell_binomial_form(n, r):
         math.comb(n, k) * r**k * seq.complementary_bell(n - k) for k in range(n + 1)
     )
     assert seq.complementary_r_bell(n, r) == expected
+
+
+def test_complementary_r_bell_binomial_form_to_200():
+    # A deterministic sweep: the kernel shares its loop with r_ordered_bell.
+    for r in (0, 1, 2, 7, 1000):
+        for n in range(201):
+            expected = sum(
+                math.comb(n, k) * r**k * seq.complementary_bell(n - k) for k in range(n + 1)
+            )
+            assert seq.complementary_r_bell(n, r) == expected, (n, r)
 
 
 @given(n=small_n, r=small_r)

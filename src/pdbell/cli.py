@@ -7,6 +7,11 @@ series coefficients.  Output formats are text, canonical JSON (sorted keys,
 two-space indent, rationals as strings, so parse + re-serialize is
 byte-identical), and CSV with a mandatory header row.
 
+A table is streamed: one chunker per format writes each row as it is made.
+The check, oracle and egf reports are small, so each command builds its
+results, CSV rows and text lines in one pass, and one writer
+(:func:`_report`) prints the form the invocation asks for.
+
 Each table and egf family, and the check and oracle subcommands, declare
 once (:class:`Spec`) the flags they read and the cap on each flag that has
 one.  Any other flag is a usage error, and a value over its cap is refused
@@ -400,48 +405,40 @@ def _check_exit_code(report: checks.SuiteReport) -> int:
     return _EXIT_PASS
 
 
-def _render_check_text(report: checks.SuiteReport) -> str:
-    lines = []
+def _report(
+    cfg: RunConfig, config: dict[str, object], results: list, header: list, rows: list, lines: list
+) -> str:
+    """A small report in the invocation's format: canonical JSON of the
+    command, its config echo and ``results``; CSV of ``header`` and ``rows``;
+    or the text ``lines``."""
+    if cfg.fmt == "json":
+        return canonical_json({"command": cfg.command, "config": config, "results": results})
+    if cfg.fmt == "csv":
+        return _csv_text([header, *rows])
+    return "\n".join(lines) + "\n"
+
+
+def _render_check(report: checks.SuiteReport, cfg: RunConfig) -> str:
+    results, rows, lines = [], [], []
     for r in report.results:
-        bounds = ", ".join(f"{k}={v}" for k, v in sorted(r.bounds.items()))
-        suffix = f" ({bounds})" if bounds else ""
+        w = r.witness
+        bounds = [f"{k}={v}" for k, v in sorted(r.bounds.items())]
+        params = [f"{k}={v}" for k, v in w.params.items()] if w else []
+        lhs, rhs = (w.lhs, w.rhs) if w else ("", "")
+        results.append(r.to_dict())
+        cells = [";".join(bounds), ";".join(params), lhs, rhs, r.ms, r.error or ""]
+        rows.append([r.check_id, r.status.value, *cells])
+        suffix = f" ({', '.join(bounds)})" if bounds else ""
         lines.append(f"check {r.check_id}: {r.status.value}{suffix} [{r.ms} ms]")
-        if r.witness is not None:
-            params = " ".join(f"{k}={v}" for k, v in r.witness.params.items())
-            lines.append(f"  witness {params}: lhs={r.witness.lhs} rhs={r.witness.rhs}")
+        if w:
+            lines.append(f"  witness {' '.join(params)}: lhs={lhs} rhs={rhs}")
         if r.error is not None:
             lines.append(f"  error: {r.error}")
     counts = Counter(r.status.value for r in report.results)
     tally = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     lines.append(f"overall: {report.overall} ({len(report.results)} checks: {tally})")
-    return "\n".join(lines) + "\n"
-
-
-def _render_check(report: checks.SuiteReport, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
-        return canonical_json(
-            {
-                "command": "check",
-                "config": report.config.to_dict(),
-                "results": [r.to_dict() for r in report.results],
-            }
-        )
-    if cfg.fmt == "csv":
-        rows = []
-        for r in report.results:
-            bounds = ";".join(f"{k}={v}" for k, v in sorted(r.bounds.items()))
-            if r.witness is not None:
-                params = ";".join(f"{k}={v}" for k, v in r.witness.params.items())
-                lhs, rhs = r.witness.lhs, r.witness.rhs
-            else:
-                params = lhs = rhs = ""
-            rows.append(
-                [r.check_id, r.status.value, bounds, params, lhs, rhs, r.ms, r.error or ""]
-            )
-        return _csv_text(
-            [["id", "status", "bounds", "witness_params", "lhs", "rhs", "ms", "error"], *rows]
-        )
-    return _render_check_text(report)
+    header = ["id", "status", "bounds", "witness_params", "lhs", "rhs", "ms", "error"]
+    return _report(cfg, report.config.to_dict(), results, header, rows, lines)
 
 
 def _cmd_check(cfg: RunConfig) -> tuple[int, str]:
@@ -454,45 +451,21 @@ def _cmd_check(cfg: RunConfig) -> tuple[int, str]:
 # oracle
 
 
-def _oracle_cells(cap: int) -> list[dict[str, object]]:
-    return [
-        {
-            "n": n,
-            "kind": kind,
-            "formula": [str(v) for v in formula],
-            "brute": [str(v) for v in brute],
-            "equal": formula == brute,
-        }
-        for n in range(cap + 1)
-        for kind, formula, brute in checks.oracle_cells(n, cap)
-    ]
-
-
 def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
-    cells = _oracle_cells(cfg.max_n)
-    all_equal = all(c["equal"] for c in cells)
-    code = _EXIT_PASS if all_equal else _EXIT_FAIL
-    if cfg.fmt == "json":
-        return code, canonical_json(
-            {"command": "oracle", "config": _config_echo(cfg), "results": cells}
-        )
-    if cfg.fmt == "csv":
-        rows = []
-        for c in cells:
-            for idx, (f_val, b_val) in enumerate(zip(c["formula"], c["brute"])):
-                rows.append(
-                    [c["n"], c["kind"], idx, f_val, b_val, str(f_val == b_val).lower()]
-                )
-        return code, _csv_text([["n", "kind", "index", "formula", "brute", "equal"], *rows])
-    lines = [f"oracle comparison up to n={cfg.max_n}"]
-    for c in cells:
-        mark = "ok" if c["equal"] else "MISMATCH"
-        lines.append(
-            f"n={c['n']} {c['kind']}: formula {' '.join(c['formula'])} | "
-            f"brute {' '.join(c['brute'])} | {mark}"
-        )
+    results, rows, lines = [], [], [f"oracle comparison up to n={cfg.max_n}"]
+    for n in range(cfg.max_n + 1):
+        for kind, formula, brute in checks.oracle_cells(n, cfg.max_n):
+            f, b = [str(v) for v in formula], [str(v) for v in brute]
+            equal = formula == brute
+            results.append({"n": n, "kind": kind, "formula": f, "brute": b, "equal": equal})
+            rows += ([n, kind, i, x, y, str(x == y).lower()] for i, (x, y) in enumerate(zip(f, b)))
+            mark = "ok" if equal else "MISMATCH"
+            lines.append(f"n={n} {kind}: formula {' '.join(f)} | brute {' '.join(b)} | {mark}")
+    all_equal = all(c["equal"] for c in results)
     lines.append("all cells equal" if all_equal else "MISMATCH FOUND")
-    return code, "\n".join(lines) + "\n"
+    header = ["n", "kind", "index", "formula", "brute", "equal"]
+    report = _report(cfg, _config_echo(cfg), results, header, rows, lines)
+    return (_EXIT_PASS if all_equal else _EXIT_FAIL), report
 
 
 # ----------------------------------------------------------------------
@@ -501,17 +474,14 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[int, str]:
 
 def _cmd_egf(cfg: RunConfig) -> tuple[int, str]:
     series = _EGF[cfg.family or ""].kernel(cfg)
-    rows = [(n, str(series.coeff(n)), str(series.egf_coeff(n))) for n in range(cfg.order + 1)]
-    if cfg.fmt == "json":
-        results = [{"n": n, "c_n": c, "n_factorial_c_n": f} for n, c, f in rows]
-        return _EXIT_PASS, canonical_json(
-            {"command": "egf", "config": _config_echo(cfg), "results": results}
-        )
-    if cfg.fmt == "csv":
-        return _EXIT_PASS, _csv_text([["n", "c_n", "n_factorial_c_n"], *rows])
-    lines = [f"egf {cfg.family} order {cfg.order}"]
-    lines += [f"n={n}: c_n={c} n!*c_n={f}" for n, c, f in rows]
-    return _EXIT_PASS, "\n".join(lines) + "\n"
+    results, rows, lines = [], [], [f"egf {cfg.family} order {cfg.order}"]
+    for n in range(cfg.order + 1):
+        c, f = str(series.coeff(n)), str(series.egf_coeff(n))
+        results.append({"n": n, "c_n": c, "n_factorial_c_n": f})
+        rows.append([n, c, f])
+        lines.append(f"n={n}: c_n={c} n!*c_n={f}")
+    header = ["n", "c_n", "n_factorial_c_n"]
+    return _EXIT_PASS, _report(cfg, _config_echo(cfg), results, header, rows, lines)
 
 
 # ----------------------------------------------------------------------

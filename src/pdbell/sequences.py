@@ -347,7 +347,9 @@ def pdb_row(n: int) -> list[int]:
     """Row [pdb_number(n, 0), ..., pdb_number(n, n)]; sums to ordered_bell(n).
 
     The last row of ``pdb_rows(n)``, read off ``Q_n`` alone: O(n^2)
-    small-by-big operations in all, with no Stirling row read.
+    small-by-big operations in all, with no Stirling row read.  Each call
+    reruns Q_0..Q_n, so a loop over n should iterate ``pdb_rows`` instead:
+    O(n^2) in all rather than O(n^3).
     """
     _require_nonnegative(n=n)
     return next(_rows(_next_touchard_row, _pdb_row_of, n))

@@ -316,19 +316,23 @@ def test_golden_check_json(golden_runs, name):
     assert digest == GOLDEN_JSON_SHA256[name]
 
 
-def test_benchmark_suite_output_matches_its_recorded_digest(capsys):
-    # The benchmark's suite job, run in-process; its digest file is only read.
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    job = "check --max-n 32 --format json"
-    assert cli.main(job.split()) == 0
-    body, timings = workloads.strip_ms(capsys.readouterr().out.encode("ascii"))
-    assert list(timings) == EXPECTED_IDS
-    recorded = json.loads((bench / "digests.json").read_text(encoding="utf-8"))[job]
-    assert recorded["exit"] == 0
-    assert hashlib.sha256(body).hexdigest() == recorded["sha256"]
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_DIGESTS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("job", sorted(BENCH_DIGESTS), ids=lambda job: job.replace(" ", "_"))
+def test_benchmark_suite_output_matches_its_recorded_digest(capsys, job):
+    # Every benchmark job, run in-process; its digest file is only read.
+    code = cli.main(job.split())
+    body = capsys.readouterr().out.encode("ascii")
+    if job.startswith("check "):
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        body, timings = workloads.strip_ms(body)
+        assert list(timings) == EXPECTED_IDS
+    assert code == BENCH_DIGESTS[job]["exit"]
+    assert hashlib.sha256(body).hexdigest() == BENCH_DIGESTS[job]["sha256"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WITNESS_LINES))

@@ -801,6 +801,102 @@ def test_egf_json_round_trip(capsys):
 
 
 # ----------------------------------------------------------------------
+# the three formats of the check, oracle and egf reports
+
+
+def _report_forms(render):
+    """The JSON document, the CSV rows read back and the text lines of a
+    report, given ``render(fmt)`` for each format."""
+    outs = {fmt: render(fmt) for fmt in ("text", "json", "csv")}
+    doc = json.loads(outs["json"])
+    assert canonical_json(doc) == outs["json"]
+    assert _csv_rewritten(outs["csv"]) == outs["csv"]
+    return doc, list(csv.reader(io.StringIO(outs["csv"]))), outs["text"].splitlines()
+
+
+def test_check_report_formats_agree(monkeypatch):
+    def broken(n):
+        raise ValueError(f'deranged_bell({n}): no, "not" today')
+
+    monkeypatch.setattr(seq, "deranged_bell", broken)
+    ids = ["thm_2_3", "remark_2_8_printed", "thm_2_9", "eq_14_printed"]
+    report = checks.run_all(SuiteConfig(max_n=6, max_r=2, max_m=2, oracle_cap=5), ids)
+    doc, rows, lines = _report_forms(
+        lambda fmt: cli._render_check(report, cli.RunConfig("check", fmt=fmt))
+    )
+    results = doc["results"]
+    assert [r["status"] for r in results] == [
+        "error", "known-failing-as-printed", "pass", "known-failing-as-printed"
+    ]
+    expected_rows = [["id", "status", "bounds", "witness_params", "lhs", "rhs", "ms", "error"]]
+    expected_lines = []
+    for r in results:
+        bounds = [f"{k}={v}" for k, v in sorted(r["bounds"].items())]
+        w = r.get("witness", {"params": {}, "lhs": "", "rhs": ""})
+        params = [f"{k}={v}" for k, v in w["params"].items()]
+        expected_rows.append(
+            [
+                r["id"],
+                r["status"],
+                ";".join(bounds),
+                ";".join(params),
+                w["lhs"],
+                w["rhs"],
+                str(r["ms"]),
+                r.get("error", ""),
+            ]
+        )
+        suffix = f" ({', '.join(bounds)})" if bounds else ""
+        expected_lines.append(f"check {r['id']}: {r['status']}{suffix} [{r['ms']} ms]")
+        if "witness" in r:
+            expected_lines.append(f"  witness {' '.join(params)}: lhs={w['lhs']} rhs={w['rhs']}")
+        if "error" in r:
+            expected_lines.append(f"  error: {r['error']}")
+    assert rows == expected_rows
+    assert lines[:-1] == expected_lines
+    assert lines[-1] == "overall: fail (4 checks: 1 error, 2 known-failing-as-printed, 1 pass)"
+    # A comma and a double quote in an error message survive the CSV round trip.
+    assert rows[1][7] == results[0]["error"] == 'ValueError: deranged_bell(0): no, "not" today'
+
+
+def test_oracle_report_formats_agree(capsys):
+    doc, rows, lines = _report_forms(
+        lambda fmt: run_cli(capsys, "oracle", "--max-n", "5", "--format", fmt)[1]
+    )
+    results = doc["results"]
+    assert [(c["n"], c["kind"]) for c in results[:2]] == [(0, "pdb_row"), (0, "stirling2")]
+    assert all(c["equal"] == (c["formula"] == c["brute"]) for c in results)
+    assert rows == [["n", "kind", "index", "formula", "brute", "equal"]] + [
+        [str(c["n"]), c["kind"], str(i), f, b, str(f == b).lower()]
+        for c in results
+        for i, (f, b) in enumerate(zip(c["formula"], c["brute"], strict=True))
+    ]
+    assert lines == ["oracle comparison up to n=5"] + [
+        f"n={c['n']} {c['kind']}: formula {' '.join(c['formula'])} | "
+        f"brute {' '.join(c['brute'])} | ok"
+        for c in results
+    ] + ["all cells equal"]
+
+
+@pytest.mark.parametrize(
+    "family, flags",
+    [("deranged_bell", ()), ("higher_bernoulli", ("--r", "3")), ("pdb", ("--r", "2"))],
+)
+def test_egf_report_formats_agree(capsys, family, flags):
+    doc, rows, lines = _report_forms(
+        lambda fmt: run_cli(capsys, "egf", family, *flags, "--order", "12", "--format", fmt)[1]
+    )
+    results = doc["results"]
+    assert [r["n"] for r in results] == list(range(13))
+    assert rows == [["n", "c_n", "n_factorial_c_n"]] + [
+        [str(r["n"]), r["c_n"], r["n_factorial_c_n"]] for r in results
+    ]
+    assert lines == [f"egf {family} order 12"] + [
+        f"n={r['n']}: c_n={r['c_n']} n!*c_n={r['n_factorial_c_n']}" for r in results
+    ]
+
+
+# ----------------------------------------------------------------------
 # per-subcommand flags
 
 POSITIONAL = {"table": ["bell"], "egf": ["deranged_bell"]}

@@ -407,13 +407,9 @@ def _row(key: object, n: int, entry: Callable[[int], object]) -> list:
     return row
 
 
-def _stirling_rows(n: int) -> list[list[int]]:
-    """Stirling rows 0..n (or more): ``rows[m][k]`` is stirling2(m, k) for k <= m."""
-    return _row("stirling2_row", n, seq.stirling2_row)
-
-
-def _kernel_row(name: str, n: int) -> list[int]:
-    """``row[i]`` is seq.<name>(i) for i <= n."""
+def _kernel_row(name: str, n: int) -> list:
+    """``row[i]`` is seq.<name>(i) for i <= n; for ``stirling2_row``,
+    ``row[m][k]`` is stirling2(m, k) for k <= m."""
     return _row(name, n, getattr(seq, name))
 
 
@@ -450,7 +446,7 @@ def _bernoulli_weights(top: int, r: int | None) -> tuple[int, list[int]]:
     lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
 def _thm_2_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    S, D = _stirling_rows(n), _kernel_row("deranged_bell", n)
+    S, D = _kernel_row("stirling2_row", n), _kernel_row("deranged_bell", n)
     rhs = sum(math.comb(n, k) * S[k][r] * D[n - k] for k in range(r, n + 1))
     yield {}, _column("pdb_number", n, r)[n], rhs
 
@@ -478,7 +474,7 @@ def _thm_2_4(cfg: SuiteConfig, n: int) -> Comparisons:
 )
 def _thm_2_7(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = _column("pdb_number", n, r)[n] - (r + 1) * _column("pdb_number", n, r + 1)[n]
-    S, phi = _stirling_rows(n), _kernel_row("complementary_bell", n)
+    S, phi = _kernel_row("stirling2_row", n), _kernel_row("complementary_bell", n)
     rhs = sum(math.comb(n, k) * S[k][r] * phi[n - k] for k in range(r, n + 1))
     yield {}, lhs, rhs
 
@@ -681,7 +677,7 @@ def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
     lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
-    S = _stirling_rows(n)
+    S = _kernel_row("stirling2_row", n)
     # stirling2(n-k, r) vanishes for k > n-r.
     rhs = poly.weighted_sum(
         (math.comb(n, k) * S[n - k][r], poly.pdb_poly(k, m)) for k in range(m, n - r + 1)
@@ -702,7 +698,7 @@ def _cor_3_2_grid(cfg: SuiteConfig, j: tuple[int | str, str], **notes: str) -> G
 
 def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
     """Both sides of the division-free form from the sequence kernels."""
-    S = _stirling_rows(n)
+    S = _kernel_row("stirling2_row", n)
     # stirling2(n-k, r) vanishes for k > n-r, and stirling2(n, j+r) for j+r > n.
     lhs = _column("partial_derangement", j, m)[j] * sum(
         math.comb(n, k) * S[n - k][r] * S[k][j] for k in range(j, n - r + 1)
@@ -770,7 +766,7 @@ def _cor_3_2_corrected(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comp
 )
 def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
-    S = _stirling_rows(n)
+    S = _kernel_row("stirling2_row", n)
     rhs = poly.weighted_sum(
         (math.comb(n, k) * S[k][r], poly.exponential_poly(n - k).reflected())
         for k in range(r, n + 1)
@@ -800,7 +796,7 @@ def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), r=(1, c.max_r), j=("max(0,r-1)", "n")),
 )
 def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    S = _stirling_rows(n)
+    S = _kernel_row("stirling2_row", n)
     d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
     i = j - r + 1
     # stirling2(n-k, r-1) vanishes for k > n-r+1.
@@ -817,7 +813,7 @@ def _cor_3_5_b_sides(n: int, r: int, j: int) -> tuple[int, int]:
         for i in range(max(0, r - 1 - j), r)
     )
     d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
-    return lhs, (-1) ** j * _stirling_rows(n)[n][j] * (d0[j] - r * d1[j])
+    return lhs, (-1) ** j * _kernel_row("stirling2_row", n)[n][j] * (d0[j] - r * d1[j])
 
 
 def _cor_3_5_b_grid(cfg: SuiteConfig) -> Grid:
@@ -1027,7 +1023,7 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
     lambda c: Grid(r=(1, c.max_r), n=(1, c.max_n), j=(0, "n"), params=("n", "r", "j")),
 )
 def _cor_3_11(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    S = _stirling_rows(n + r)
+    S = _kernel_row("stirling2_row", n + r)
     scale, weights = _bernoulli_weights(n - j, r)
     lhs = math.comb(j + r, r) * sum(
         math.comb(n + r, k + r) * S[k + r][j + r] * w for k, w in zip(range(j, n + 1), weights)

@@ -7,7 +7,8 @@ series coefficients.  Output formats are text, canonical JSON (sorted keys,
 two-space indent, rationals as strings, so parse + re-serialize is
 byte-identical), and CSV with a mandatory header row.
 
-A table is streamed: one chunker per format writes each row as it is made.
+A table is streamed as it is made: JSON and text are written a few cells at
+a time, and CSV a row at a time.
 The check, oracle and egf reports are small, so each command builds its
 results, CSV rows and text lines in one pass, and one writer
 (:func:`_report`) prints the form the invocation asks for.
@@ -56,14 +57,14 @@ MAX_ORDER = 256
 # row (--n) or r, all set so that a request at the cap stays within
 # TABLE_BUDGET even on a vCPU running at half speed.  CPU time and peak RSS,
 # shared 2-vCPU x86 host, Python 3.11 (a range is the spread of repeated
-# runs or of the three formats), with tables written row by row and text
-# rows cell by cell:
+# runs or of the three formats), with JSON and text tables written _BATCH
+# cells at a time and CSV tables row by row:
 #   pdb       --max-n 1000: 17.0-20.2 s, 18-27 MB, mostly str(int)
 #             --n 1000:     0.5-0.7 s, 18-22 MB, rolling every row before n forward
-#   pdb_poly  --max-n 180: 3.0-3.5 s, 94 MB   (--max-n 200: 5.1 s, 134 MB)
-#             --n 550:     5.1-7.1 s, 258-672 MB (text 258 MB, CSV 534 MB,
-#                          JSON 672 MB: CSV and JSON join the row into one string)
-#                          (--n 600 as text: 7.1 s, 377 MB)
+#   pdb_poly  --max-n 180: 2.7-5.3 s, 74-85 MB (--max-n 200 as text: 5.8 s, 88 MB)
+#             --n 550:     4.4-6.9 s, 129-433 MB (text and JSON 129-133 MB, CSV
+#                          395-433 MB: CSV joins the row into one string)
+#                          (--n 600 as text: 8.5 s, 168 MB)
 #   truncated_ordered_bell --max-n 800: 15.0-20.6 s, 118-128 MB
 #                          (--max-n 900: 28.8-33.0 s, 162-175 MB), mostly str(int)
 #   r_ordered_bell --n 1000 --max-r 1000: 1.6-1.7 s, 21-30 MB
@@ -72,9 +73,12 @@ MAX_ORDER = 256
 #                    for any r; a cell has at most 2,594 digits, where str(int)
 #                    stops at 4,300 (--r 10000: 3,705; --r 100000: 4,717)
 # For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
-# With the soft limit only: partial_derangement --max-n 1000: 17.4-23.0 s,
+# With the soft limit only: partial_derangement --max-n 1000: 17.4-25.6 s,
 # 18-25 MB, of which math.comb is 7.7 s and str(int) 12.0 s.
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
+# Cells per chunk of a JSON or text row: a write to a write-through stream
+# (PYTHONUNBUFFERED) costs ~1 us however short, and 8 pdb_poly cells are MBs.
+_BATCH = 8
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -167,7 +171,7 @@ Cap = tuple[int, str]
 class Spec(NamedTuple):
     """The flags one command or family reads besides --format and --out, each
     mapped to its cap or None; ``row``, those of a table's single-row mode;
-    and the kernel: for a table family, ``kernel(cfg, ns)`` yields the cells
+    and the kernel: for a table family, ``kernel(cfg, ns)`` yields the row
     of each n of ``ns`` in turn (``ns`` is 0..max_n, or the one n of --n);
     for an egf family, ``kernel(cfg)`` is the series."""
 
@@ -183,9 +187,10 @@ _ENUMERATION: Cap = (oracle.DEFAULT_CAP, oracle._COST_HINT)
 _WHOLE: dict[str, Cap | None] = {"--max-n": _TABLE_N}
 _ROW: dict[str, Cap | None] = {"--n": _TABLE_N}
 
-# A cell is one value, or the list of the row's values for k = 0, 1, ...
-# The lambdas look the kernels up at call time, so a wrapper installed on a
-# module after import (a profiler or tracer) sees the calls.
+# A kernel yields values, not text: a row is one value, or the list of the
+# row's values for k = 0, 1, ...; the writers format them.  The lambdas look
+# the kernels up at call time, so a wrapper installed on a module after
+# import (a profiler or tracer) sees the calls.
 _TABLES: dict[str, Spec] = {
     "stirling2": Spec(_WHOLE, lambda c, ns: seq.stirling2_rows(ns[-1], ns[0]), _ROW),
     "r_stirling2": Spec(
@@ -220,7 +225,7 @@ _TABLES: dict[str, Spec] = {
     ),
     "pdb_poly": Spec(
         {"--max-n": (180, _MEASURED)},
-        lambda c, ns: ([str(poly.pdb_poly(n, r)) for r in range(n + 1)] for n in ns),
+        lambda c, ns: ([poly.pdb_poly(n, r) for r in range(n + 1)] for n in ns),
         {"--n": (550, _MEASURED)},
     ),
     "bernoulli": Spec(_WHOLE, lambda c, ns: map(bernoulli_number, ns)),
@@ -280,15 +285,16 @@ def _over_cap(cfg: RunConfig, declared: dict[str, Cap | None]) -> str | None:
 # table
 
 
-def _table_rows(cfg: RunConfig) -> Iterator[tuple[int, object]]:
-    """One (n, cells) row per n the invocation asks for; a kernel that yields
-    too few or too many rows raises ValueError."""
+def _table_rows(cfg: RunConfig) -> Iterator[tuple[int, list[tuple[int | None, Any]]]]:
+    """One (n, [(k, value), ...]) row per n asked for; k is None for a one-index
+    family.  A kernel that yields too few or too many rows raises ValueError."""
     ns = range(cfg.max_n + 1) if cfg.n is None else (cfg.n,)
-    return zip(ns, _TABLES[cfg.family or ""].kernel(cfg, ns), strict=True)
+    for n, row in zip(ns, _TABLES[cfg.family or ""].kernel(cfg, ns), strict=True):
+        yield n, list(enumerate(row)) if isinstance(row, list) else [(None, row)]
 
 
 def _json_chunks(cfg: RunConfig) -> Iterator[str]:
-    """The canonical JSON of a table, one chunk per row n.
+    """The canonical JSON of a table, one chunk per _BATCH cells of a row.
 
     The text around the results list is canonical_json's own; each result
     object is written at the indent and in the sorted key order that
@@ -302,20 +308,16 @@ def _json_chunks(cfg: RunConfig) -> Iterator[str]:
     yield head
     sep = "[\n"
     for n, cells in _table_rows(cfg):
-        if isinstance(cells, list):
-            items = [
-                f'    {{\n      "family": {family},\n      "k": {k},\n      "n": {n},\n'
-                f'      "value": {encode_basestring_ascii(str(v))}\n    }}'
-                for k, v in enumerate(cells)
-            ]
-        else:
-            items = [
-                f'    {{\n      "family": {family},\n      "n": {n},\n'
-                f'      "value": {encode_basestring_ascii(str(cells))}\n    }}'
-            ]
-        if items:
-            yield sep + ",\n".join(items)
-            sep = ",\n"
+        for i in range(0, len(cells), _BATCH):
+            items = []
+            for k, value in cells[i : i + _BATCH]:
+                key = "" if k is None else f'      "k": {k},\n'
+                items.append(
+                    f'{sep}    {{\n      "family": {family},\n{key}      "n": {n},\n'
+                    f'      "value": {encode_basestring_ascii(str(value))}\n    }}'
+                )
+                sep = ",\n"
+            yield "".join(items)
     yield ("[]" if sep == "[\n" else "\n  ]") + tail
 
 
@@ -325,37 +327,34 @@ def _csv_chunks(cfg: RunConfig) -> Iterator[str]:
     csv.writer quotes only a field holding a comma, a quote or a line break
     (a carriage return too, on some Python versions); a row whose text holds
     more commas or line breaks than its separators, or any quote or carriage
-    return, is handed to csv.writer instead.
+    return, is handed to csv.writer instead.  Run per cell, this guard made
+    the write loop of ``stirling2 --max-n 300`` 30 % slower (0.074 to 0.096 s).
     """
     family = cfg.family
     yield "family,n,k,value\n"
     for n, cells in _table_rows(cfg):
-        pairs = list(enumerate(cells)) if isinstance(cells, list) else [("", cells)]
-        text = "".join([f"{family},{n},{k},{v}\n" for k, v in pairs])
+        text = "".join([f"{family},{n},{'' if k is None else k},{v}\n" for k, v in cells])
         if (
-            text.count(",") != 3 * len(pairs)
-            or text.count("\n") != len(pairs)
+            text.count(",") != 3 * len(cells)
+            or text.count("\n") != len(cells)
             or '"' in text
             or "\r" in text
         ):
-            text = _csv_text([family, n, k, v] for k, v in pairs)
+            text = _csv_text([family, n, k, v] for k, v in cells)
         yield text
 
 
 def _text_chunks(cfg: RunConfig) -> Iterator[str]:
+    """The text of a table, a chunk per _BATCH cells of a row and per line end."""
     family = cfg.family
     # Polynomial cells contain spaces, so their row uses a wider separator.
     sep = " | " if family == "pdb_poly" else " "
     yield f"table {family}\n"
     for n, cells in _table_rows(cfg):
-        if not isinstance(cells, list):
-            yield f"n={n}: {cells}\n"
-            continue
-        # Written cell by cell: no string of the whole row is ever made.
         head = f"n={n}: "
-        for cell in cells:
-            yield f"{head}{cell}"
-            head = sep
+        for i in range(0, len(cells), _BATCH):
+            batch = enumerate(cells[i : i + _BATCH], i)
+            yield "".join([f"{sep if j else head}{value}" for j, (_, value) in batch])
         yield "\n" if cells else f"{head}\n"
 
 
@@ -548,11 +547,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except oracle.CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return _EXIT_RESOURCE
-    # A table arrives row by row and each row is written as it is made.
+    # A table arrives in chunks, and each is written as it is made.
     chunks = (output,) if isinstance(output, str) else output
     with open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext(sys.stdout) as handle:
-        for chunk in chunks:
-            handle.write(chunk)
+        handle.writelines(chunks)
     return code
 
 

@@ -319,7 +319,8 @@ def egf_family(family: str, order: int, param: int | None = None) -> TruncatedSe
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if family == "partial_derangement":
-        return _deranged(TruncatedSeries.t(order), _required_param(family, param))
+        r = _required_param(family, param)
+        return _deranged(TruncatedSeries.t(order)).shift(r).scale(Fraction(1, math.factorial(r)))
     if family == "ordered_bell":
         exp_t = TruncatedSeries.t(order).exp()
         return TruncatedSeries.one(order) / (TruncatedSeries.from_constant(2, order) - exp_t)

@@ -723,6 +723,34 @@ def test_out_file_gets_the_bytes_of_stdout(capsys, tmp_path, fmt):
     assert target.read_bytes() == out.encode("ascii")
 
 
+# Runs main in a child and prints the child's own peak RSS in MB at exit.
+# The spawner's RUSAGE_CHILDREN cannot serve: Linux carries the spawning
+# process's peak across exec, and a pytest process is larger than the bound.
+_PEAK_RSS_CHILD = """
+import sys
+from pdbell.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as status:
+    peak = next(line for line in status if line.startswith("VmHWM:"))
+print(int(peak.split()[1]) // 1024)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pdb_poly_row_holds_no_copies_of_itself(tmp_path, fmt):
+    # Written a few cells at a time, this row of 351 polynomials peaks at
+    # about 47 MB.  A copy of the row as strings took it to 75 MB as text, and
+    # that copy joined into one string to 174 MB as JSON.
+    argv = ["table", "pdb_poly", "--n", "350", "--format", fmt, "--out", str(tmp_path / "row")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64
+
+
 # ----------------------------------------------------------------------
 # egf
 

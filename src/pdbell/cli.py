@@ -61,20 +61,22 @@ MAX_ORDER = 256
 # cells at a time and CSV tables row by row:
 #   pdb       --max-n 1000: 17.0-20.2 s, 18-27 MB, mostly str(int)
 #             --n 1000:     0.5-0.7 s, 18-22 MB, rolling every row before n forward
-#   pdb_poly  --max-n 180: 2.7-5.3 s, 74-85 MB (--max-n 200 as text: 5.8 s, 88 MB)
-#             --n 550:     4.4-6.9 s, 129-433 MB (text and JSON 129-133 MB, CSV
-#                          395-433 MB: CSV joins the row into one string)
-#                          (--n 600 as text: 8.5 s, 168 MB)
-#   truncated_ordered_bell --max-n 800: 15.0-20.6 s, 118-128 MB
-#                          (--max-n 900: 28.8-33.0 s, 162-175 MB), mostly str(int)
+#   pdb_poly  --max-n 180: 3.8-4.9 s, 23-33 MB (--max-n 200 as text, with a
+#                          pdb_poly cache: 5.8 s, 88 MB)
+#             --n 550:     5.1-6.5 s, 102-406 MB (text and JSON 102-103 MB, CSV
+#                          406 MB: CSV joins the row into one string)
+#                          (--n 600 as text, from the Stirling memo: 8.5 s, 168 MB)
+#   truncated_ordered_bell --max-n 800: 15.3-17.9 s, 19-23 MB
+#                          (--max-n 900, from the Stirling memo: 28.8-33.0 s), mostly str(int)
 #   r_ordered_bell --n 1000 --max-r 1000: 1.6-1.7 s, 21-30 MB
 #                  --max-n 1000 --r 1000: 10.5-16.1 s, 18 MB
 #   higher_bernoulli --max-n 1000 --r 1000: 3.6-3.9 s, 18 MB, one recurrence
 #                    for any r; a cell has at most 2,594 digits, where str(int)
 #                    stops at 4,300 (--r 10000: 3,705; --r 100000: 4,717)
 # For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
-# With the soft limit only: partial_derangement --max-n 1000: 17.4-25.6 s,
-# 18-25 MB, of which math.comb is 7.7 s and str(int) 12.0 s.
+# With the soft limit only: partial_derangement --max-n 1000: 12.7-15.5 s,
+# 18-22 MB, mostly str(int); r_stirling2 --max-n 1000 --r 0: 8.9-10.6 s,
+# 18-22 MB, less for a larger r (rows n < r are zeros).
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
 # Cells per chunk of a JSON or text row: a write to a write-through stream
 # (PYTHONUNBUFFERED) costs ~1 us however short, and 8 pdb_poly cells are MBs.
@@ -194,15 +196,11 @@ _ROW: dict[str, Cap | None] = {"--n": _TABLE_N}
 _TABLES: dict[str, Spec] = {
     "stirling2": Spec(_WHOLE, lambda c, ns: seq.stirling2_rows(ns[-1], ns[0]), _ROW),
     "r_stirling2": Spec(
-        {"--max-n": _TABLE_N, "--r": None},
-        lambda c, ns: ([seq.r_stirling2(n, k, c.r or 0) for k in range(n + 1)] for n in ns),
+        {"--max-n": _TABLE_N, "--r": _TABLE_N},
+        lambda c, ns: seq.r_stirling2_rows(ns[-1], c.r or 0, ns[0]),
     ),
     "derangement": Spec(_WHOLE, lambda c, ns: map(seq.derangement, ns)),
-    "partial_derangement": Spec(
-        _WHOLE,
-        lambda c, ns: ([seq.partial_derangement(n, r) for r in range(n + 1)] for n in ns),
-        _ROW,
-    ),
+    "partial_derangement": Spec(_WHOLE, lambda c, ns: map(seq.partial_derangement_row, ns), _ROW),
     "bell": Spec(_WHOLE, lambda c, ns: map(seq.bell, ns)),
     "complementary_bell": Spec(_WHOLE, lambda c, ns: map(seq.complementary_bell, ns)),
     "ordered_bell": Spec(_WHOLE, lambda c, ns: map(seq.ordered_bell, ns)),
@@ -215,7 +213,9 @@ _TABLES: dict[str, Spec] = {
         {"--n": _TABLE_N, "--max-r": (1000, _MEASURED)},
     ),
     "truncated_ordered_bell": Spec(
-        {"--max-n": (800, _MEASURED)}, lambda c, ns: map(seq.truncated_ordered_bell_row, ns), _ROW
+        {"--max-n": (800, _MEASURED)},
+        lambda c, ns: seq.truncated_ordered_bell_rows(ns[-1], ns[0]),
+        _ROW,
     ),
     "deranged_bell": Spec(_WHOLE, lambda c, ns: map(seq.deranged_bell, ns)),
     "pdb": Spec(
@@ -225,7 +225,7 @@ _TABLES: dict[str, Spec] = {
     ),
     "pdb_poly": Spec(
         {"--max-n": (180, _MEASURED)},
-        lambda c, ns: ([poly.pdb_poly(n, r) for r in range(n + 1)] for n in ns),
+        lambda c, ns: poly.pdb_poly_rows(ns[-1], ns[0]),
         {"--n": (550, _MEASURED)},
     ),
     "bernoulli": Spec(_WHOLE, lambda c, ns: map(bernoulli_number, ns)),
@@ -345,17 +345,22 @@ def _csv_chunks(cfg: RunConfig) -> Iterator[str]:
 
 
 def _text_chunks(cfg: RunConfig) -> Iterator[str]:
-    """The text of a table, a chunk per _BATCH cells of a row and per line end."""
+    """The text of a table, a chunk per _BATCH cells of a row; the last one
+    ends the line."""
     family = cfg.family
     # Polynomial cells contain spaces, so their row uses a wider separator.
     sep = " | " if family == "pdb_poly" else " "
     yield f"table {family}\n"
     for n, cells in _table_rows(cfg):
         head = f"n={n}: "
+        if not cells:
+            yield f"{head}\n"
         for i in range(0, len(cells), _BATCH):
             batch = enumerate(cells[i : i + _BATCH], i)
-            yield "".join([f"{sep if j else head}{value}" for j, (_, value) in batch])
-        yield "\n" if cells else f"{head}\n"
+            parts = [f"{sep if j else head}{value}" for j, (_, value) in batch]
+            if i + _BATCH >= len(cells):
+                parts.append("\n")
+            yield "".join(parts)
 
 
 def _cmd_table(cfg: RunConfig) -> tuple[int, Iterator[str]]:

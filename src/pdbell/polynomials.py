@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat, starmap, zip_longest
 from operator import add, mul, neg, sub
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from . import sequences as seq
 
@@ -23,6 +23,7 @@ __all__ = [
     "r_exponential_poly",
     "geometric_poly",
     "pdb_poly",
+    "pdb_poly_rows",
 ]
 
 Scalar = Union[int, Fraction]
@@ -219,6 +220,18 @@ def pdb_poly(n: int, r: int) -> IntPolynomial:
         raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
     if r > n:
         return IntPolynomial([])
-    row = seq.stirling2_row(n)
-    col = seq.partial_derangement_column(r, n)
-    return IntPolynomial([0] * r + list(map(mul, row[r:], col)))
+    return _pdb_poly_of(seq.stirling2_row(n), r)
+
+
+def pdb_poly_rows(max_n: int, first: int = 0) -> Iterator[list[IntPolynomial]]:
+    """Rows [pdb_poly(n, r) for r = 0..n] for n = first..max_n in turn, each
+    read off its row of ``stirling2_rows``: they fill no Stirling memo and
+    no ``pdb_poly`` cache, and keep one Stirling row at a time."""
+    rows = seq.stirling2_rows(max_n, first)
+    return ([_pdb_poly_of(s, r) for r in range(len(s))] for s in rows)
+
+
+def _pdb_poly_of(s: list[int], r: int) -> IntPolynomial:
+    """pdb_poly(n, r) for r <= n, read off the Stirling row s of n."""
+    col = seq.partial_derangement_column(r, len(s) - 1)
+    return IntPolynomial([0] * r + list(map(mul, s[r:], col)))

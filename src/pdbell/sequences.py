@@ -6,8 +6,9 @@ no floating point anywhere in this module.
 
 Each recurrence is written once, as a step of ``_rows``: a generator that
 runs it from the state ``[1]`` and reads every state off.  The row streams
-(``stirling2_rows``, ``pdb_rows``, ``pdb_row``) read a ``_rows`` stream
-once and keep only the state before.  The other kernels read memos, and a
+(``stirling2_rows``, ``r_stirling2_rows``, ``truncated_ordered_bell_rows``,
+``pdb_rows``, ``pdb_row``) read a ``_rows`` stream once and keep only the
+state before.  The other kernels read memos, and a
 memo (``_Memo``) is the cached prefix of a stream: an append-only list of
 its entries, pulled under the memo's own lock.  ``memo.upto(n)`` returns
 the list itself, grown until it holds at least entries ``0..n``.  An
@@ -18,7 +19,9 @@ are:
 * ``_triangles[r]``: the Stirling triangle for ``r`` (the ordinary one is
   ``r = 0``), made on first use; entry ``i`` is the whole row ``m = r + i``,
   ``j = r..m``, by the step of ``stirling2_rows``.  Only the two-index
-  kernels read a triangle, and only ``r_stirling2`` one for ``r > 0``.
+  kernels read a triangle, and only ``r_stirling2`` one for ``r > 0``.  No
+  table reads ``_triangles``: each two-index table reads a row stream, or
+  ``partial_derangement_row`` per n.
 * ``_derangements``: D(0), D(1), ... .
 * ``_bells``: (bell, complementary_bell, deranged_bell, ordered_bell) at m,
   by the step of ``pdb_rows``.
@@ -82,7 +85,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import partial
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import add, lshift, mul, sub
 from typing import Any, Callable, Iterator
 
@@ -91,9 +94,11 @@ __all__ = [
     "stirling2_row",
     "stirling2_rows",
     "r_stirling2",
+    "r_stirling2_rows",
     "derangement",
     "partial_derangement",
     "partial_derangement_column",
+    "partial_derangement_row",
     "bell",
     "complementary_bell",
     "complementary_r_bell",
@@ -102,6 +107,7 @@ __all__ = [
     "r_ordered_bell_row",
     "truncated_ordered_bell",
     "truncated_ordered_bell_row",
+    "truncated_ordered_bell_rows",
     "deranged_bell",
     "pdb_number",
     "pdb_row",
@@ -192,8 +198,17 @@ def stirling2_rows(max_n: int, first: int = 0) -> Iterator[list[int]]:
     """Rows stirling2_row(first), ..., stirling2_row(max_n) in turn, each a
     fresh list, by the triangle recurrence with only the row before kept:
     unlike stirling2_row, they grow no memo."""
-    _require_nonnegative(max_n=max_n, first=first)
-    return _rows(partial(_triangle_row, 0), list.copy, first, max_n)
+    return r_stirling2_rows(max_n, 0, first)
+
+
+def r_stirling2_rows(max_n: int, r: int, first: int = 0) -> Iterator[list[int]]:
+    """Rows [r_stirling2(n, j, r) for j = 0..n] for n = first..max_n in turn,
+    each a fresh list, by the recurrence of triangle r with only the row
+    before kept; the rows n < r are all zeros.  They grow no memo."""
+    _require_nonnegative(max_n=max_n, r=r, first=first)
+    zeros = ([0] * (n + 1) for n in range(first, min(r, max_n + 1)))
+    rows = _rows(partial(_triangle_row, r), partial(add, [0] * r), max(first - r, 0), max_n - r)
+    return chain(zeros, rows)
 
 
 def r_stirling2(m: int, j: int, r: int) -> int:
@@ -222,6 +237,15 @@ def partial_derangement(n: int, r: int) -> int:
     if r > n:
         return 0
     return math.comb(n, r) * _derangements.upto(n - r)[n - r]
+
+
+def partial_derangement_row(n: int) -> list[int]:
+    """Row [partial_derangement(n, r) for r = 0..n]: C(n, r) is carried
+    across r by the exact step C * (n - r) // (r + 1), one small-by-big
+    product and division per cell."""
+    _require_nonnegative(n=n)
+    binomials = accumulate(range(n), lambda c, r: c * (n - r) // (r + 1), initial=1)
+    return list(map(mul, binomials, _derangements.upto(n)[n::-1]))
 
 
 def partial_derangement_column(r: int, n: int) -> list[int]:
@@ -313,7 +337,18 @@ def truncated_ordered_bell_row(n: int) -> list[int]:
     """Row [truncated_ordered_bell(n, r) for r = 0..n]: suffix sums of
     stirling2(n, k) * k!, so O(n) additions for the whole row."""
     _require_nonnegative(n=n)
-    terms = list(map(mul, _row(0, n), accumulate(range(1, n + 1), mul, initial=1)))
+    return _suffix_sums_of(_row(0, n))
+
+
+def truncated_ordered_bell_rows(max_n: int, first: int = 0) -> Iterator[list[int]]:
+    """Rows truncated_ordered_bell_row(first), ..., (max_n) in turn, each
+    read off its row of ``stirling2_rows``: they grow no memo."""
+    return map(_suffix_sums_of, stirling2_rows(max_n, first))
+
+
+def _suffix_sums_of(s: list[int]) -> list[int]:
+    """Suffix sums of s[k] * k! over the Stirling row s, from the top down."""
+    terms = list(map(mul, s, accumulate(range(1, len(s)), mul, initial=1)))
     terms.reverse()
     row = list(accumulate(terms))
     row.reverse()

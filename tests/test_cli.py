@@ -8,11 +8,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import pytest
 
 from pdbell import checks, cli
+from pdbell import polynomials as poly
 from pdbell import sequences as seq
 from pdbell import series as ser
 from pdbell.bernoulli import bernoulli
@@ -106,28 +108,48 @@ def test_table_resource_cap(capsys):
     assert "resource cap" in err
 
 
-@pytest.mark.parametrize("family", ["pdb", "stirling2"])
+# The row kernel each table with a row mode reads, and its calls for
+# --max-n 7 and then for --n 5.
+TABLE_ROW_KERNELS = {
+    "pdb": ("pdb_rows", [(7, 0)], [(5, 5)]),
+    "stirling2": ("stirling2_rows", [(7, 0)], [(5, 5)]),
+    "pdb_poly": ("stirling2_rows", [(7, 0)], [(5, 5)]),
+    "truncated_ordered_bell": ("stirling2_rows", [(7, 0)], [(5, 5)]),
+    "partial_derangement": ("partial_derangement_row", [(n,) for n in range(8)], [(5,)]),
+}
+# Kernels of one row or one cell, which no table reads.
+UNREAD_KERNELS = (
+    "pdb_row",
+    "stirling2_row",
+    "truncated_ordered_bell_row",
+    "stirling2",
+    "partial_derangement",
+    "truncated_ordered_bell",
+    "pdb_number",
+)
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_ROW_KERNELS))
 def test_table_reads_rows_in_turn(capsys, monkeypatch, family):
-    # A whole table and a single row both read the family's row stream, once,
-    # from the first n asked for up to the last, looked up when the table
-    # runs; neither reads the per-n row kernel of either family.
+    # A whole table and a single row both read the family's row kernel, a
+    # stream once from the first n asked for up to the last, looked up when
+    # the table runs; none reads a per-n row kernel or a per-cell kernel.
     expected = run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1]
     row_out = run_cli(capsys, "table", family, "--n", "5")[1]
-    stream = f"{family}_rows"
-    rows = getattr(seq, stream)
+    name, whole_calls, row_calls = TABLE_ROW_KERNELS[family]
+    kernel = getattr(seq, name)
     calls = []
-    monkeypatch.setattr(
-        seq, stream, lambda max_n, first: calls.append((max_n, first)) or rows(max_n, first)
-    )
-    for kernel in ("pdb_row", "stirling2_row"):
-        monkeypatch.setattr(seq, kernel, lambda n, kernel=kernel: pytest.fail(f"read {kernel}"))
+    monkeypatch.setattr(seq, name, lambda *args: calls.append(args) or kernel(*args))
+    for other in UNREAD_KERNELS:
+        monkeypatch.setattr(seq, other, lambda *args, other=other: pytest.fail(f"read {other}"))
+    monkeypatch.setattr(poly, "pdb_poly", lambda *args: pytest.fail("read pdb_poly"))
     assert run_cli(capsys, "table", family, "--max-n", "7", "--format", "csv")[1] == expected
-    assert calls == [(7, 0)]
+    assert calls == whole_calls
     assert run_cli(capsys, "table", family, "--n", "5")[1] == row_out
-    assert calls == [(7, 0), (5, 5)]
+    assert calls == whole_calls + row_calls
 
 
-@pytest.mark.parametrize("family", ["pdb", "stirling2"])
+@pytest.mark.parametrize("family", sorted(TABLE_ROW_KERNELS))
 @pytest.mark.parametrize("n", [0, 7, 60])
 def test_table_row_is_that_row_of_the_whole_table(capsys, family, n):
     whole = run_cli(capsys, "table", family, "--max-n", str(n), "--format", "csv")[1]
@@ -136,6 +158,57 @@ def test_table_row_is_that_row_of_the_whole_table(capsys, family, n):
     assert len(last) == n + 1
     row = run_cli(capsys, "table", family, "--n", str(n), "--format", "csv")[1]
     assert row == head + "".join(last)
+
+
+# Every two-index table, by the library kernel of one cell (n, k).
+PER_CELL = {
+    ("stirling2",): lambda n, k: seq.stirling2(n, k),
+    ("r_stirling2", "--r", "0"): lambda n, k: seq.r_stirling2(n, k, 0),
+    ("r_stirling2", "--r", "3"): lambda n, k: seq.r_stirling2(n, k, 3),
+    ("partial_derangement",): lambda n, k: seq.partial_derangement(n, k),
+    ("truncated_ordered_bell",): lambda n, k: seq.truncated_ordered_bell(n, k),
+    ("pdb",): lambda n, k: seq.pdb_number(n, k),
+    ("pdb_poly",): lambda n, k: poly.pdb_poly(n, k),
+}
+
+
+def _memo_sizes():
+    """The row count of every memo in sequences, and the pdb_poly cache size."""
+    triangles = {r: len(memo._rows) for r, memo in seq._triangles.items()}
+    memos = len(seq._derangements._rows), len(seq._bells._rows)
+    return triangles, memos, poly.pdb_poly.cache_info().currsize
+
+
+@pytest.mark.parametrize("table", sorted(PER_CELL), ids=" ".join)
+@pytest.mark.parametrize("max_n", [0, 1, 7, 30])
+def test_two_index_table_is_its_cells_and_fills_no_memo(capsys, monkeypatch, table, max_n):
+    # Run from no Stirling triangle and an empty pdb_poly cache, a table in
+    # every format fills neither.  The derangement numbers, which the
+    # partial_derangement and pdb_poly tables read, are grown to max_n first.
+    monkeypatch.setattr(seq, "_triangles", {})
+    monkeypatch.setattr(poly, "pdb_poly", lru_cache(maxsize=4096)(poly.pdb_poly.__wrapped__))
+    seq.derangement(max_n)
+    before = _memo_sizes()
+    family, *flags = table
+    argv = ["table", family, "--max-n", str(max_n), *flags, "--format"]
+    outs = {fmt: run_cli(capsys, *argv, fmt) for fmt in ("text", "json", "csv")}
+    assert _memo_sizes() == before
+    assert {code for code, _, _ in outs.values()} == {0}
+
+    rows = [[PER_CELL[table](n, k) for k in range(n + 1)] for n in range(max_n + 1)]
+    sep = " | " if family == "pdb_poly" else " "
+    lines = [f"n={n}: {sep.join(map(str, row))}\n" for n, row in enumerate(rows)]
+    assert outs["text"][1] == "".join([f"table {family}\n", *lines])
+    cells = [(n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("family", "n", "k", "value"), *((family, n, k, v) for n, k, v in cells)]
+    )
+    assert outs["csv"][1] == buf.getvalue()
+    results = [{"family": family, "k": k, "n": n, "value": str(v)} for n, k, v in cells]
+    config = json.loads(outs["json"][1])["config"]
+    doc = {"command": "table", "config": config, "results": results}
+    assert outs["json"][1] == canonical_json(doc)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -232,6 +305,21 @@ def test_table_higher_bernoulli_r_cap(capsys, monkeypatch):
         assert "60 s" in err
     assert computed == []  # refused before any work
     code, _, _ = run_cli(capsys, "table", "higher_bernoulli", "--max-n", "3", "--r", str(cap))
+    assert code == 0
+    assert len(computed) == 1
+
+
+def test_table_r_stirling2_r_cap(capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "_table_rows", lambda cfg: computed.append(cfg) or [])
+    code, out, err = run_cli(capsys, "table", "r_stirling2", "--max-n", "3", "--r", "1001")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "resource cap: table r_stirling2 --r is limited to 1000; the soft limit on table sizes\n"
+    )
+    assert computed == []  # refused before any work
+    code, _, _ = run_cli(capsys, "table", "r_stirling2", "--max-n", "3", "--r", "1000")
     assert code == 0
     assert len(computed) == 1
 

@@ -13,6 +13,7 @@ from pdbell.polynomials import (
     exponential_poly,
     geometric_poly,
     pdb_poly,
+    pdb_poly_rows,
     r_exponential_poly,
     weighted_sum,
 )
@@ -279,6 +280,20 @@ def test_pdb_poly_matches_definition_to_80():
                 for k in range(n + 1)
             )
             assert pdb_poly(n, r) == expected, (n, r)
+
+
+def test_pdb_poly_rows_are_the_cells_and_fill_no_memo(monkeypatch):
+    # Read off one Stirling stream, the rows fill no triangle and touch the
+    # pdb_poly cache not at all.
+    monkeypatch.setattr(seq, "_triangles", {})
+    cache = pdb_poly.cache_info()
+    rows = list(pdb_poly_rows(30))
+    assert (seq._triangles, pdb_poly.cache_info()) == ({}, cache)
+    assert rows == [[pdb_poly(n, r) for r in range(n + 1)] for n in range(31)]
+    assert list(pdb_poly_rows(30, 28)) == rows[28:]
+    assert list(pdb_poly_rows(0)) == [[IntPolynomial([1])]]
+    with pytest.raises(ValueError):
+        pdb_poly_rows(-1)
 
 
 def test_geometric_poly_matches_factorial_sums_to_80():

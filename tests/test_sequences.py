@@ -4,6 +4,7 @@ import importlib
 import math
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,11 +153,17 @@ def test_partial_derangement_laws_to_25():
                 seq.partial_derangement(k, r) for k in range(r, n + 1)
             ]
         assert seq.partial_derangement_column(n + 1, n) == []
-    # Long columns, to n = 200.
+        assert seq.partial_derangement_row(n) == [
+            seq.partial_derangement(n, r) for r in range(n + 1)
+        ]
+    # Long columns and rows, to n = 200.
     for r in (0, 1, 5, 100, 200):
         assert seq.partial_derangement_column(r, 200) == [
             math.comb(k, r) * seq.derangement(k - r) for k in range(r, 201)
         ], r
+    assert seq.partial_derangement_row(200) == [
+        math.comb(200, r) * seq.derangement(200 - r) for r in range(201)
+    ]
 
 
 def test_pdb_laws_to_25():
@@ -300,7 +307,12 @@ def test_pdb_rows_yield_every_row_in_turn():
 
 @pytest.mark.parametrize(
     "rows, cell",
-    [(seq.pdb_rows, pdb_by_definition), (seq.stirling2_rows, seq.stirling2)],
+    [
+        (seq.pdb_rows, pdb_by_definition),
+        (seq.stirling2_rows, seq.stirling2),
+        (partial(seq.r_stirling2_rows, r=3), partial(seq.r_stirling2, r=3)),
+        (seq.truncated_ordered_bell_rows, seq.truncated_ordered_bell),
+    ],
 )
 def test_row_streams_hand_out_fresh_lists(rows, cell):
     # Changing a row as it is handed out leaves the rows after it intact.
@@ -315,6 +327,27 @@ def test_stirling2_rows_grow_no_memo(monkeypatch):
     assert seq._triangles == {}
     assert rows == [seq.stirling2_row(n) for n in range(41)]
     assert list(seq.stirling2_rows(0)) == [[1]]
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, 40, 41, 50])
+def test_r_stirling2_and_truncated_ordered_bell_rows_grow_no_memo(monkeypatch, r):
+    # Every slice first..max_n of the stream is that slice of the rows, and
+    # the rows below r are all zeros.
+    monkeypatch.setattr(seq, "_triangles", {})
+    rows = list(seq.r_stirling2_rows(40, r))
+    sums = list(seq.truncated_ordered_bell_rows(40))
+    assert seq._triangles == {}
+    assert rows == [[seq.r_stirling2(n, j, r) for j in range(n + 1)] for n in range(41)]
+    assert all(row == [0] * (n + 1) for n, row in enumerate(rows[:r]))
+    assert sums == [seq.truncated_ordered_bell_row(n) for n in range(41)]
+    for first, max_n in ((0, 0), (2, 9), (r, r + 2), (r + 1, r), (38, 40)):
+        ns = range(first, max_n + 1)
+        assert list(seq.r_stirling2_rows(max_n, r, first)) == [
+            [seq.r_stirling2(n, j, r) for j in range(n + 1)] for n in ns
+        ]
+        assert list(seq.truncated_ordered_bell_rows(max_n, first)) == [
+            seq.truncated_ordered_bell_row(n) for n in ns
+        ]
 
 
 def test_pdb_rows_match_enumeration_to_8():
@@ -511,6 +544,11 @@ def test_truncated_ordered_bell_partial_sum(n, r):
         lambda: seq.r_ordered_bell_row(0, -1),
         lambda: seq.pdb_rows(-1),
         lambda: seq.stirling2_rows(-1),
+        lambda: seq.r_stirling2_rows(-1, 0),
+        lambda: seq.r_stirling2_rows(0, -1),
+        lambda: seq.r_stirling2_rows(0, 0, -1),
+        lambda: seq.truncated_ordered_bell_rows(-1),
+        lambda: seq.partial_derangement_row(-1),
     ],
 )
 def test_negative_arguments_raise(call):

@@ -399,28 +399,45 @@ def _tol_str(x: Fraction) -> str:
 _tables: dict[object, object] = {}
 
 
+# The row readers below are called at almost every grid point, so each first
+# returns the kept row when it is long enough (``()`` never is) and builds the
+# function that grows it only when it is not.
+
+
 def _row(key: object, n: int, entry: Callable[[int], object]) -> list:
     """The list [entry(0), ..., entry(n)], or a longer one, grown once per run."""
     row = _tables.setdefault(key, [])
-    if len(row) <= n:
-        row.extend(map(entry, range(len(row), n + 1)))
+    row.extend(map(entry, range(len(row), n + 1)))
     return row
 
 
 def _kernel_row(name: str, n: int) -> list:
     """``row[i]`` is seq.<name>(i) for i <= n; for ``stirling2_row``,
     ``row[m][k]`` is stirling2(m, k) for k <= m."""
-    return _row(name, n, getattr(seq, name))
+    row = _tables.get(name, ())
+    return row if len(row) > n else _row(name, n, getattr(seq, name))
 
 
 def _column(name: str, n: int, r: int) -> list[int]:
     """``col[j]`` is seq.<name>(j, r) for j <= n."""
-    return _row((name, r), n, lambda j: getattr(seq, name)(j, r))
+    key = (name, r)
+    row = _tables.get(key, ())
+    return row if len(row) > n else _row(key, n, lambda j: getattr(seq, name)(j, r))
 
 
 def _fixed_n_row(name: str, n: int, top: int, *rest: int) -> list[int]:
     """``row[k]`` is seq.<name>(n, k, *rest) for k <= top."""
-    return _row((name, "n", n, *rest), top, lambda k: getattr(seq, name)(n, k, *rest))
+    key = (name, "n", n, *rest)
+    row = _tables.get(key, ())
+    return row if len(row) > top else _row(key, top, lambda k: getattr(seq, name)(n, k, *rest))
+
+
+def _latest(key: object, n: int, make: Callable[[], object]) -> object:
+    """make(), kept under ``key`` for the latest n only."""
+    slot = _tables.get(key)
+    if slot is None or slot[0] != n:
+        slot = _tables[key] = (n, make())
+    return slot[1]
 
 
 def _bernoulli_weights(top: int, r: int | None) -> tuple[int, list[int]]:
@@ -767,9 +784,9 @@ def _cor_3_2_corrected(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comp
 def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
     S = _kernel_row("stirling2_row", n)
+    E = _row("reflected exponential_poly", n, lambda m: poly.exponential_poly(m).reflected())
     rhs = poly.weighted_sum(
-        (math.comb(n, k) * S[k][r], poly.exponential_poly(n - k).reflected())
-        for k in range(r, n + 1)
+        (math.comb(n, k) * S[k][r], E[n - k]) for k in range(r, n + 1)
     ).times_y_power(r)
     yield {}, lhs, rhs
 
@@ -782,9 +799,10 @@ def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = math.factorial(r) * (poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1))
+    R = _latest("reflected r_exponential_poly", n, list)
+    R.extend(poly.r_exponential_poly(n, i).reflected() for i in range(len(R), r + 1))
     rhs = poly.weighted_sum(
-        ((-1) ** (r - i) * math.comb(r, i), poly.r_exponential_poly(n, i).reflected())
-        for i in range(r + 1)
+        ((-1) ** (r - i) * math.comb(r, i), R[i]) for i in range(r + 1)
     ).times_y_power(r)
     yield {}, lhs, rhs
 
@@ -856,15 +874,13 @@ def _at_both_signs(
     """sum_k c^k * Q_k over [Q_0, Q_1, ...] = qs() as E + O, its even and odd
     parts.  The value at -c, E - O, is kept under ``key`` until read (for the
     latest n only): the z-grid of prop_3_6_* is symmetric."""
-    slot = _tables.get(key)
-    if slot is None or slot[0] != n:
-        slot = _tables[key] = (n, {})
-    if c in slot[1]:
-        return slot[1].pop(c)
+    kept = _latest(key, n, dict)
+    if c in kept:
+        return kept.pop(c)
     terms = [(c**k, q) for k, q in enumerate(qs())]
     even, odd = poly.weighted_sum(terms[::2]), poly.weighted_sum(terms[1::2])
     if c:
-        slot[1][-c] = even - odd
+        kept[-c] = even - odd
     return even + odd
 
 
@@ -897,10 +913,8 @@ def _convolved_at(
 ) -> poly.IntPolynomial:
     """sum_r C(n,r) * exponential_poly(r) at c*y times other(n-r), as
     sum_k c^k * H_k; the H_k of the latest n are kept under ``key``."""
-    slot = _tables.get(key)
-    if slot is None or slot[0] != n:
-        slot = _tables[key] = (n, _regrouped(n, other))
-    return _at_both_signs((key, "pairs"), n, c, lambda: slot[1])
+    hs = _latest(key, n, lambda: _regrouped(n, other))
+    return _at_both_signs((key, "pairs"), n, c, lambda: hs)
 
 
 @_check(

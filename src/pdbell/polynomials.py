@@ -43,6 +43,20 @@ class IntPolynomial:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
 
+    @classmethod
+    def _of(cls, coeffs: list[int]) -> "IntPolynomial":
+        """The polynomial of ``coeffs``, a list of ints that it strips in place.
+
+        No coefficient is type-checked: only results that are ints by
+        construction come here, while input from outside the class (the
+        public constructor, the sequence kernels) goes through ``__init__``.
+        """
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        p = object.__new__(cls)
+        p._coeffs = tuple(coeffs)
+        return p
+
     @property
     def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
@@ -65,31 +79,31 @@ class IntPolynomial:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0)
-        return IntPolynomial(starmap(add, pairs))
+        return self._of(list(starmap(add, pairs)))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0)
-        return IntPolynomial(starmap(sub, pairs))
+        return self._of(list(starmap(sub, pairs)))
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(map(neg, self._coeffs))
+        return self._of(list(map(neg, self._coeffs)))
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial([other * c for c in self._coeffs] if other else ())
+            return self._of([other * c for c in self._coeffs] if other else [])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return IntPolynomial()
+            return self._of([])
         out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other._coeffs):
                 out[i + j] += a * b
-        return IntPolynomial(out)
+        return self._of(out)
 
     def __rmul__(self, other: int) -> "IntPolynomial":
         if isinstance(other, int):
@@ -107,7 +121,7 @@ class IntPolynomial:
         """The polynomial p(-y): odd coefficients change sign."""
         out = list(self._coeffs)
         out[1::2] = map(neg, out[1::2])
-        return IntPolynomial(out)
+        return self._of(out)
 
     def scale_variable(self, c: int) -> "IntPolynomial":
         """The polynomial p(c*y): coefficient k is multiplied by c**k."""
@@ -116,7 +130,7 @@ class IntPolynomial:
         for a in self._coeffs:
             out.append(a * power)
             power *= c
-        return IntPolynomial(out)
+        return self._of(out)
 
     def times_y_power(self, r: int) -> "IntPolynomial":
         """Multiply by y**r."""
@@ -124,7 +138,7 @@ class IntPolynomial:
             raise ValueError(f"r must be nonnegative, got {r}")
         if self.is_zero():
             return self
-        return IntPolynomial((0,) * r + self._coeffs)
+        return self._of([0] * r + list(self._coeffs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPolynomial):
@@ -160,19 +174,23 @@ def weighted_sum(pairs: Iterable[tuple[int, IntPolynomial]]) -> IntPolynomial:
     """The polynomial sum of w*p over (w, p) pairs with integer weights w.
 
     The terms are accumulated in one coefficient list, so no polynomial is
-    built per term; zero weights and zero coefficients are skipped.
+    built per term; zero weights and zero coefficients are skipped.  A
+    weight that is not an int raises TypeError: the coefficients of every p
+    are ints, so checking each weight keeps the sum integral.
     """
     out: list[int] = []
     for w, p in pairs:
         if not w:
             continue
+        if not isinstance(w, int):
+            raise TypeError(f"integer coefficient expected, got {w!r}")
         coeffs = p._coeffs
         if len(coeffs) > len(out):
             out.extend(repeat(0, len(coeffs) - len(out)))
         for k, c in enumerate(coeffs):
             if c:
                 out[k] += w * c
-    return IntPolynomial(out)
+    return IntPolynomial._of(out)
 
 
 # Constructors are cached: IntPolynomial is immutable, so instances can be

@@ -95,6 +95,7 @@ def test_constructor_rejects_non_integer_coefficients():
     for coeffs, shown in (
         ([1.0], "1.0"),
         ([Fraction(1)], "Fraction(1, 1)"),
+        ([Fraction(1, 2)], "Fraction(1, 2)"),
         ([1, "x"], "'x'"),
         ([2, 2.5, "x"], "2.5"),  # the first bad value is named
     ):
@@ -229,14 +230,55 @@ def test_cancellation_gives_canonical_results(a, tail, w):
         assert result.degree < p.degree
 
 
+@given(a=big_lists, b=big_lists, c=big_scalars, r=st.integers(min_value=0, max_value=5))
+@example(a=FULL_A, b=FULL_B, c=0, r=3)
+def test_arithmetic_results_are_what_the_constructor_builds(a, b, c, r):
+    # The arithmetic builds its results without the constructor's type
+    # check, so each must equal, store and hash as the validated rebuild.
+    p, q = IntPolynomial(a), IntPolynomial(b)
+    for result in (
+        p + q,
+        p - q,
+        -p,
+        p * c,
+        c * p,
+        p * q,
+        p.reflected(),
+        p.scale_variable(c),
+        p.times_y_power(r),
+        weighted_sum([(c, p), (1, q), (-c, p)]),
+    ):
+        rebuilt = IntPolynomial(list(result.coefficients))
+        assert result == rebuilt and hash(result) == hash(rebuilt)
+        assert type(result._coeffs) is tuple
+        assert all(type(x) is int for x in result._coeffs)
+        assert_canonical(result)
+
+
 def test_weighted_sum_of_nothing_or_zero_weights_is_zero():
     assert weighted_sum([]) == IntPolynomial()
     assert weighted_sum([(0, pdb_poly(6, 1)), (5, IntPolynomial())]) == IntPolynomial()
 
 
 def test_weighted_sum_rejects_fractional_weights():
-    with pytest.raises(TypeError, match="integer coefficient expected"):
-        weighted_sum([(Fraction(1, 2), IntPolynomial([2, 4]))])
+    for w in (Fraction(1, 2), Fraction(2), 2.0):
+        message = f"integer coefficient expected, got {w!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            weighted_sum([(3, IntPolynomial([1])), (w, IntPolynomial([2, 4]))])
+
+
+def test_constructors_reading_kernels_reject_non_integer_values(monkeypatch):
+    # The uncached constructors, so every one reads the replaced kernels.
+    monkeypatch.setattr(seq, "stirling2_row", lambda n: [Fraction(1, 2)] * (n + 1))
+    monkeypatch.setattr(seq, "r_stirling2", lambda n, k, r: Fraction(1, 2))
+    for build, args in (
+        (exponential_poly, (3,)),
+        (geometric_poly, (3,)),
+        (pdb_poly, (3, 1)),
+        (r_exponential_poly, (3, 2)),
+    ):
+        with pytest.raises(TypeError, match="^integer coefficient expected, got Fraction"):
+            build.__wrapped__(*args)
 
 
 # ----------------------------------------------------------------------

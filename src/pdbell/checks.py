@@ -389,19 +389,16 @@ def _tol_str(x: Fraction) -> str:
 # ----------------------------------------------------------------------
 # per-run tables
 #
-# What a check reads at many grid points (kernel rows and columns, scaled
-# Bernoulli weights, the regrouped polynomials of prop_3_6_*, the series of
-# egf_all) is made once and kept here.  Every cell comes from the public
-# kernel, looked up in ``seq`` when the table grows.  check() empties the
-# tables before every run, so each run reads the kernels afresh and a kernel
-# replaced between two runs is seen by the second.
+# What a check reads at many grid points (kernel rows, columns and streams,
+# Bernoulli weights, the polynomials of prop_3_6_*, the series of egf_all) is
+# made once and kept here, for the latest index alone where it needs fewer
+# indices than the grid.  Every cell comes from the public kernel, looked up
+# in ``seq`` when needed.  check() empties the tables before every run, so a
+# kernel replaced between two runs is seen by the second.  A row reader,
+# called at almost every point, returns the kept row at once when it is long
+# enough (``()`` never is) and builds its grower only when not.
 
 _tables: dict[object, object] = {}
-
-
-# The row readers below are called at almost every grid point, so each first
-# returns the kept row when it is long enough (``()`` never is) and builds the
-# function that grows it only when it is not.
 
 
 def _row(key: object, n: int, entry: Callable[[int], object]) -> list:
@@ -425,13 +422,6 @@ def _column(name: str, n: int, r: int) -> list[int]:
     return row if len(row) > n else _row(key, n, lambda j: getattr(seq, name)(j, r))
 
 
-def _fixed_n_row(name: str, n: int, top: int, *rest: int) -> list[int]:
-    """``row[k]`` is seq.<name>(n, k, *rest) for k <= top."""
-    key = (name, "n", n, *rest)
-    row = _tables.get(key, ())
-    return row if len(row) > top else _row(key, top, lambda k: getattr(seq, name)(n, k, *rest))
-
-
 def _latest(key: object, n: int, make: Callable[[], object]) -> object:
     """make(), kept under ``key`` for the latest n only."""
     slot = _tables.get(key)
@@ -443,14 +433,16 @@ def _latest(key: object, n: int, make: Callable[[], object]) -> object:
 def _bernoulli_weights(top: int, r: int | None) -> tuple[int, list[int]]:
     """The lcm L of the denominators of B_0..B_top, and the integers L*B_i for
     i = top down to 0, where B_i is higher_bernoulli(i, r), or bernoulli(i)
-    for r None.  A run keeps the (numerator, denominator) pairs of each r and
-    their prefix lcms, so L is read off, not recomputed."""
-    pairs, lcms = _tables.setdefault(("bernoulli", r), ([], [1]))
-    for i in range(len(pairs), top + 1):
-        p, d = (bernoulli_number(i) if r is None else higher_bernoulli(i, r)).as_integer_ratio()
-        pairs.append((p, d))
-        lcms.append(math.lcm(lcms[-1], d))
-    return lcms[top + 1], [p * (lcms[top + 1] // d) for p, d in pairs[top::-1]]
+    for r None.  The (numerator, denominator) pairs, their prefix lcms and the
+    weights by top are kept for the latest r, so each is made once per r."""
+    pairs, lcms, kept = _latest("bernoulli", r, lambda: ([], [1], {}))
+    if top not in kept:
+        for i in range(len(pairs), top + 1):
+            p, d = (bernoulli_number(i) if r is None else higher_bernoulli(i, r)).as_integer_ratio()
+            pairs.append((p, d))
+            lcms.append(math.lcm(lcms[-1], d))
+        kept[top] = lcms[top + 1], [p * (lcms[top + 1] // d) for p, d in pairs[top::-1]]
+    return kept[top]
 
 
 # ----------------------------------------------------------------------
@@ -496,14 +488,13 @@ def _thm_2_7(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     yield {}, lhs, rhs
 
 
-def _remark_2_8_terms(n: int, cfg: SuiteConfig) -> tuple[int, int, int]:
+def _remark_2_8_terms(n: int, cfg: SuiteConfig) -> tuple[int, ...]:
+    """pdb(n,0), pdb(n,1), pdb(n,2), counted in the oracle cap, comp_bell(n), comp_bell(n+1)."""
     if n <= cfg.oracle_cap:
-        row = oracle.brute_pdb_row(n, cfg.oracle_cap)
-        w0 = row[0]
-        w1 = row[1] if n >= 1 else 0
-        w2 = row[2] if n >= 2 else 0
-        return w0, w1, w2
-    return seq.pdb_number(n, 0), seq.pdb_number(n, 1), seq.pdb_number(n, 2)
+        w = (*oracle.brute_pdb_row(n, cfg.oracle_cap), 0, 0)[:3]
+    else:
+        w = seq.pdb_number(n, 0), seq.pdb_number(n, 1), seq.pdb_number(n, 2)
+    return (*w, seq.complementary_bell(n), seq.complementary_bell(n + 1))
 
 
 @_check(
@@ -516,9 +507,7 @@ def _remark_2_8_terms(n: int, cfg: SuiteConfig) -> tuple[int, int, int]:
     corrected_id="remark_2_8_corrected",
 )
 def _remark_2_8_printed(cfg: SuiteConfig, n: int) -> Comparisons:
-    w0, w1, w2 = _remark_2_8_terms(n, cfg)
-    phi_n = seq.complementary_bell(n)
-    phi_n1 = seq.complementary_bell(n + 1)
+    w0, w1, w2, phi_n, phi_n1 = _remark_2_8_terms(n, cfg)
     yield {"statement": 1}, w1 - 2 * w2, phi_n1 - phi_n
     yield {"statement": 2}, w0 - 2 * w2, phi_n1
 
@@ -533,9 +522,7 @@ def _remark_2_8_printed(cfg: SuiteConfig, n: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), notes={"oracle_anchor": f"n<={c.oracle_cap}"}),
 )
 def _remark_2_8_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
-    w0, w1, w2 = _remark_2_8_terms(n, cfg)
-    phi_n = seq.complementary_bell(n)
-    phi_n1 = seq.complementary_bell(n + 1)
+    w0, w1, w2, phi_n, phi_n1 = _remark_2_8_terms(n, cfg)
     yield {"statement": 1}, w1 - 2 * w2, -(phi_n1 + phi_n)
     yield {"statement": 2}, w0 - 2 * w2, -phi_n1
 
@@ -609,7 +596,7 @@ def _tail_a(n: int, r: int, cfg: SuiteConfig, J: int) -> Fraction | None:
     guarded again here at the cutoff.
     """
     total_tail = Fraction(0)
-    row = _fixed_n_row("r_ordered_bell", n, r + J + 1)
+    row = seq.r_ordered_bell_row(n, r + J + 1)
     for i in range(r + 1):
         w_prev, w_last, w_next = row[i + J - 1 : i + J + 2]
         t_prev = Fraction(w_prev, math.factorial(J - 1))
@@ -637,7 +624,7 @@ def _e_error(cfg: SuiteConfig) -> Fraction:
 )
 def _thm_2_10_a(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     J = _certify(n, r, cfg, functools.partial(_tail_a, n, r, cfg))
-    row = _fixed_n_row("r_ordered_bell", n, r + J)
+    row = seq.r_ordered_bell_row(n, r + J)
     lhs = _alternating(r, J, lambda i, j: (-1) ** j * row[i + j], math.factorial)
     rhs = math.factorial(r) * _column("pdb_number", n, r)[n] / approx_e(_e_error(cfg))
     # Sides within the tolerance count as equal.
@@ -653,7 +640,7 @@ def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
     is re-checked against the actual term at the cutoff.
     """
     total = Fraction(0)
-    row = _fixed_n_row("complementary_r_bell", n, J + r)
+    row = _row(("complementary_r_bell", n), J + r, functools.partial(seq.complementary_r_bell, n))
     for i in range(r + 1):
         base = J + i + 1
         ratio = Fraction((base + 1) ** n, 2 * base**n)
@@ -674,7 +661,7 @@ def _tail_b(n: int, r: int, M: int, J: int) -> Fraction | None:
 def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     M = max(map(abs, _kernel_row("complementary_bell", n)[: n + 1]))
     J = _certify(n, r, cfg, functools.partial(_tail_b, n, r, M))
-    row = _fixed_n_row("complementary_r_bell", n, J + r)
+    row = _row(("complementary_r_bell", n), J + r, functools.partial(seq.complementary_r_bell, n))
     lhs = _alternating(r, J, lambda i, j: row[j + i], lambda j: 2 ** (j + 1))
     rhs = Fraction(math.factorial(r) * _column("pdb_number", n, r)[n])
     # Sides within the tolerance count as equal.
@@ -822,13 +809,19 @@ def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
     yield {}, lhs, (-1) ** i * S[n][j] * (d0[j] - r * d1[j])
 
 
-def _cor_3_5_b_sides(n: int, r: int, j: int) -> tuple[int, int]:
+def _cor_3_5_b_sides(cfg: SuiteConfig, n: int, r: int, j: int) -> tuple[int, int]:
+    # R[i] is row n+i of triangle i.  The grid visits every n from 0 up, so the
+    # rows come in turn off one stream per i, r_stirling2_rows(max_n+i, i, i).
+    tri = range(cfg.max_r)
+    rows = _latest(
+        "r_stirling2_rows",
+        None,
+        lambda: zip(*map(seq.r_stirling2_rows, range(cfg.max_n, cfg.max_n + cfg.max_r), tri, tri)),
+    )
+    R = _latest("rows n+i", n, rows.__next__)
     # Terms whose lower index j-(r-1-i) is negative vanish.
     lhs = sum(
-        (-1) ** i
-        * math.comb(r - 1, i)
-        * _fixed_n_row("r_stirling2", n + i, n + i, i)[j - r + i + 1]
-        for i in range(max(0, r - 1 - j), r)
+        (-1) ** i * math.comb(r - 1, i) * R[i][j - r + i + 1] for i in range(max(0, r - 1 - j), r)
     )
     d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
     return lhs, (-1) ** j * _kernel_row("stirling2_row", n)[n][j] * (d0[j] - r * d1[j])
@@ -849,7 +842,7 @@ def _cor_3_5_b_grid(cfg: SuiteConfig) -> Grid:
     corrected_id="cor_3_5_b",
 )
 def _cor_3_5_b_printed(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    yield {}, *_cor_3_5_b_sides(n, r, j)
+    yield {}, *_cor_3_5_b_sides(cfg, n, r, j)
 
 
 @_check(
@@ -860,7 +853,7 @@ def _cor_3_5_b_printed(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
     _cor_3_5_b_grid,
 )
 def _cor_3_5_b(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    lhs, base = _cor_3_5_b_sides(n, r, j)
+    lhs, base = _cor_3_5_b_sides(cfg, n, r, j)
     yield {}, lhs, math.factorial(r - 1) * base
 
 
@@ -974,7 +967,9 @@ def _cor_3_8(cfg: SuiteConfig, n: int | None = None, k: int | None = None) -> Co
     g = poly.geometric_poly(n)
     yield {"part": 1}, lhs, g + g.reflected()
     even_value = seq.ordered_bell(n) + (-1) ** n
-    at_plus = 2 * sum((-1) ** r * d[r] * seq.pdb_number(n, r) for r in range(n + 1))
+    # The grid visits every n once, in turn, as the one pdb_rows stream yields them.
+    w = next(_latest("pdb_rows", None, functools.partial(seq.pdb_rows, cfg.max_n, n)))
+    at_plus = 2 * sum((-1) ** r * d[r] * w[r] for r in range(n + 1))
     yield {"part": 2, "y": 1}, at_plus, even_value
     # Evaluation is linear: the part 1 sum at -1 is the weighted sum of the values at -1.
     yield {"part": 2, "y": -1}, lhs.evaluate(-1), even_value
@@ -1100,9 +1095,7 @@ def _egf_series(
 )
 def _egf_all(cfg: SuiteConfig, n: int) -> Comparisons:
     # A run expands each series once.
-    expanded = _tables.get("egf_series")
-    if expanded is None:
-        expanded = _tables["egf_series"] = _egf_series(min(cfg.max_n, cfg.series_order))
+    expanded = _latest("egf_series", None, lambda: _egf_series(min(cfg.max_n, cfg.series_order)))
     # The witness names the series around n, so the comparisons carry every param.
     for family, params, series, direct in expanded:
         yield {"family": family, "n": n, **params}, series.egf_coeff(n), direct(n)
@@ -1151,9 +1144,13 @@ def _oracle_all(cfg: SuiteConfig, n: int) -> Comparisons:
     lambda c: Grid(n=(1, c.wilf_bound)),
 )
 def _wilf_scan(cfg: SuiteConfig, n: int) -> Comparisons:
-    value = seq.complementary_bell(n)
-    if n == 2 or value == 0:
-        yield {}, value, 0 if n == 2 else "nonzero expected for n != 2"
+    # The residues of every n come in turn.  A nonzero one proves
+    # complementary_bell(n) != 0; all are 0 at n = 2 alone up to 10**6.
+    residues = _latest("residues", None, functools.partial(seq.complementary_bell_residues, n))
+    if not any(next(residues)):
+        value = seq.complementary_bell(n)
+        if n == 2 or value == 0:
+            yield {}, value, 0 if n == 2 else "nonzero expected for n != 2"
 
 
 # ----------------------------------------------------------------------
@@ -1202,10 +1199,12 @@ def _eq_15(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), r=(0, c.max_r)),
 )
 def _r_ordered_bell_geometric(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    powers = [(i + r) ** n for i in range(n + 1)]
-    rhs = sum(
-        (-1) ** (m - i) * math.comb(m, i) * powers[i] for m in range(n + 1) for i in range(m + 1)
-    )
+    # Regrouped by i, the double sum is sum_i a_i*(i+r)^n with a_i = sum_m
+    # (-1)^(m-i)*C(m,i): a_n = 1 and a_(i-1) = 2*a_i + (-1)^(n+1-i)*C(n+1,i).
+    rhs, a = 0, 1
+    for i in range(n, -1, -1):
+        rhs += a * (i + r) ** n
+        a = 2 * a + (-1) ** (n + 1 - i) * math.comb(n + 1, i)
     yield {}, seq.r_ordered_bell(n, r), rhs
 
 # ----------------------------------------------------------------------

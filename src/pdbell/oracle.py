@@ -9,11 +9,15 @@ list, visited in lexicographic order.
 
 Everything here counts literally, one partition or permutation at a time,
 with no formulas, so these functions are an independent ground truth for the
-sequence kernels.  The orderings of a partition depend only on its block
-count k, so one pass over the partitions of [n] adds, per partition, the
-fixed-point tally of the k! permutations of [k], which is enumerated once
-per k.  At n = 10 that is 115975 partitions and 3628800 permutations,
-hence the hard cap.  Enumeration streams are single-consumer generators.
+sequence kernels.  There is one walk over the restricted growth strings of
+length n (``_walk``).  The counts read block counts straight off it, while
+``enumerate_partitions``, the public stream, wraps the same walk and
+validates every :class:`PartitionRGS` it yields.  The orderings of a
+partition depend only on its block count k, so the pairs are tallied by
+adding, for each partition with k blocks, the fixed-point tally of the k!
+permutations of [k], which is enumerated once per k.  At n = 10 that is
+115975 partitions and 3628800 permutations, hence the hard cap.
+Enumeration streams are single-consumer generators.
 """
 
 from __future__ import annotations
@@ -106,16 +110,16 @@ class PartitionRGS(_RGS):
         return tuple(tuple(b) for b in out)
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[PartitionRGS]:
-    """Yield all partitions of an n-set in lexicographic RGS order."""
-    _check_cap(n, cap, "enumerate_partitions")
+def _walk(n: int) -> Iterator[tuple[list[int], int]]:
+    """Every restricted growth string of length n, in lexicographic order,
+    with its block count; the string is one list, changed between yields."""
     if n == 0:
-        yield PartitionRGS(())
+        yield [], 0
         return
     a = [0] * n
     mx = [0] * n  # mx[i] = max(a[0..i])
     while True:
-        yield PartitionRGS(tuple(a))
+        yield a, mx[-1] + 1
         i = n - 1
         while i > 0 and a[i] > mx[i - 1]:
             i -= 1
@@ -126,6 +130,14 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[PartitionRG
         for j in range(i + 1, n):
             a[j] = 0
             mx[j] = mx[i]
+
+
+def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[PartitionRGS]:
+    """Yield all partitions of an n-set in lexicographic RGS order, each one
+    validated as a :class:`PartitionRGS` is."""
+    _check_cap(n, cap, "enumerate_partitions")
+    for a, _ in _walk(n):
+        yield PartitionRGS(tuple(a))
 
 
 @lru_cache(maxsize=32)
@@ -139,16 +151,16 @@ def _fixed_point_tally(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Partitions of [n] by block count, and (partition, block permutation)
-    pairs by fixed blocks, from one pass over the partitions."""
+    """Partitions of [n] by block count, read off one walk, and (partition,
+    block permutation) pairs by fixed blocks."""
     by_blocks = [0] * (n + 1)
-    by_fixed = [0] * (n + 1)
-    for part in enumerate_partitions(n, DEFAULT_CAP):
-        k = part.block_count
+    for _, k in _walk(n):
         by_blocks[k] += 1
-        # The k! orderings of this partition's blocks, counted by fixed blocks.
+    by_fixed = [0] * (n + 1)
+    for k, partitions in enumerate(by_blocks):
+        # The k! orderings of each partition with k blocks, by fixed blocks.
         for r, count in enumerate(_fixed_point_tally(k)):
-            by_fixed[r] += count
+            by_fixed[r] += partitions * count
     return tuple(by_blocks), tuple(by_fixed)
 
 

@@ -68,6 +68,11 @@ q_0 = w(m, 0) - w(m, 1)`` (the paper's headline identity), ``deranged_bell
 = w(m, 0)`` and ``ordered_bell = sum_r w(m, r)``.  ``_bells`` is the
 cached prefix of that stream of read-offs and reads no Stirling triangle.
 
+``complementary_bell_residues``, the residue kernel, streams ``phi(n) % p``
+for ``phi = complementary_bell`` and the odd primes p <= 31 by Touchard's
+congruence at x = -1, ``phi(n + p) = phi(n + 1) - phi(n) (mod p)``, from
+exact seeds; a nonzero residue proves ``phi(n) != 0``.
+
 Conventions:
 
 * ``stirling2(n, k)`` counts partitions of an n-set into k nonempty blocks.
@@ -84,6 +89,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from functools import partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, lshift, mul, sub
@@ -101,6 +107,7 @@ __all__ = [
     "partial_derangement_row",
     "bell",
     "complementary_bell",
+    "complementary_bell_residues",
     "complementary_r_bell",
     "ordered_bell",
     "r_ordered_bell",
@@ -289,6 +296,21 @@ def complementary_bell(n: int) -> int:
     """Alternating Bell number: sum of (-1)^k * stirling2(n, k) over k."""
     _require_nonnegative(n=n)
     return _bells.upto(n)[n][1]
+
+
+def complementary_bell_residues(first: int = 0) -> Iterator[tuple[int, ...]]:
+    """The residues of complementary_bell(n) mod the primes 3, 5, ..., 31, a
+    tuple per n = first, first + 1, ... without end; all are 0 at n = 2
+    alone for n <= 10**6.  Each stream keeps its last p residues."""
+    _require_nonnegative(first=first)
+    return islice(zip(*map(_residues, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))), first, None)
+
+
+def _residues(p: int) -> Iterator[int]:
+    window = deque(maxlen=p)
+    for n in count():
+        window.append((window[1] - window[0]) % p if n >= p else complementary_bell(n) % p)
+        yield window[-1]
 
 
 def complementary_r_bell(n: int, r: int) -> int:

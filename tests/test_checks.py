@@ -5,7 +5,9 @@ import importlib.util
 import json
 import math
 import sys
+import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from pdbell import checks, cli, oracle
 from pdbell import polynomials as poly
 from pdbell import sequences as seq
 from pdbell import series as ser
+from pdbell.bernoulli import bernoulli, higher_bernoulli
 from pdbell.checks import Status, SuiteConfig
 
 SMALL = SuiteConfig(max_n=8, max_r=3, max_m=3, oracle_cap=6)
@@ -471,8 +474,6 @@ def test_every_check_run_reads_the_kernels_afresh(monkeypatch):
         ("thm_2_9", "pdb_number", (2, 0), {"n": 3, "r": 0}),
         ("thm_2_9", "ordered_bell", (2,), {"n": 2, "r": 0}),
         ("cor_3_5_a", "partial_derangement", (3, 1), {"n": 3, "r": 1, "j": 3}),
-        ("cor_3_5_b", "r_stirling2", (5, 3, 2), {"n": 3, "r": 3, "j": 3}),
-        ("thm_2_10_a", "r_ordered_bell", (2, 1), {"n": 2, "r": 0, "J": 18}),
     ],
 )
 def test_sequence_fault_injection(monkeypatch, check_id, kernel, at, params):
@@ -481,6 +482,87 @@ def test_sequence_fault_injection(monkeypatch, check_id, kernel, at, params):
     rep = checks.check(check_id, SMALL)
     assert rep.status is Status.FAIL
     assert list(rep.witness.params.items()) == list(params.items())
+
+
+# Whole rows: one perturbed cell must fail the check at the same first point
+# as when the check read that cell from its own kernel call.  ``at`` is
+# (the arguments before the row index, the row index, the cell).
+
+
+@pytest.mark.parametrize(
+    "check_id, kernel, at, params",
+    [
+        # r_stirling2(5, 3, 2): row 5 of the stream for triangle 2, cell 3
+        ("cor_3_5_b", "r_stirling2_rows", ((2,), 5, 3), {"n": 3, "r": 3, "j": 3}),
+        # pdb_number(3, 2); its weight derangement(2) is nonzero
+        ("cor_3_8", "pdb_rows", ((), 3, 2), {"n": 3, "part": 2, "y": 1}),
+    ],
+)
+def test_row_stream_fault_injection(monkeypatch, check_id, kernel, at, params):
+    original = getattr(seq, kernel)
+
+    def perturbed(max_n, *args):
+        *fixed, first = args
+        for m, row in enumerate(original(max_n, *args), first):
+            yield [v + ((tuple(fixed), m, k) == at) for k, v in enumerate(row)]
+
+    monkeypatch.setattr(seq, kernel, perturbed)
+    rep = checks.check(check_id, SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == list(params.items())
+
+
+def test_r_ordered_bell_row_fault_injection(monkeypatch):
+    # r_ordered_bell(2, 1), read off the row for n = 2.
+    original = seq.r_ordered_bell_row
+    monkeypatch.setattr(
+        seq,
+        "r_ordered_bell_row",
+        lambda n, max_r: [v + ((n, r) == (2, 1)) for r, v in enumerate(original(n, max_r))],
+    )
+    rep = checks.check("thm_2_10_a", SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == [("n", 2), ("r", 0), ("J", 18)]
+
+
+def test_cor_3_8_reads_pdb_rows_not_pdb_number(monkeypatch):
+    def refused(n, r):
+        raise AssertionError("pdb_number read")
+
+    monkeypatch.setattr(seq, "pdb_number", refused)
+    assert checks.check("cor_3_8", SuiteConfig(max_n=12)).status is Status.PASS
+
+
+def test_regrouped_geometric_sum_equals_the_double_sum(monkeypatch):
+    # With the double sum itself in place of r_ordered_bell, the check
+    # compares it with its regrouped form at every n <= 40, r <= 8.
+    def double_sum(n, r):
+        pairs = ((m, i) for m in range(n + 1) for i in range(m + 1))
+        return sum((-1) ** (m - i) * math.comb(m, i) * (i + r) ** n for m, i in pairs)
+
+    monkeypatch.setattr(seq, "r_ordered_bell", double_sum)
+    cfg = SuiteConfig(max_n=40, max_r=8)
+    report = checks.check("r_ordered_bell_geometric", cfg)
+    assert (report.status, report.points) == (Status.PASS, 41 * 9)
+    # And the comparison is not vacuous: one changed value is caught.
+    monkeypatch.setattr(seq, "r_ordered_bell", lambda n, r: double_sum(n, r) + ((n, r) == (7, 3)))
+    assert checks.check("r_ordered_bell_geometric", cfg).witness.params == {"n": 7, "r": 3}
+
+
+def test_bernoulli_weights_kept_for_the_latest_r_equal_fresh_ones():
+    # Every (top, r) the two Bernoulli checks read at max_n = 40, with each r
+    # read twice over: tops rising as thm_3_10 reads them, then falling as
+    # cor_3_11 does.  An r seen before, but not the latest, is built afresh.
+    checks._tables.clear()
+    for r in [*range(1, 9), None, 1]:
+        values = [bernoulli(i) if r is None else higher_bernoulli(i, r) for i in range(41)]
+        fresh = []
+        for top in range(41):
+            scale = math.lcm(*(b.denominator for b in values[: top + 1]))
+            fresh.append((scale, [int(b * scale) for b in values[top::-1]]))
+        for top in [*range(41), *range(40, -1, -1)]:
+            assert checks._bernoulli_weights(top, r) == fresh[top], (top, r)
+    checks._tables.clear()
 
 
 # ----------------------------------------------------------------------
@@ -879,6 +961,33 @@ def test_wilf_scan_reaches_n_1000():
     report = checks.check("wilf_scan", SuiteConfig(wilf_bound=1000))
     assert report.status is Status.PASS
     assert dict(report.bounds) == {"n": "1..1000"}
+
+
+def test_wilf_scan_to_10_5_passes_within_the_acceptance_budget():
+    # The budget is acceptance criterion 9's: 5 s.
+    start = time.perf_counter()
+    report = checks.check("wilf_scan", SuiteConfig(wilf_bound=10**5))
+    elapsed = time.perf_counter() - start
+    assert (report.status, report.points) == (Status.PASS, 10**5)
+    assert elapsed <= 5, f"{elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("uncertified", [1, 3, 57, 200])
+def test_wilf_scan_reads_the_exact_value_only_where_no_residue_certifies(monkeypatch, uncertified):
+    # Residues taken before complementary_bell is watched, as their seeds read it.
+    kept = list(islice(seq.complementary_bell_residues(), 201))
+
+    def residues(first=0):
+        for n, values in enumerate(kept[first:], first):
+            yield (0,) * len(values) if n == uncertified else values
+
+    read = []
+    complementary_bell = seq.complementary_bell
+    monkeypatch.setattr(seq, "complementary_bell_residues", residues)
+    monkeypatch.setattr(seq, "complementary_bell", lambda n: read.append(n) or complementary_bell(n))
+    report = checks.check("wilf_scan", SuiteConfig(wilf_bound=200))
+    assert report.status is Status.PASS
+    assert read == sorted({2, uncertified})
 
 
 def test_summaries_name_the_abstract_headline_identity():

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from pdbell import oracle
 from pdbell import sequences as seq
 from pdbell.oracle import (
     DEFAULT_CAP,
@@ -62,6 +63,28 @@ def test_enumeration_counts_and_uniqueness_to_10():
             assert part.rgs not in seen
             seen.add(part.rgs)
         assert len(seen) == seq.bell(n)
+
+
+def test_enumerate_partitions_validates_what_it_yields(monkeypatch):
+    parts = list(enumerate_partitions(5))
+    assert len(parts) == 52
+    assert all(type(part) is PartitionRGS and is_valid_rgs(part.rgs) for part in parts)
+    # Every yielded partition goes through the validating constructor.
+    monkeypatch.setattr(oracle, "is_valid_rgs", lambda values: False)
+    with pytest.raises(ValueError, match="not a restricted growth string"):
+        next(enumerate_partitions(3))
+
+
+def test_tallies_equal_counts_over_validated_partitions():
+    # The counts read block counts off the walk; the public stream, validated
+    # partition by partition, must give the same tallies.
+    for n in range(9):
+        by_blocks, by_fixed = [0] * (n + 1), [0] * (n + 1)
+        for part in enumerate_partitions(n):
+            by_blocks[part.block_count] += 1
+            for r, count in enumerate(oracle._fixed_point_tally(part.block_count)):
+                by_fixed[r] += count
+        assert oracle._tallies(n) == (tuple(by_blocks), tuple(by_fixed)), n
 
 
 def test_blocks_are_min_ordered_and_partition_the_set():

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -425,6 +426,29 @@ def test_r_ordered_bell_row_reads_no_triangle(monkeypatch):
     assert row == [seq.r_ordered_bell(200, r) for r in range(4)]
 
 
+def test_complementary_bell_residues_match_exact_values_to_1000():
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    got = list(islice(seq.complementary_bell_residues(), 1001))
+    assert got == [tuple(seq.complementary_bell(n) % p for p in primes) for n in range(1001)]
+    # A later first skips the entries before it.
+    assert list(islice(seq.complementary_bell_residues(998), 3)) == got[998:]
+
+
+@pytest.mark.parametrize("position, period", [(0, 26), (1, 1562)])
+def test_complementary_bell_residues_repeat_with_period(position, period):
+    # 2*(p^p - 1)/(p - 1) for p = 3 and 5, and no shorter period.
+    stream = islice(seq.complementary_bell_residues(), 3 * period)
+    values = [residues[position] for residues in stream]
+    assert values[period:] == values[: 2 * period]
+    shorter = [d for d in range(1, period) if values[d:] == values[: 3 * period - d]]
+    assert shorter == []
+
+
+def test_residues_vanish_together_only_at_n_2_to_10_5():
+    stream = islice(seq.complementary_bell_residues(), 10**5 + 1)
+    assert [n for n, residues in enumerate(stream) if not any(residues)] == [2]
+
+
 def test_row_accessors_return_copies():
     row = seq.stirling2_row(6)
     row[2] = -1
@@ -549,6 +573,7 @@ def test_truncated_ordered_bell_partial_sum(n, r):
         lambda: seq.r_stirling2_rows(0, 0, -1),
         lambda: seq.truncated_ordered_bell_rows(-1),
         lambda: seq.partial_derangement_row(-1),
+        lambda: seq.complementary_bell_residues(-1),
     ],
 )
 def test_negative_arguments_raise(call):

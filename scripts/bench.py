@@ -162,7 +162,7 @@ CASES: dict[str, tuple[str, str, str]] = {
 }
 # The costliest checks, cold: grids, kernels, polynomial arithmetic and,
 # for oracle_all, enumeration.  The regrouped prop_3_6_*, the row- and
-# column-reading thm_2_9, cor_3_5_a, cor_3_5_b and cor_3_11, and
+# column-reading thm_2_9, cor_3_5_a and cor_3_5_b, and
 # r_ordered_bell_geometric are also timed on wider grids.
 CASES.update(
     (
@@ -176,7 +176,14 @@ CASES.update(
     for check_id, n in [
         *(
             (check_id, n)
-            for check_id in ("prop_3_6_a", "prop_3_6_b", "thm_3_1", "thm_3_10", "oracle_all")
+            for check_id in (
+                "prop_3_6_a",
+                "prop_3_6_b",
+                "thm_3_1",
+                "thm_3_10",
+                "cor_3_11",
+                "oracle_all",
+            )
             for n in (20, 40)
         ),
         ("prop_3_6_a", 60),
@@ -184,7 +191,6 @@ CASES.update(
         ("thm_2_9", 40),
         ("cor_3_5_a", 40),
         ("cor_3_5_b", 40),
-        ("cor_3_11", 40),
         ("r_ordered_bell_geometric", 40),
     ]
 )

@@ -32,6 +32,7 @@ import math
 import time
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import oracle
@@ -445,6 +446,20 @@ def _bernoulli_weights(top: int, r: int | None) -> tuple[int, list[int]]:
     return kept[top]
 
 
+def _stirling_sums(
+    key: str, row: Callable[[int], Iterable[int]], weights: list[int], first: int = 0
+) -> list[int]:
+    """[sum_k weights[k] * stirling2(k, j) for j = first..len(weights)-1], with
+    row(k) = [stirling2(k, 0), ..., stirling2(k, k)]: one dot product per j
+    over column j of the triangle, whose columns are kept under ``key``."""
+    cols = _tables.setdefault(key, [])
+    for k in range(len(cols), len(weights)):
+        cols.append([])
+        for col, s in zip(cols, row(k)):
+            col.append(s)
+    return [sum(map(mul, weights[j:], cols[j])) for j in range(first, len(weights))]
+
+
 # ----------------------------------------------------------------------
 # number-level identities
 
@@ -681,12 +696,19 @@ def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
     lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
-    S = _kernel_row("stirling2_row", n)
-    # stirling2(n-k, r) vanishes for k > n-r.
-    rhs = poly.weighted_sum(
-        (math.comb(n, k) * S[n - k][r], poly.pdb_poly(k, m)) for k in range(m, n - r + 1)
-    ).times_y_power(r)
-    yield {}, lhs, rhs
+    # Coefficient j of pdb_poly(k, m) is stirling2(k, j)*partial_derangement(j, m),
+    # so the right side is y^r * sum_j partial_derangement(j, m)*T_j*y^j, with
+    # T_j = sum_k C(n,k)*stirling2(n-k,r)*stirling2(k,j) made once per (n, r).
+    rows = _latest("thm_3_1", n, dict)
+    if r not in rows:
+        S = _kernel_row("stirling2_row", n)
+        # stirling2(n-k, r) vanishes for k > n-r.
+        weights = [math.comb(n, k) * S[n - k][r] for k in range(n - r + 1)]
+        rows[r] = _stirling_sums(
+            "exponential_poly columns", lambda k: poly.exponential_poly(k).coefficients, weights
+        )
+    D = _column("partial_derangement", n - r, m)
+    yield {}, lhs, poly.IntPolynomial._of([0] * r + list(map(mul, D, rows[r])))
 
 
 def _cor_3_2_grid(cfg: SuiteConfig, j: tuple[int | str, str], **notes: str) -> Grid:
@@ -993,6 +1015,21 @@ def _cor_3_9(cfg: SuiteConfig, n: int) -> Comparisons:
 # comparison is between integers or integer polynomials.
 
 
+def _bernoulli_row(n: int, r: int | None) -> tuple[int, list[int]]:
+    """L and [A_0, ..., A_n], A_j = sum_k C(n+s,k+s)*L*B_(n-k)*stirling2(k+s,j+s),
+    where (L, [L*B_n, ..., L*B_0]) is _bernoulli_weights(n, r) and s is r, or 0
+    for r None; kept for every n under the latest r.  A side scaled by L' =
+    _bernoulli_weights(t, r)[0] reads only A_j free of B_(>t): L/L' divides them."""
+    rows = _latest("bernoulli rows", r, dict)
+    if n not in rows:
+        s = r or 0
+        scale, weights = _bernoulli_weights(n, r)
+        shifted = [0] * s + [math.comb(n + s, k + s) * w for k, w in enumerate(weights)]
+        S = _kernel_row("stirling2_row", n + s)
+        rows[n] = scale, _stirling_sums("stirling2_row columns", S.__getitem__, shifted, s)
+    return rows[n]
+
+
 @_check(
     "thm_3_10",
     "C(m+r,m)*sum_k C(n+r,k+r)*higher_bernoulli(n-k,r)*pdb_poly(k+r,m+r) = "
@@ -1004,21 +1041,19 @@ def _cor_3_9(cfg: SuiteConfig, n: int) -> Comparisons:
     ),
 )
 def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Comparisons:
-    ks = range(m, n + 1)
-    if r is None:  # the first-order form, on the second grid
-        scale, weights = _bernoulli_weights(n - m, None)
-        lhs = poly.weighted_sum(
-            (m * math.comb(n, k) * w, poly.pdb_poly(k, m)) for k, w in zip(ks, weights)
-        )
+    # Coefficient j+s of pdb_poly(k+s, m+s) is stirling2(k+s, j+s)*partial_derangement(j+s, m+s),
+    # so that of the sum over k is partial_derangement(j+s, m+s)*A_j/(L/scale), 0 for j < m.
+    s = r or 0  # r is None for the first-order form, on the second grid
+    scale = _bernoulli_weights(n - m, r)[0]
+    top, A = _bernoulli_row(n, r)
+    outer, q = (m if r is None else math.comb(m + r, m)), top // scale
+    D = _column("partial_derangement", n + s, m + s)
+    lifted = [outer * D[j + s] * (A[j] // q) for j in range(m, n + 1)]
+    lhs = poly.IntPolynomial._of([0] * (m + s) + lifted)
+    if r is None:
         rhs = scale * n * poly.pdb_poly(n - 1, m - 1).times_y_power(1)
         yield {"r": 1, "form": "first-order", "scale": scale}, lhs, rhs
         return
-    scale, weights = _bernoulli_weights(n - m, r)
-    outer = math.comb(m + r, m)
-    lhs = poly.weighted_sum(
-        (outer * math.comb(n + r, k + r) * w, poly.pdb_poly(k + r, m + r))
-        for k, w in zip(ks, weights)
-    )
     rhs = scale * math.comb(n + r, r) * poly.pdb_poly(n, m).times_y_power(r)
     yield {"scale": scale}, lhs, rhs
 
@@ -1032,12 +1067,11 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
     lambda c: Grid(r=(1, c.max_r), n=(1, c.max_n), j=(0, "n"), params=("n", "r", "j")),
 )
 def _cor_3_11(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    S = _kernel_row("stirling2_row", n + r)
-    scale, weights = _bernoulli_weights(n - j, r)
-    lhs = math.comb(j + r, r) * sum(
-        math.comb(n + r, k + r) * S[k + r][j + r] * w for k, w in zip(range(j, n + 1), weights)
-    )
-    yield {"scale": scale}, lhs, scale * math.comb(n + r, r) * S[n][j]
+    scale = _bernoulli_weights(n - j, r)[0]
+    top, A = _bernoulli_row(n, r)
+    lhs = math.comb(j + r, r) * (A[j] // (top // scale))
+    rhs = scale * math.comb(n + r, r) * _kernel_row("stirling2_row", n)[n][j]
+    yield {"scale": scale}, lhs, rhs
 
 
 # ----------------------------------------------------------------------

@@ -681,12 +681,96 @@ def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
     ],
 )
 def test_stirling_row_fault_injection(monkeypatch, check_id, params):
+    # The polynomial layer keeps its rows across runs (lru_cache), while a
+    # run reads its Stirling rows afresh.  One run before the perturbation
+    # puts the rows that the polynomials read in those caches unperturbed,
+    # whatever ran before, so only the per-run reads see the changed cell.
+    assert checks.check(check_id, SMALL).status is Status.PASS
     stirling2_row = seq.stirling2_row
     monkeypatch.setattr(
         seq,
         "stirling2_row",
         lambda n: [v + ((n, k) == (5, 2)) for k, v in enumerate(stirling2_row(n))],
     )
+    rep = checks.check(check_id, SMALL)
+    assert rep.status is Status.FAIL
+    assert list(rep.witness.params.items()) == list(params.items())
+
+
+# ----------------------------------------------------------------------
+# thm_3_1, thm_3_10 and cor_3_11 take partial_derangement out of their sums
+# of pdb_poly and sum the rest once per (n, r): every side must equal the
+# term-by-term sum, and a perturbed partial_derangement, read apart from
+# pdb_poly, must fail the check
+
+
+def _scaled_bernoulli(top, r):
+    """The lcm L of the denominators of B_0..B_top and [L*B_i for i <= top],
+    where B_i is higher_bernoulli(i, r), or bernoulli(i) for r None."""
+    values = [bernoulli(i) if r is None else higher_bernoulli(i, r) for i in range(top + 1)]
+    scale = math.lcm(*(b.denominator for b in values))
+    return scale, [int(b * scale) for b in values]
+
+
+def _term_by_term(check_id, n, m=None, r=None, j=None):
+    """The (witness extras, lhs, rhs) of one point, each sum over k taken term by term."""
+    if check_id == "thm_3_1":
+        rhs = poly.weighted_sum(
+            (math.comb(n, k) * seq.stirling2(n - k, r), poly.pdb_poly(k, m))
+            for k in range(m, n - r + 1)
+        )
+        return [], math.comb(m + r, m) * poly.pdb_poly(n, m + r), rhs.times_y_power(r)
+    if check_id == "cor_3_11":
+        scale, B = _scaled_bernoulli(n - j, r)
+        lhs = math.comb(j + r, r) * sum(
+            math.comb(n + r, k + r) * seq.stirling2(k + r, j + r) * B[n - k]
+            for k in range(j, n + 1)
+        )
+        return [("scale", scale)], lhs, scale * math.comb(n + r, r) * seq.stirling2(n, j)
+    scale, B = _scaled_bernoulli(n - m, r)
+    s, outer = (0, m) if r is None else (r, math.comb(m + r, m))
+    lhs = poly.weighted_sum(
+        (outer * math.comb(n + s, k + s) * B[n - k], poly.pdb_poly(k + s, m + s))
+        for k in range(m, n + 1)
+    )
+    if r is None:
+        rhs = scale * n * poly.pdb_poly(n - 1, m - 1).times_y_power(1)
+        return [("r", 1), ("form", "first-order"), ("scale", scale)], lhs, rhs
+    rhs = scale * math.comb(n + r, r) * poly.pdb_poly(n, m).times_y_power(r)
+    return [("scale", scale)], lhs, rhs
+
+
+@pytest.mark.parametrize("cfg", [SMALL, SuiteConfig(max_n=16)], ids=["small", "max_n=16"])
+@pytest.mark.parametrize("check_id", ["thm_3_1", "thm_3_10", "cor_3_11"])
+def test_regrouped_sides_equal_the_term_by_term_sums(check_id, cfg):
+    # In scan order, as the check reads them, and with the tables emptied
+    # first, as check() does.
+    defn = checks._REGISTRY[check_id]
+    grids = defn.grids(cfg)
+    checks._tables.clear()
+    points = 0
+    for grid in grids if isinstance(grids, tuple) else (grids,):
+        for point in grid.points():
+            [(extra, lhs, rhs)] = defn.compare(cfg, **point)
+            assert (list(extra.items()), lhs, rhs) == _term_by_term(check_id, **point), point
+            points += 1
+    checks._tables.clear()
+    assert points == checks.check(check_id, cfg).points > 0
+
+
+@pytest.mark.parametrize(
+    "check_id, at, params",
+    [
+        # partial_derangement(3, 2) = 0 is the coefficient factor of y^3 in pdb_poly(3, 2)
+        ("thm_3_1", (3, 2), {"n": 3, "m": 2, "r": 0}),
+        ("thm_3_10", (3, 2), {"n": 2, "m": 1, "r": 1, "scale": 2}),
+        # m + r >= 2 in the r form, so only the first-order form reads (3, 1)
+        ("thm_3_10", (3, 1), {"n": 3, "m": 1, "r": 1, "form": "first-order", "scale": 6}),
+    ],
+)
+def test_partial_derangement_fault_injection(monkeypatch, check_id, at, params):
+    original = seq.partial_derangement
+    monkeypatch.setattr(seq, "partial_derangement", lambda *args: original(*args) + (args == at))
     rep = checks.check(check_id, SMALL)
     assert rep.status is Status.FAIL
     assert list(rep.witness.params.items()) == list(params.items())

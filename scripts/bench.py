@@ -163,7 +163,9 @@ CASES: dict[str, tuple[str, str, str]] = {
 # The costliest checks, cold: grids, kernels, polynomial arithmetic and,
 # for oracle_all, enumeration.  The regrouped prop_3_6_*, the row- and
 # column-reading thm_2_9, cor_3_5_a and cor_3_5_b, and
-# r_ordered_bell_geometric are also timed on wider grids.
+# r_ordered_bell_geometric are also timed on wider grids.  cor_3_2_corrected
+# runs to n = 12 at any max_n, so at 20 it reads its kernel sides past the
+# oracle cap.
 CASES.update(
     (
         f"check_{check_id}_n{n}",
@@ -190,6 +192,8 @@ CASES.update(
         ("prop_3_6_b", 60),
         ("thm_2_9", 40),
         ("cor_3_5_a", 40),
+        ("cor_3_5_a", 60),
+        ("cor_3_2_corrected", 20),
         ("cor_3_5_b", 40),
         ("r_ordered_bell_geometric", 40),
     ]

@@ -393,11 +393,10 @@ def _tol_str(x: Fraction) -> str:
 # What a check reads at many grid points (kernel rows, columns and streams,
 # Bernoulli weights, the polynomials of prop_3_6_*, the series of egf_all) is
 # made once and kept here, for the latest index alone where it needs fewer
-# indices than the grid.  Every cell comes from the public kernel, looked up
-# in ``seq`` when needed.  check() empties the tables before every run, so a
-# kernel replaced between two runs is seen by the second.  A row reader,
-# called at almost every point, returns the kept row at once when it is long
-# enough (``()`` never is) and builds its grower only when not.
+# indices than the grid.  Every cell comes from the public kernel, looked up in
+# ``seq`` when needed.  check() empties these tables before every run (not the
+# lru_caches of ``polynomials``, which outlive it).  A row reader returns the
+# kept row at once when long enough (``()`` never is), else builds its grower.
 
 _tables: dict[object, object] = {}
 
@@ -458,6 +457,17 @@ def _stirling_sums(
         for col, s in zip(cols, row(k)):
             col.append(s)
     return [sum(map(mul, weights[j:], cols[j])) for j in range(first, len(weights))]
+
+
+def _convolution(key: str, row: Callable[[int], Iterable[int]], n: int, r: int) -> list[int]:
+    """[T_0, ..., T_{n-r}], T_j = sum_{k<=n-r} C(n,k)*stirling2(n-k,r)*stirling2(k,j),
+    kept by r for the latest n; stirling2(k, j) is row(k)[j], by columns under key."""
+    rows = _latest((key, "convolutions"), n, dict)
+    if r not in rows:
+        S = _kernel_row("stirling2_row", n)
+        weights = [math.comb(n, k) * S[n - k][r] for k in range(n - r + 1)]
+        rows[r] = _stirling_sums(key, row, weights)
+    return rows[r]
 
 
 # ----------------------------------------------------------------------
@@ -697,18 +707,12 @@ def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
     lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
     # Coefficient j of pdb_poly(k, m) is stirling2(k, j)*partial_derangement(j, m),
-    # so the right side is y^r * sum_j partial_derangement(j, m)*T_j*y^j, with
-    # T_j = sum_k C(n,k)*stirling2(n-k,r)*stirling2(k,j) made once per (n, r).
-    rows = _latest("thm_3_1", n, dict)
-    if r not in rows:
-        S = _kernel_row("stirling2_row", n)
-        # stirling2(n-k, r) vanishes for k > n-r.
-        weights = [math.comb(n, k) * S[n - k][r] for k in range(n - r + 1)]
-        rows[r] = _stirling_sums(
-            "exponential_poly columns", lambda k: poly.exponential_poly(k).coefficients, weights
-        )
+    # so the right side is y^r * sum_j partial_derangement(j, m)*T_j*y^j, T as in _convolution.
+    T = _convolution(
+        "exponential_poly columns", lambda k: poly.exponential_poly(k).coefficients, n, r
+    )
     D = _column("partial_derangement", n - r, m)
-    yield {}, lhs, poly.IntPolynomial._of([0] * r + list(map(mul, D, rows[r])))
+    yield {}, lhs, poly.IntPolynomial._of([0] * r + list(map(mul, D, T)))
 
 
 def _cor_3_2_grid(cfg: SuiteConfig, j: tuple[int | str, str], **notes: str) -> Grid:
@@ -723,16 +727,13 @@ def _cor_3_2_grid(cfg: SuiteConfig, j: tuple[int | str, str], **notes: str) -> G
 
 
 def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
-    """Both sides of the division-free form from the sequence kernels."""
-    S = _kernel_row("stirling2_row", n)
-    # stirling2(n-k, r) vanishes for k > n-r, and stirling2(n, j+r) for j+r > n.
-    lhs = _column("partial_derangement", j, m)[j] * sum(
-        math.comb(n, k) * S[n - k][r] * S[k][j] for k in range(j, n - r + 1)
-    )
+    """Both sides of the division-free form from the sequence kernels; 0 for j+r > n."""
     if j + r > n:
-        return lhs, 0
+        return 0, 0
+    S = _kernel_row("stirling2_row", n)
+    T = _convolution("stirling2_row columns", S.__getitem__, n, r)
     d = _column("partial_derangement", j + r, r + m)[j + r]
-    return lhs, math.comb(m + r, m) * S[n][j + r] * d
+    return _column("partial_derangement", j, m)[j] * T[j], math.comb(m + r, m) * S[n][j + r] * d
 
 
 @_check(
@@ -826,8 +827,7 @@ def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
     S = _kernel_row("stirling2_row", n)
     d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
     i = j - r + 1
-    # stirling2(n-k, r-1) vanishes for k > n-r+1.
-    lhs = sum(math.comb(n, k) * S[n - k][r - 1] * S[k][i] for k in range(i, n - r + 2))
+    lhs = _convolution("stirling2_row columns", S.__getitem__, n, r - 1)[i]
     yield {}, lhs, (-1) ** i * S[n][j] * (d0[j] - r * d1[j])
 
 

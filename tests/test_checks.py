@@ -678,6 +678,7 @@ def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
         ("thm_3_3", {"n": 5, "r": 2}),
         ("cor_3_5_a", {"n": 5, "r": 2, "j": 2}),
         ("cor_3_11", {"n": 4, "r": 1, "j": 1, "scale": 6}),
+        ("cor_3_2_corrected", {"n": 7, "m": 0, "r": 1, "j": 2}),
     ],
 )
 def test_stirling_row_fault_injection(monkeypatch, check_id, params):
@@ -699,9 +700,9 @@ def test_stirling_row_fault_injection(monkeypatch, check_id, params):
 
 # ----------------------------------------------------------------------
 # thm_3_1, thm_3_10 and cor_3_11 take partial_derangement out of their sums
-# of pdb_poly and sum the rest once per (n, r): every side must equal the
-# term-by-term sum, and a perturbed partial_derangement, read apart from
-# pdb_poly, must fail the check
+# of pdb_poly and sum the rest once per (n, r), as cor_3_2_* and cor_3_5_a
+# sum theirs: every side must equal the term-by-term sum, and a perturbed
+# partial_derangement, read apart from pdb_poly, must fail the check
 
 
 def _scaled_bernoulli(top, r):
@@ -714,6 +715,25 @@ def _scaled_bernoulli(top, r):
 
 def _term_by_term(check_id, n, m=None, r=None, j=None):
     """The (witness extras, lhs, rhs) of one point, each sum over k taken term by term."""
+    if check_id == "cor_3_5_a":
+        i = j - r + 1
+        lhs = sum(
+            math.comb(n, k) * seq.stirling2(n - k, r - 1) * seq.stirling2(k, i)
+            for k in range(n + 1)
+        )
+        d0, d1 = seq.partial_derangement(j, r - 1), seq.partial_derangement(j, r)
+        return [], lhs, (-1) ** i * seq.stirling2(n, j) * (d0 - r * d1)
+    if check_id.startswith("cor_3_2"):
+        lhs = seq.partial_derangement(j, m) * sum(
+            math.comb(n, k) * seq.stirling2(n - k, r) * seq.stirling2(k, j) for k in range(n + 1)
+        )
+        rhs = math.comb(m + r, m) * seq.stirling2(n, j + r) * seq.partial_derangement(j + r, r + m)
+        if check_id == "cor_3_2_corrected":
+            return [], lhs, rhs
+        denom = seq.partial_derangement(j - r, r)
+        if denom == 0:
+            return [], lhs, f"undefined: division by partial_derangement({j - r},{r}) = 0"
+        return [], lhs, Fraction(rhs, denom)
     if check_id == "thm_3_1":
         rhs = poly.weighted_sum(
             (math.comb(n, k) * seq.stirling2(n - k, r), poly.pdb_poly(k, m))
@@ -741,7 +761,10 @@ def _term_by_term(check_id, n, m=None, r=None, j=None):
 
 
 @pytest.mark.parametrize("cfg", [SMALL, SuiteConfig(max_n=16)], ids=["small", "max_n=16"])
-@pytest.mark.parametrize("check_id", ["thm_3_1", "thm_3_10", "cor_3_11"])
+@pytest.mark.parametrize(
+    "check_id",
+    ["thm_3_1", "thm_3_10", "cor_3_11", "cor_3_5_a", "cor_3_2_printed", "cor_3_2_corrected"],
+)
 def test_regrouped_sides_equal_the_term_by_term_sums(check_id, cfg):
     # In scan order, as the check reads them, and with the tables emptied
     # first, as check() does.
@@ -755,7 +778,12 @@ def test_regrouped_sides_equal_the_term_by_term_sums(check_id, cfg):
             assert (list(extra.items()), lhs, rhs) == _term_by_term(check_id, **point), point
             points += 1
     checks._tables.clear()
-    assert points == checks.check(check_id, cfg).points > 0
+    report = checks.check(check_id, cfg)
+    assert points > 0
+    if report.witness is None:
+        assert report.points == points
+    else:  # the known-failing printed form stops at its first witness
+        assert report.status is Status.KNOWN_FAILING and report.points <= points
 
 
 @pytest.mark.parametrize(

@@ -24,9 +24,12 @@ turn, so a slow spell of a shared host falls on all of them.
 
 The report is canonical JSON (sorted keys, two-space indent): per tree and
 case, the median CPU and wall time, the median peak RSS (of the child, or of
-a process it started if that one peaked higher) and the CPU samples, and
-with two or more trees the ratio of each later tree's median CPU time to the
-first tree's.  Beside it, the paired ratio is the median over rounds of each
+a process it started if that one peaked higher), the median peak RSS of the
+child right after it imports ``pdbell.cli`` and the layers
+(``import_peak_rss_mb``, to 0.01 MB: code layout alone moves it by about a
+tenth of a megabyte, so it tells the import apart from the work) and the
+CPU samples, and with two or more trees the ratio of each later tree's
+median CPU time to the first tree's.  Beside it, the paired ratio is the median over rounds of each
 later tree's sample divided by the first tree's sample of the same round: the
 two samples of a round run back to back, so a slow spell of the host falls
 on both.  Timings are reported, never gated.  This is a development tool:
@@ -251,7 +254,8 @@ CASES.update(
 
 CHILD = """\
 import json, resource, subprocess, sys, time
-from pdbell import checks, oracle, polynomials as poly, sequences as seq, series as ser
+from pdbell import checks, cli, oracle, polynomials as poly, sequences as seq, series as ser
+import_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 def cpu_time():
     children = resource.getrusage(resource.RUSAGE_CHILDREN)
     return time.process_time() + children.ru_utime + children.ru_stime
@@ -262,7 +266,8 @@ cpu, wall = cpu_time() - cpu, time.perf_counter() - wall
 rss_kb = max(
     resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
 )
-print(json.dumps({{"cpu_s": cpu, "wall_s": wall, "peak_rss_mb": rss_kb / 1024}}))
+peaks = {{"peak_rss_mb": rss_kb / 1024, "import_peak_rss_mb": import_rss_kb / 1024}}
+print(json.dumps({{"cpu_s": cpu, "wall_s": wall, **peaks}}))
 """
 
 
@@ -325,6 +330,9 @@ def main() -> int:
                 "cpu_s": round(statistics.median(s["cpu_s"] for s in runs), 4),
                 "wall_s": round(statistics.median(s["wall_s"] for s in runs), 4),
                 "peak_rss_mb": round(statistics.median(s["peak_rss_mb"] for s in runs), 1),
+                "import_peak_rss_mb": round(
+                    statistics.median(s["import_peak_rss_mb"] for s in runs), 2
+                ),
                 "cpu_s_samples": [round(s["cpu_s"], 4) for s in runs],
             }
             for case, runs in by_case.items()

@@ -12,6 +12,11 @@ definitions, and a registry of identity checks verifies every stated
 relation between the families on finite grids, reporting a first
 counterexample with deterministic witnesses where a stated form fails.
 
+Every public name of the layers ``sequences``, ``polynomials``,
+``bernoulli``, ``series``, ``oracle`` and ``checks`` (its module's
+``__all__``) is importable from the package, e.g.
+``from pdbell import pdb_rows``.
+
 ``pdbell.bernoulli`` is the function ``bernoulli(n)``, the public spelling
 for Bernoulli numbers; it shadows the submodule of the same name as a
 package attribute.  The submodule stays importable by its full name:
@@ -19,126 +24,22 @@ package attribute.  The submodule stays importable by its full name:
 ``importlib.import_module("pdbell.bernoulli")``.
 """
 
+import sys
+
 # checks comes first: compiling it is the largest transient of the import,
 # and it peaks lowest before the other modules are loaded.
-from .checks import (
-    CheckReport,
-    InconclusiveError,
-    Status,
-    SuiteConfig,
-    SuiteReport,
-    Witness,
-    approx_e,
-    check,
-    corrected_id_for,
-    check_summary,
-    known_failing_ids,
-    registered_ids,
-    run_all,
-)
-from .bernoulli import bernoulli, higher_bernoulli
-from .oracle import (
-    CapExceededError,
-    PartitionRGS,
-    brute_bell,
-    brute_complementary_bell,
-    brute_ordered_bell,
-    brute_partial_derangement,
-    brute_pdb,
-    brute_pdb_row,
-    brute_stirling2,
-    enumerate_partitions,
-    is_valid_rgs,
-)
-from .polynomials import (
-    IntPolynomial,
-    exponential_poly,
-    geometric_poly,
-    pdb_poly,
-    r_exponential_poly,
-)
-from .sequences import (
-    bell,
-    complementary_bell,
-    complementary_r_bell,
-    derangement,
-    deranged_bell,
-    ordered_bell,
-    partial_derangement,
-    pdb_number,
-    pdb_row,
-    r_ordered_bell,
-    r_stirling2,
-    stirling2,
-    truncated_ordered_bell,
-)
-from .series import (
-    SeriesDivisionError,
-    SeriesExpError,
-    TruncatedSeries,
-    egf_family,
-    egf_pdb,
-    expm1,
-)
+from .checks import *
+from .bernoulli import *
+from .oracle import *
+from .polynomials import *
+from .sequences import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # sequences
-    "stirling2",
-    "r_stirling2",
-    "derangement",
-    "partial_derangement",
-    "bell",
-    "complementary_bell",
-    "complementary_r_bell",
-    "ordered_bell",
-    "r_ordered_bell",
-    "truncated_ordered_bell",
-    "deranged_bell",
-    "pdb_number",
-    "pdb_row",
-    # polynomials
-    "IntPolynomial",
-    "exponential_poly",
-    "r_exponential_poly",
-    "geometric_poly",
-    "pdb_poly",
-    # bernoulli
-    "bernoulli",
-    "higher_bernoulli",
-    # series
-    "TruncatedSeries",
-    "SeriesDivisionError",
-    "SeriesExpError",
-    "expm1",
-    "egf_pdb",
-    "egf_family",
-    # oracle
-    "CapExceededError",
-    "PartitionRGS",
-    "is_valid_rgs",
-    "enumerate_partitions",
-    "brute_pdb_row",
-    "brute_pdb",
-    "brute_partial_derangement",
-    "brute_stirling2",
-    "brute_bell",
-    "brute_complementary_bell",
-    "brute_ordered_bell",
-    # checks
-    "Status",
-    "Witness",
-    "CheckReport",
-    "SuiteConfig",
-    "SuiteReport",
-    "InconclusiveError",
-    "approx_e",
-    "check",
-    "run_all",
-    "registered_ids",
-    "check_summary",
-    "known_failing_ids",
-    "corrected_id_for",
-]
+# Each layer's __all__ is the one list of its public names.  The modules are
+# read from sys.modules: the package attribute ``bernoulli`` is the function.
+__all__ = ["__version__"]
+for _layer in ("sequences", "polynomials", "bernoulli", "series", "oracle", "checks"):
+    __all__ += sys.modules[f"{__name__}.{_layer}"].__all__
+del _layer, sys

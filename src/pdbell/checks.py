@@ -408,18 +408,16 @@ def _row(key: object, n: int, entry: Callable[[int], object]) -> list:
     return row
 
 
-def _kernel_row(name: str, n: int) -> list:
-    """``row[i]`` is seq.<name>(i) for i <= n; for ``stirling2_row``,
-    ``row[m][k]`` is stirling2(m, k) for k <= m."""
-    row = _tables.get(name, ())
-    return row if len(row) > n else _row(name, n, getattr(seq, name))
-
-
-def _column(name: str, n: int, r: int) -> list[int]:
-    """``col[j]`` is seq.<name>(j, r) for j <= n."""
-    key = (name, r)
+def _kernel_row(name: str, n: int, *fixed: int) -> list:
+    """``row[i]`` is seq.<name>(i, *fixed) for i <= n, kept under the tuple
+    ``(name, *fixed)``; for ``stirling2_row``, ``row[m][k]`` is stirling2(m, k)
+    for k <= m."""
+    key = (name, *fixed)
     row = _tables.get(key, ())
-    return row if len(row) > n else _row(key, n, lambda j: getattr(seq, name)(j, r))
+    if len(row) > n:
+        return row
+    kernel = getattr(seq, name)
+    return _row(key, n, (lambda i: kernel(i, *fixed)) if fixed else kernel)
 
 
 def _latest(key: object, n: int, make: Callable[[], object]) -> object:
@@ -482,7 +480,7 @@ def _convolution(key: str, row: Callable[[int], Iterable[int]], n: int, r: int) 
 def _thm_2_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     S, D = _kernel_row("stirling2_row", n), _kernel_row("deranged_bell", n)
     rhs = sum(math.comb(n, k) * S[k][r] * D[n - k] for k in range(r, n + 1))
-    yield {}, _column("pdb_number", n, r)[n], rhs
+    yield {}, _kernel_row("pdb_number", n, r)[n], rhs
 
 
 @_check(
@@ -507,7 +505,7 @@ def _thm_2_4(cfg: SuiteConfig, n: int) -> Comparisons:
     lambda c: Grid(n=(0, c.max_n), r=(0, f"min(n,{c.max_r})")),
 )
 def _thm_2_7(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
-    lhs = _column("pdb_number", n, r)[n] - (r + 1) * _column("pdb_number", n, r + 1)[n]
+    lhs = _kernel_row("pdb_number", n, r)[n] - (r + 1) * _kernel_row("pdb_number", n, r + 1)[n]
     S, phi = _kernel_row("stirling2_row", n), _kernel_row("complementary_bell", n)
     rhs = sum(math.comb(n, k) * S[k][r] * phi[n - k] for k in range(r, n + 1))
     yield {}, lhs, rhs
@@ -560,7 +558,7 @@ def _remark_2_8_corrected(cfg: SuiteConfig, n: int) -> Comparisons:
 )
 def _thm_2_9(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     ob = _kernel_row("ordered_bell", n)
-    w, w1 = _column("pdb_number", n, r), _column("pdb_number", n, r + 1)
+    w, w1 = _kernel_row("pdb_number", n, r), _kernel_row("pdb_number", n, r + 1)
     rhs = sum(math.comb(n, j) * ob[n - j] * (w[j] - (r + 1) * w1[j]) for j in range(r, n))
     yield {}, (r + 1) * w1[n], rhs
 
@@ -651,7 +649,7 @@ def _thm_2_10_a(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     J = _certify(n, r, cfg, functools.partial(_tail_a, n, r, cfg))
     row = seq.r_ordered_bell_row(n, r + J)
     lhs = _alternating(r, J, lambda i, j: (-1) ** j * row[i + j], math.factorial)
-    rhs = math.factorial(r) * _column("pdb_number", n, r)[n] / approx_e(_e_error(cfg))
+    rhs = math.factorial(r) * _kernel_row("pdb_number", n, r)[n] / approx_e(_e_error(cfg))
     # Sides within the tolerance count as equal.
     yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
 
@@ -688,7 +686,7 @@ def _thm_2_10_b(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     J = _certify(n, r, cfg, functools.partial(_tail_b, n, r, M))
     row = _row(("complementary_r_bell", n), J + r, functools.partial(seq.complementary_r_bell, n))
     lhs = _alternating(r, J, lambda i, j: row[j + i], lambda j: 2 ** (j + 1))
-    rhs = Fraction(math.factorial(r) * _column("pdb_number", n, r)[n])
+    rhs = Fraction(math.factorial(r) * _kernel_row("pdb_number", n, r)[n])
     # Sides within the tolerance count as equal.
     yield {"J": J}, lhs, lhs if abs(lhs - rhs) < cfg.tolerance else rhs
 
@@ -711,7 +709,7 @@ def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
     T = _convolution(
         "exponential_poly columns", lambda k: poly.exponential_poly(k).coefficients, n, r
     )
-    D = _column("partial_derangement", n - r, m)
+    D = _kernel_row("partial_derangement", n - r, m)
     yield {}, lhs, poly.IntPolynomial._of([0] * r + list(map(mul, D, T)))
 
 
@@ -732,8 +730,8 @@ def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
         return 0, 0
     S = _kernel_row("stirling2_row", n)
     T = _convolution("stirling2_row columns", S.__getitem__, n, r)
-    d = _column("partial_derangement", j + r, r + m)[j + r]
-    return _column("partial_derangement", j, m)[j] * T[j], math.comb(m + r, m) * S[n][j + r] * d
+    d = _kernel_row("partial_derangement", j + r, r + m)[j + r]
+    return _kernel_row("partial_derangement", j, m)[j] * T[j], math.comb(m + r, m) * S[n][j + r] * d
 
 
 @_check(
@@ -749,7 +747,7 @@ def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
 )
 def _cor_3_2_printed(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comparisons:
     lhs, numerator = _cor_3_2_sides(n, m, r, j)
-    denom = _column("partial_derangement", j - r, r)[j - r]
+    denom = _kernel_row("partial_derangement", j - r, r)[j - r]
     if denom == 0:
         yield {}, lhs, f"undefined: division by partial_derangement({j - r},{r}) = 0"
     else:
@@ -825,7 +823,7 @@ def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
     S = _kernel_row("stirling2_row", n)
-    d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
+    d0, d1 = _kernel_row("partial_derangement", n, r - 1), _kernel_row("partial_derangement", n, r)
     i = j - r + 1
     lhs = _convolution("stirling2_row columns", S.__getitem__, n, r - 1)[i]
     yield {}, lhs, (-1) ** i * S[n][j] * (d0[j] - r * d1[j])
@@ -845,7 +843,7 @@ def _cor_3_5_b_sides(cfg: SuiteConfig, n: int, r: int, j: int) -> tuple[int, int
     lhs = sum(
         (-1) ** i * math.comb(r - 1, i) * R[i][j - r + i + 1] for i in range(max(0, r - 1 - j), r)
     )
-    d0, d1 = _column("partial_derangement", n, r - 1), _column("partial_derangement", n, r)
+    d0, d1 = _kernel_row("partial_derangement", n, r - 1), _kernel_row("partial_derangement", n, r)
     return lhs, (-1) ** j * _kernel_row("stirling2_row", n)[n][j] * (d0[j] - r * d1[j])
 
 
@@ -1047,7 +1045,7 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
     scale = _bernoulli_weights(n - m, r)[0]
     top, A = _bernoulli_row(n, r)
     outer, q = (m if r is None else math.comb(m + r, m)), top // scale
-    D = _column("partial_derangement", n + s, m + s)
+    D = _kernel_row("partial_derangement", n + s, m + s)
     lifted = [outer * D[j + s] * (A[j] // q) for j in range(m, n + 1)]
     lhs = poly.IntPolynomial._of([0] * (m + s) + lifted)
     if r is None:

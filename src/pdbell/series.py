@@ -271,8 +271,11 @@ class TruncatedSeries:
 
 
 def expm1(order: int) -> TruncatedSeries:
-    """The series exp(t) - 1 to the given order."""
-    return TruncatedSeries.t(order).exp() - TruncatedSeries.one(order)
+    """The series exp(t) - 1 to the given order: every EGF value past the
+    first is 1."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    return TruncatedSeries._from_egf([0] + [1] * order, 1, order)
 
 
 def _deranged(v: TruncatedSeries, r: int = 0) -> TruncatedSeries:
@@ -322,8 +325,8 @@ def egf_family(family: str, order: int, param: int | None = None) -> TruncatedSe
         r = _required_param(family, param)
         return _deranged(TruncatedSeries.t(order)).shift(r).scale(Fraction(1, math.factorial(r)))
     if family == "ordered_bell":
-        exp_t = TruncatedSeries.t(order).exp()
-        return TruncatedSeries.one(order) / (TruncatedSeries.from_constant(2, order) - exp_t)
+        one = TruncatedSeries.one(order)
+        return one / (one - expm1(order))
     if family == "deranged_bell":
         return _deranged(expm1(order))
     if family == "stirling_column":

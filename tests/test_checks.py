@@ -786,6 +786,16 @@ def test_regrouped_sides_equal_the_term_by_term_sums(check_id, cfg):
         assert report.status is Status.KNOWN_FAILING and report.points <= points
 
 
+def test_kernel_rows_are_kept_under_tuple_keys():
+    # A kernel row's key is (name, *fixed), so it cannot meet a derived slot,
+    # whose key is a string, such as the "stirling2_row columns" of cor_3_5_a.
+    checks.check("cor_3_5_a", SMALL)
+    assert ("stirling2_row",) in checks._tables
+    assert ("partial_derangement", 1) in checks._tables
+    assert "stirling2_row" not in checks._tables
+    checks._tables.clear()
+
+
 @pytest.mark.parametrize(
     "check_id, at, params",
     [

@@ -24,6 +24,21 @@ def test_every_exported_name_resolves(module_name):
     assert missing == []
 
 
+LAYERS = ("sequences", "polynomials", "bernoulli", "series", "oracle", "checks")
+
+
+def test_package_exports_every_layer_name():
+    layers = {m: importlib.import_module(f"pdbell.{m}") for m in LAYERS}
+    expected = ["__version__", *(name for m in LAYERS for name in layers[m].__all__)]
+    assert pdbell.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for m, module in layers.items():
+        for name in module.__all__:
+            assert getattr(pdbell, name) is getattr(module, name), (m, name)
+    assert pdbell.bernoulli is layers["bernoulli"].bernoulli
+    assert pdbell.pdb_rows is layers["sequences"].pdb_rows
+
+
 def test_cli_start_up_imports_no_dataclasses():
     # -S keeps the interpreter's site hooks out: only pdbell's imports count.
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -250,6 +250,13 @@ def test_expm1_has_zero_constant_term():
         assert u.coeff(n) == Fraction(1, math.factorial(n))
 
 
+def test_expm1_equals_exp_of_t_minus_one():
+    for order in range(65):
+        assert expm1(order) == TruncatedSeries.t(order).exp() - TruncatedSeries.one(order)
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        expm1(-1)
+
+
 # ----------------------------------------------------------------------
 # named generating series
 

@@ -391,10 +391,11 @@ def _tol_str(x: Fraction) -> str:
 # per-run tables
 #
 # What a check reads at many grid points (kernel rows, columns and streams,
-# Bernoulli weights, the polynomials of prop_3_6_*, the series of egf_all) is
+# Bernoulli rows, the polynomials of prop_3_6_*, the series of egf_all) is
 # made once and kept here, for the latest index alone where it needs fewer
 # indices than the grid.  Every cell comes from the public kernel, looked up in
-# ``seq`` when needed.  check() empties these tables before every run (not the
+# ``seq`` when needed; the Stirling columns are the run's stirling2_row rows,
+# transposed.  check() empties these tables before every run (not the
 # lru_caches of ``polynomials``, which outlive it).  A row reader returns the
 # kept row at once when long enough (``()`` never is), else builds its grower.
 
@@ -428,43 +429,26 @@ def _latest(key: object, n: int, make: Callable[[], object]) -> object:
     return slot[1]
 
 
-def _bernoulli_weights(top: int, r: int | None) -> tuple[int, list[int]]:
-    """The lcm L of the denominators of B_0..B_top, and the integers L*B_i for
-    i = top down to 0, where B_i is higher_bernoulli(i, r), or bernoulli(i)
-    for r None.  The (numerator, denominator) pairs, their prefix lcms and the
-    weights by top are kept for the latest r, so each is made once per r."""
-    pairs, lcms, kept = _latest("bernoulli", r, lambda: ([], [1], {}))
-    if top not in kept:
-        for i in range(len(pairs), top + 1):
-            p, d = (bernoulli_number(i) if r is None else higher_bernoulli(i, r)).as_integer_ratio()
-            pairs.append((p, d))
-            lcms.append(math.lcm(lcms[-1], d))
-        kept[top] = lcms[top + 1], [p * (lcms[top + 1] // d) for p, d in pairs[top::-1]]
-    return kept[top]
-
-
-def _stirling_sums(
-    key: str, row: Callable[[int], Iterable[int]], weights: list[int], first: int = 0
-) -> list[int]:
-    """[sum_k weights[k] * stirling2(k, j) for j = first..len(weights)-1], with
-    row(k) = [stirling2(k, 0), ..., stirling2(k, k)]: one dot product per j
-    over column j of the triangle, whose columns are kept under ``key``."""
-    cols = _tables.setdefault(key, [])
+def _stirling_sums(weights: list[int], first: int = 0) -> list[int]:
+    """[sum_k weights[k] * stirling2(k, j) for j = first..len(weights)-1]: one
+    dot product per j over column j of the run's stirling2_row rows, whose
+    columns are kept under "stirling2_row columns"."""
+    S = _kernel_row("stirling2_row", len(weights) - 1)
+    cols = _tables.setdefault("stirling2_row columns", [])
     for k in range(len(cols), len(weights)):
         cols.append([])
-        for col, s in zip(cols, row(k)):
+        for col, s in zip(cols, S[k]):
             col.append(s)
     return [sum(map(mul, weights[j:], cols[j])) for j in range(first, len(weights))]
 
 
-def _convolution(key: str, row: Callable[[int], Iterable[int]], n: int, r: int) -> list[int]:
+def _convolution(n: int, r: int) -> list[int]:
     """[T_0, ..., T_{n-r}], T_j = sum_{k<=n-r} C(n,k)*stirling2(n-k,r)*stirling2(k,j),
-    kept by r for the latest n; stirling2(k, j) is row(k)[j], by columns under key."""
-    rows = _latest((key, "convolutions"), n, dict)
+    kept by r for the latest n."""
+    rows = _latest("convolutions", n, dict)
     if r not in rows:
         S = _kernel_row("stirling2_row", n)
-        weights = [math.comb(n, k) * S[n - k][r] for k in range(n - r + 1)]
-        rows[r] = _stirling_sums(key, row, weights)
+        rows[r] = _stirling_sums([math.comb(n, k) * S[n - k][r] for k in range(n - r + 1)])
     return rows[r]
 
 
@@ -706,9 +690,7 @@ def _thm_3_1(cfg: SuiteConfig, n: int, m: int, r: int) -> Comparisons:
     lhs = math.comb(m + r, m) * poly.pdb_poly(n, m + r)
     # Coefficient j of pdb_poly(k, m) is stirling2(k, j)*partial_derangement(j, m),
     # so the right side is y^r * sum_j partial_derangement(j, m)*T_j*y^j, T as in _convolution.
-    T = _convolution(
-        "exponential_poly columns", lambda k: poly.exponential_poly(k).coefficients, n, r
-    )
+    T = _convolution(n, r)
     D = _kernel_row("partial_derangement", n - r, m)
     yield {}, lhs, poly.IntPolynomial._of([0] * r + list(map(mul, D, T)))
 
@@ -728,8 +710,7 @@ def _cor_3_2_sides(n: int, m: int, r: int, j: int) -> tuple[int, int]:
     """Both sides of the division-free form from the sequence kernels; 0 for j+r > n."""
     if j + r > n:
         return 0, 0
-    S = _kernel_row("stirling2_row", n)
-    T = _convolution("stirling2_row columns", S.__getitem__, n, r)
+    S, T = _kernel_row("stirling2_row", n), _convolution(n, r)
     d = _kernel_row("partial_derangement", j + r, r + m)[j + r]
     return _kernel_row("partial_derangement", j, m)[j] * T[j], math.comb(m + r, m) * S[n][j + r] * d
 
@@ -825,7 +806,7 @@ def _cor_3_5_a(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
     S = _kernel_row("stirling2_row", n)
     d0, d1 = _kernel_row("partial_derangement", n, r - 1), _kernel_row("partial_derangement", n, r)
     i = j - r + 1
-    lhs = _convolution("stirling2_row columns", S.__getitem__, n, r - 1)[i]
+    lhs = _convolution(n, r - 1)[i]
     yield {}, lhs, (-1) ** i * S[n][j] * (d0[j] - r * d1[j])
 
 
@@ -1015,16 +996,21 @@ def _cor_3_9(cfg: SuiteConfig, n: int) -> Comparisons:
 
 def _bernoulli_row(n: int, r: int | None) -> tuple[int, list[int]]:
     """L and [A_0, ..., A_n], A_j = sum_k C(n+s,k+s)*L*B_(n-k)*stirling2(k+s,j+s),
-    where (L, [L*B_n, ..., L*B_0]) is _bernoulli_weights(n, r) and s is r, or 0
-    for r None; kept for every n under the latest r.  A side scaled by L' =
-    _bernoulli_weights(t, r)[0] reads only A_j free of B_(>t): L/L' divides them."""
-    rows = _latest("bernoulli rows", r, dict)
+    where B_i is higher_bernoulli(i, r), or bernoulli(i) for r None, L is the lcm
+    of the denominators of B_0..B_n and s is r, or 0 for r None.  The B_i as
+    (numerator, denominator) pairs, their prefix lcms and the rows by n are kept
+    for the latest r.  A side scaled by L' = _bernoulli_row(t, r)[0] reads only
+    A_j free of B_(>t): L/L' divides them."""
+    pairs, lcms, rows = _latest("bernoulli", r, lambda: ([], [1], {}))
     if n not in rows:
-        s = r or 0
-        scale, weights = _bernoulli_weights(n, r)
+        for i in range(len(pairs), n + 1):
+            p, d = (bernoulli_number(i) if r is None else higher_bernoulli(i, r)).as_integer_ratio()
+            pairs.append((p, d))
+            lcms.append(math.lcm(lcms[-1], d))
+        s, scale = r or 0, lcms[n + 1]
+        weights = [p * (scale // d) for p, d in pairs[n::-1]]
         shifted = [0] * s + [math.comb(n + s, k + s) * w for k, w in enumerate(weights)]
-        S = _kernel_row("stirling2_row", n + s)
-        rows[n] = scale, _stirling_sums("stirling2_row columns", S.__getitem__, shifted, s)
+        rows[n] = scale, _stirling_sums(shifted, s)
     return rows[n]
 
 
@@ -1042,7 +1028,7 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
     # Coefficient j+s of pdb_poly(k+s, m+s) is stirling2(k+s, j+s)*partial_derangement(j+s, m+s),
     # so that of the sum over k is partial_derangement(j+s, m+s)*A_j/(L/scale), 0 for j < m.
     s = r or 0  # r is None for the first-order form, on the second grid
-    scale = _bernoulli_weights(n - m, r)[0]
+    scale = _bernoulli_row(n - m, r)[0]
     top, A = _bernoulli_row(n, r)
     outer, q = (m if r is None else math.comb(m + r, m)), top // scale
     D = _kernel_row("partial_derangement", n + s, m + s)
@@ -1065,7 +1051,7 @@ def _thm_3_10(cfg: SuiteConfig, n: int, m: int, r: int | None = None) -> Compari
     lambda c: Grid(r=(1, c.max_r), n=(1, c.max_n), j=(0, "n"), params=("n", "r", "j")),
 )
 def _cor_3_11(cfg: SuiteConfig, n: int, r: int, j: int) -> Comparisons:
-    scale = _bernoulli_weights(n - j, r)[0]
+    scale = _bernoulli_row(n - j, r)[0]
     top, A = _bernoulli_row(n, r)
     lhs = math.comb(j + r, r) * (A[j] // (top // scale))
     rhs = scale * math.comb(n + r, r) * _kernel_row("stirling2_row", n)[n][j]

@@ -553,15 +553,13 @@ def test_bernoulli_weights_kept_for_the_latest_r_equal_fresh_ones():
     # Every (top, r) the two Bernoulli checks read at max_n = 40, with each r
     # read twice over: tops rising as thm_3_10 reads them, then falling as
     # cor_3_11 does.  An r seen before, but not the latest, is built afresh.
+    # The scale of a row is the lcm of the denominators of its weights.
     checks._tables.clear()
     for r in [*range(1, 9), None, 1]:
         values = [bernoulli(i) if r is None else higher_bernoulli(i, r) for i in range(41)]
-        fresh = []
-        for top in range(41):
-            scale = math.lcm(*(b.denominator for b in values[: top + 1]))
-            fresh.append((scale, [int(b * scale) for b in values[top::-1]]))
+        fresh = [math.lcm(*(b.denominator for b in values[: top + 1])) for top in range(41)]
         for top in [*range(41), *range(40, -1, -1)]:
-            assert checks._bernoulli_weights(top, r) == fresh[top], (top, r)
+            assert checks._bernoulli_row(top, r)[0] == fresh[top], (top, r)
     checks._tables.clear()
 
 
@@ -674,7 +672,7 @@ def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
     [
         ("thm_2_3", {"n": 5, "r": 2}),
         ("thm_2_7", {"n": 5, "r": 2}),
-        ("thm_3_1", {"n": 5, "m": 0, "r": 2}),
+        ("thm_3_1", {"n": 5, "m": 0, "r": 0}),
         ("thm_3_3", {"n": 5, "r": 2}),
         ("cor_3_5_a", {"n": 5, "r": 2, "j": 2}),
         ("cor_3_11", {"n": 4, "r": 1, "j": 1, "scale": 6}),
@@ -784,6 +782,17 @@ def test_regrouped_sides_equal_the_term_by_term_sums(check_id, cfg):
         assert report.points == points
     else:  # the known-failing printed form stops at its first witness
         assert report.status is Status.KNOWN_FAILING and report.points <= points
+
+
+def test_one_stirling_column_source_per_run():
+    # thm_3_1 reads its Stirling columns from the run's stirling2_row rows, as
+    # the Bernoulli-weighted checks do, and keeps no second, transposed store
+    # of exponential_poly coefficients.
+    for check_id in ["thm_3_1", "thm_3_10"]:
+        checks.check(check_id, SMALL)
+        assert [key for key in checks._tables if "columns" in str(key)] == ["stirling2_row columns"]
+        assert not any("exponential_poly" in str(key) for key in checks._tables), check_id
+    checks._tables.clear()
 
 
 def test_kernel_rows_are_kept_under_tuple_keys():

@@ -168,7 +168,7 @@ CASES: dict[str, tuple[str, str, str]] = {
 # column-reading thm_2_9, cor_3_5_a and cor_3_5_b, and
 # r_ordered_bell_geometric are also timed on wider grids.  cor_3_2_corrected
 # runs to n = 12 at any max_n, so at 20 it reads its kernel sides past the
-# oracle cap.
+# oracle cap.  egf_all at 32 evaluates pdb_poly at rational y.
 CASES.update(
     (
         f"check_{check_id}_n{n}",
@@ -199,6 +199,7 @@ CASES.update(
         ("cor_3_2_corrected", 20),
         ("cor_3_5_b", 40),
         ("r_ordered_bell_geometric", 40),
+        ("egf_all", 32),
     ]
 )
 # The whole suite, cold, as the grid widens; max_n = 32 is the size the

@@ -32,7 +32,7 @@ import math
 import time
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import oracle
@@ -862,26 +862,6 @@ def _prop_3_6_grid(cfg: SuiteConfig) -> Grid:
     return Grid(n=(0, cfg.max_n), z=("-zmax", "zmax", "zmax=max(3,(n+2)//2)"))
 
 
-def _at_both_signs(
-    key: object, n: int, c: int, qs: Callable[[], list[poly.IntPolynomial]]
-) -> poly.IntPolynomial:
-    """sum_k c^k * Q_k over [Q_0, Q_1, ...] = qs() as E + O, its even and odd
-    parts.  The value at -c, E - O, is kept under ``key`` until read (for the
-    latest n only): the z-grid of prop_3_6_* is symmetric."""
-    kept = _latest(key, n, dict)
-    if c in kept:
-        return kept.pop(c)
-    terms = [(c**k, q) for k, q in enumerate(qs())]
-    even, odd = poly.weighted_sum(terms[::2]), poly.weighted_sum(terms[1::2])
-    if c:
-        kept[-c] = even - odd
-    return even + odd
-
-
-def _row_poly_at(n: int, z: int) -> poly.IntPolynomial:
-    return _at_both_signs("row_at", n, z, lambda: [poly.pdb_poly(n, r) for r in range(n + 1)])
-
-
 def _regrouped(
     n: int, other: Callable[[int], poly.IntPolynomial]
 ) -> list[poly.IntPolynomial]:
@@ -902,13 +882,34 @@ def _regrouped(
     ]
 
 
-def _convolved_at(
-    key: str, n: int, c: int, other: Callable[[int], poly.IntPolynomial]
-) -> poly.IntPolynomial:
-    """sum_r C(n,r) * exponential_poly(r) at c*y times other(n-r), as
-    sum_k c^k * H_k; the H_k of the latest n are kept under ``key``."""
-    hs = _latest(key, n, lambda: _regrouped(n, other))
-    return _at_both_signs((key, "pairs"), n, c, lambda: hs)
+def _z_rows(n: int, shift: int, other: Callable[[int], poly.IntPolynomial]) -> tuple[list, ...]:
+    """Both sides of prop_3_6_* as rows in z: (left, unread).  The left rows are
+    [pdb_poly(n, r) for r <= n]; a Taylor shift (repeated synthetic division by
+    c + 1 on padded coefficient lists) expands the right side, sum_k c^k * H_k with
+    c = z - shift.  ``unread`` is [({}, left, right)] when the rows agree, else None."""
+    rows = [list(h.coefficients) for h in _regrouped(n, other)]
+    width = max(map(len, rows))
+    rows = [row + [0] * (width - len(row)) for row in rows]
+    for i in range(len(rows) - 1 if shift else 0):
+        for j in range(len(rows) - 2, i - 1, -1):
+            rows[j] = list(map(sub, rows[j], rows[j + 1]))
+    left, right = [poly.pdb_poly(n, r) for r in range(n + 1)], list(map(poly.IntPolynomial, rows))
+    return left, [({}, left, right)] if left == right else None
+
+
+def _prop_3_6(key: str, n: int, z: int, shift: int, other: Callable[..., object]) -> Comparisons:
+    """Both sides of prop_3_6_* at z.  They are polynomials in z of at most n + 1
+    rows, and there are 2*zmax+1 >= n+2 grid z, so they agree at every z of n
+    exactly when their rows agree: the first z of n yields the row comparison
+    (kept under ``key``), the others nothing.  Where the rows differ, every z
+    yields sum_r z^r*pdb_poly(n,r) and sum_k c^k*H_k, c = z - shift."""
+    left, unread = _latest(key, n, lambda: _z_rows(n, shift, other))
+    if unread is None:
+        c, hs = z - shift, _latest(f"{key} H_k", n, lambda: _regrouped(n, other))
+        lhs = poly.weighted_sum((z**r, p) for r, p in enumerate(left))
+        yield {}, lhs, poly.weighted_sum((c**k, h) for k, h in enumerate(hs))
+    while unread:
+        yield unread.pop()
 
 
 @_check(
@@ -918,8 +919,7 @@ def _convolved_at(
     _prop_3_6_grid,
 )
 def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    rhs = _convolved_at("prop_3_6_a", n, z - 1, poly.geometric_poly)
-    yield {}, _row_poly_at(n, z), rhs
+    return _prop_3_6("prop_3_6_a", n, z, 1, poly.geometric_poly)
 
 
 @_check(
@@ -929,8 +929,7 @@ def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
     _prop_3_6_grid,
 )
 def _prop_3_6_b(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    rhs = _convolved_at("prop_3_6_b", n, z, lambda m: poly.pdb_poly(m, 0))
-    yield {}, _row_poly_at(n, z), rhs
+    return _prop_3_6("prop_3_6_b", n, z, 0, lambda m: poly.pdb_poly(m, 0))
 
 
 @_check(

@@ -22,8 +22,9 @@ Enumeration streams are single-consumer generators.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from functools import lru_cache
+from itertools import permutations, repeat
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
@@ -142,11 +143,9 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[PartitionRG
 
 @lru_cache(maxsize=32)
 def _fixed_point_tally(n: int) -> tuple[int, ...]:
-    tally = [0] * (n + 1)
     ident = range(n)
-    for perm in itertools.permutations(ident):
-        tally[sum(map(eq, perm, ident))] += 1
-    return tuple(tally)
+    fixed = Counter(map(sum, map(map, repeat(eq), permutations(ident), repeat(ident))))
+    return tuple(fixed[r] for r in range(n + 1))
 
 
 @lru_cache(maxsize=64)

@@ -111,7 +111,18 @@ class IntPolynomial:
         return NotImplemented
 
     def evaluate(self, x: Scalar) -> Scalar:
-        """Value at x by Horner's rule; exact for int or Fraction input."""
+        """Value at x by Horner's rule; exact for int or Fraction input.
+
+        At a Fraction a/b the rule runs on integers, sum_k c_k * a^k * b^(d-k),
+        and one Fraction is built at the end, over b^d.
+        """
+        if isinstance(x, Fraction) and self._coeffs:
+            a, b = x.numerator, x.denominator
+            acc, power = 0, 1
+            for c in reversed(self._coeffs):
+                acc = acc * a + c * power
+                power *= b
+            return Fraction(acc, power // b)
         acc: Scalar = 0
         for c in reversed(self._coeffs):
             acc = acc * x + c

@@ -597,23 +597,91 @@ def test_polynomial_fault_injection(monkeypatch, check_id, kernel, at, params):
 
 
 def test_both_signs_of_z_equal_direct_sums():
-    # In scan order, as the checks read them, and with the tables emptied
-    # first, as check() does.
-    checks._tables.clear()
+    # The rows in z of both sides, read at every grid z of either sign, equal
+    # the sums they expand: the left rows give sum_r z^r * pdb_poly(n, r), and
+    # the right rows, shifted by s, the convolution with exponential_poly at
+    # (z - s)y.
+    def at(z, rows):
+        return poly.weighted_sum((z**j, q) for j, q in enumerate(rows))
+
     for point in checks._prop_3_6_grid(SuiteConfig(max_n=12)).points():
         n, z = point["n"], point["z"]
         row = poly.weighted_sum((z**r, poly.pdb_poly(n, r)) for r in range(n + 1))
-        assert checks._row_poly_at(n, z) == row
-        for key, c, other in [
-            ("prop_3_6_a", z - 1, poly.geometric_poly),
-            ("prop_3_6_b", z, lambda m: poly.pdb_poly(m, 0)),
-        ]:
+        for s, other in [(1, poly.geometric_poly), (0, lambda m: poly.pdb_poly(m, 0))]:
+            left, [(_, _, right)] = checks._z_rows(n, s, other)
+            assert at(z, left) == row
             direct = poly.weighted_sum(
-                (math.comb(n, r), poly.exponential_poly(r).scale_variable(c) * other(n - r))
+                (math.comb(n, r), poly.exponential_poly(r).scale_variable(z - s) * other(n - r))
                 for r in range(n + 1)
             )
-            assert checks._convolved_at(key, n, c, other) == direct
+            assert at(z, right) == direct, (n, s, z)
+
+
+def _prop_3_6_yields(check_id, cfg):
+    """{n: [(z, evaluated) for each triple the compare yields at (n, z)]}, over
+    the grid in scan order with the tables emptied first, as check() does."""
+    defn = checks._REGISTRY[check_id]
     checks._tables.clear()
+    yields = {}
+    for point in defn.grids(cfg).points():
+        for _, lhs, rhs in defn.compare(cfg, **point):
+            evaluated = isinstance(lhs, poly.IntPolynomial)
+            assert evaluated or (len(lhs), lhs) == (point["n"] + 1, rhs), point
+            yields.setdefault(point["n"], []).append((point["z"], evaluated))
+    checks._tables.clear()
+    return yields
+
+
+@pytest.mark.parametrize("check_id", ["prop_3_6_a", "prop_3_6_b"])
+def test_prop_3_6_rows_agree_at_every_n(check_id):
+    # Unperturbed, the rows in z agree at every n <= 40: each n yields its row
+    # comparison at its first z and nothing at the others.  A wrong Taylor
+    # shift would print the same report, every n falling back to evaluating
+    # each z, but fails here.
+    cfg = SuiteConfig(max_n=40)
+    zmax = [max(3, (n + 2) // 2) for n in range(41)]
+    assert _prop_3_6_yields(check_id, cfg) == {n: [(-zmax[n], False)] for n in range(41)}
+    report = checks.check(check_id, cfg)
+    assert (report.status, report.points) == (Status.PASS, sum(2 * z + 1 for z in zmax))
+
+
+def test_prop_3_6_degree_premise():
+    # Both sides have at most n + 1 rows in z, so degree at most n, and the
+    # grid holds at least n + 2 z: rows that differ differ in value at some
+    # grid z.  The right side has a row per H_k, and how many H_k there are
+    # depends on the degrees of exponential_poly alone, not on ``other``.
+    one = poly.IntPolynomial([1])
+    zs = {}
+    for point in checks._prop_3_6_grid(SuiteConfig(max_n=100)).points():
+        zs[point["n"]] = zs.get(point["n"], 0) + 1
+    for n in range(101):
+        left, _ = checks._z_rows(n, 1, lambda m: one)
+        hs = checks._regrouped(n, lambda m: one)
+        assert len(left) <= n + 1 and len(hs) <= n + 1 and zs[n] >= n + 2, n
+
+
+@pytest.mark.parametrize("check_id", ["prop_3_6_a", "prop_3_6_b"])
+def test_prop_3_6_evaluates_only_where_rows_differ(monkeypatch, check_id):
+    # pdb_poly(5, 2) enters the left rows at n = 5 alone (the right side of
+    # prop_3_6_b reads pdb_poly(m, 0) only), so n = 5 evaluates every z and
+    # every other n compares its rows once.
+    pdb_poly = poly.pdb_poly
+
+    def perturbed(n, r):
+        value = pdb_poly(n, r)
+        return value + poly.IntPolynomial([0] * 7 + [1]) if (n, r) == (5, 2) else value
+
+    monkeypatch.setattr(poly, "pdb_poly", perturbed)
+    yields = _prop_3_6_yields(check_id, SMALL)
+    for n, seen in yields.items():
+        zmax = max(3, (n + 2) // 2)
+        if n == 5:
+            assert seen == [(z, True) for z in range(-zmax, zmax + 1)]
+        else:
+            assert seen == [(-zmax, False)], n
+    assert sorted(yields) == list(range(SMALL.max_n + 1))
+    rep = checks.check(check_id, SMALL)
+    assert (rep.status, rep.witness.params) == (Status.FAIL, {"n": 5, "z": -3})
 
 
 @pytest.mark.parametrize("check_id", ["prop_3_6_a", "prop_3_6_b"])
@@ -638,11 +706,11 @@ def test_prop_3_6_witness_keeps_the_sign_of_z(monkeypatch, check_id):
 
 @pytest.mark.parametrize("check_id, shift", [("prop_3_6_a", 1), ("prop_3_6_b", 0)])
 def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
-    # One regrouping per n, and two weighted sums (the even and the odd
-    # part) per distinct |c| on each side: c = z on the left, c = z - shift
-    # on the right.
-    regrouped, weighted_sum = checks._regrouped, poly.weighted_sum
-    calls = {"regrouped": [], "sums": 0, "inside": False}
+    # One set of rows in z per n, shifted by the check's shift, one regrouping
+    # per n, and no weighted sum outside it: on a passing run the rows agree
+    # at every n, so no z is evaluated.
+    regrouped, z_rows, weighted_sum = checks._regrouped, checks._z_rows, poly.weighted_sum
+    calls = {"regrouped": [], "rows": [], "sums": 0, "inside": False}
 
     def counted_regrouped(n, other):
         calls["regrouped"].append(n)
@@ -652,19 +720,21 @@ def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
         finally:
             calls["inside"] = False
 
+    def counted_z_rows(n, s, other):
+        calls["rows"].append((n, s))
+        return z_rows(n, s, other)
+
     def counted_weighted_sum(pairs):
         calls["sums"] += not calls["inside"]
         return weighted_sum(pairs)
 
     monkeypatch.setattr(checks, "_regrouped", counted_regrouped)
+    monkeypatch.setattr(checks, "_z_rows", counted_z_rows)
     monkeypatch.setattr(poly, "weighted_sum", counted_weighted_sum)
     assert checks.check(check_id, SMALL).status is Status.PASS
     assert calls["regrouped"] == list(range(SMALL.max_n + 1))
-    expected = 0
-    for n in range(SMALL.max_n + 1):
-        zs = range(-max(3, (n + 2) // 2), max(3, (n + 2) // 2) + 1)
-        expected += 2 * len({abs(z) for z in zs}) + 2 * len({abs(z - shift) for z in zs})
-    assert calls["sums"] == expected
+    assert calls["rows"] == [(n, shift) for n in range(SMALL.max_n + 1)]
+    assert calls["sums"] == 0
 
 
 @pytest.mark.parametrize(

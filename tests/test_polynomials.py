@@ -91,6 +91,22 @@ def test_evaluate_is_exact_on_fractions():
     assert isinstance(p.evaluate(x), Fraction)
 
 
+@given(p=polys, x=points)
+@example(p=IntPolynomial([]), x=Fraction(1, 3))
+@example(p=IntPolynomial([5]), x=Fraction(1, 3))
+@example(p=IntPolynomial([1, -3, 2]), x=Fraction(3, 1))
+@example(p=IntPolynomial([0, 0, 4]), x=Fraction(-7, 2))
+def test_evaluate_equals_the_horner_rule_on_fractions(p, x):
+    # At a Fraction the rule runs on integers and builds one Fraction at the
+    # end; value and type match Horner's rule run on the Fraction itself: an
+    # int at an int and for the zero polynomial, a Fraction otherwise.
+    acc = 0
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    value = p.evaluate(x)
+    assert (type(value), value) == (type(acc), acc)
+
+
 def test_constructor_rejects_non_integer_coefficients():
     for coeffs, shown in (
         ([1.0], "1.0"),

@@ -882,30 +882,31 @@ def _regrouped(
     ]
 
 
-def _z_rows(n: int, shift: int, other: Callable[[int], poly.IntPolynomial]) -> tuple[list, ...]:
-    """Both sides of prop_3_6_* as rows in z: (left, unread).  The left rows are
-    [pdb_poly(n, r) for r <= n]; a Taylor shift (repeated synthetic division by
-    c + 1 on padded coefficient lists) expands the right side, sum_k c^k * H_k with
-    c = z - shift.  ``unread`` is [({}, left, right)] when the rows agree, else None."""
+def _z_rows(n: int, shifted: bool, other: Callable[[int], poly.IntPolynomial]) -> tuple[list, ...]:
+    """Both sides of prop_3_6_* as rows in z: (left, unread), left being [pdb_poly(n, r)
+    for r <= n].  The right side, sum_k c^k * H_k with c = z - 1 if ``shifted`` else z,
+    is expanded in z by a Taylor shift (repeated synthetic division by c + 1 on padded
+    lists).  ``unread`` is [({}, left, right)] if the rows agree, else None."""
     rows = [list(h.coefficients) for h in _regrouped(n, other)]
     width = max(map(len, rows))
     rows = [row + [0] * (width - len(row)) for row in rows]
-    for i in range(len(rows) - 1 if shift else 0):
+    for i in range(len(rows) - 1 if shifted else 0):
         for j in range(len(rows) - 2, i - 1, -1):
             rows[j] = list(map(sub, rows[j], rows[j + 1]))
-    left, right = [poly.pdb_poly(n, r) for r in range(n + 1)], list(map(poly.IntPolynomial, rows))
+    left = [poly.pdb_poly(n, r) for r in range(n + 1)]
+    right = list(map(poly.IntPolynomial._of, rows))
     return left, [({}, left, right)] if left == right else None
 
 
-def _prop_3_6(key: str, n: int, z: int, shift: int, other: Callable[..., object]) -> Comparisons:
+def _prop_3_6(key: str, n: int, z: int, shifted: bool, other: Callable[..., object]) -> Comparisons:
     """Both sides of prop_3_6_* at z.  They are polynomials in z of at most n + 1
     rows, and there are 2*zmax+1 >= n+2 grid z, so they agree at every z of n
     exactly when their rows agree: the first z of n yields the row comparison
     (kept under ``key``), the others nothing.  Where the rows differ, every z
-    yields sum_r z^r*pdb_poly(n,r) and sum_k c^k*H_k, c = z - shift."""
-    left, unread = _latest(key, n, lambda: _z_rows(n, shift, other))
+    yields sum_r z^r*pdb_poly(n,r) and sum_k c^k*H_k, c = z - 1 if ``shifted``."""
+    left, unread = _latest(key, n, lambda: _z_rows(n, shifted, other))
     if unread is None:
-        c, hs = z - shift, _latest(f"{key} H_k", n, lambda: _regrouped(n, other))
+        c, hs = z - 1 if shifted else z, _latest(f"{key} H_k", n, lambda: _regrouped(n, other))
         lhs = poly.weighted_sum((z**r, p) for r, p in enumerate(left))
         yield {}, lhs, poly.weighted_sum((c**k, h) for k, h in enumerate(hs))
     while unread:
@@ -919,7 +920,7 @@ def _prop_3_6(key: str, n: int, z: int, shift: int, other: Callable[..., object]
     _prop_3_6_grid,
 )
 def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    return _prop_3_6("prop_3_6_a", n, z, 1, poly.geometric_poly)
+    return _prop_3_6("prop_3_6_a", n, z, True, poly.geometric_poly)
 
 
 @_check(
@@ -929,7 +930,7 @@ def _prop_3_6_a(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
     _prop_3_6_grid,
 )
 def _prop_3_6_b(cfg: SuiteConfig, n: int, z: int) -> Comparisons:
-    return _prop_3_6("prop_3_6_b", n, z, 0, lambda m: poly.pdb_poly(m, 0))
+    return _prop_3_6("prop_3_6_b", n, z, False, lambda m: poly.pdb_poly(m, 0))
 
 
 @_check(

@@ -22,9 +22,8 @@ Enumeration streams are single-consumer generators.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from functools import lru_cache
-from itertools import permutations, repeat
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
@@ -143,9 +142,11 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[PartitionRG
 
 @lru_cache(maxsize=32)
 def _fixed_point_tally(n: int) -> tuple[int, ...]:
+    tally = [0] * (n + 1)
     ident = range(n)
-    fixed = Counter(map(sum, map(map, repeat(eq), permutations(ident), repeat(ident))))
-    return tuple(fixed[r] for r in range(n + 1))
+    for perm in itertools.permutations(ident):
+        tally[sum(map(eq, perm, ident))] += 1
+    return tuple(tally)
 
 
 @lru_cache(maxsize=64)

@@ -113,20 +113,16 @@ class IntPolynomial:
     def evaluate(self, x: Scalar) -> Scalar:
         """Value at x by Horner's rule; exact for int or Fraction input.
 
-        At a Fraction a/b the rule runs on integers, sum_k c_k * a^k * b^(d-k),
-        and one Fraction is built at the end, over b^d.
+        The rule runs on integers, sum_k c_k * a^k * b^(d-k) at x = a/b (b = 1
+        at an int), and one Fraction is built at the end, over b^d: an int at
+        an int and for the zero polynomial, a Fraction otherwise.
         """
-        if isinstance(x, Fraction) and self._coeffs:
-            a, b = x.numerator, x.denominator
-            acc, power = 0, 1
-            for c in reversed(self._coeffs):
-                acc = acc * a + c * power
-                power *= b
-            return Fraction(acc, power // b)
-        acc: Scalar = 0
+        a, b = x.numerator, x.denominator
+        acc, power = 0, 1
         for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * a + c * power
+            power *= b
+        return Fraction(acc, power // b) if isinstance(x, Fraction) and self._coeffs else acc
 
     def reflected(self) -> "IntPolynomial":
         """The polynomial p(-y): odd coefficients change sign."""

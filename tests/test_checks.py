@@ -608,7 +608,7 @@ def test_both_signs_of_z_equal_direct_sums():
         n, z = point["n"], point["z"]
         row = poly.weighted_sum((z**r, poly.pdb_poly(n, r)) for r in range(n + 1))
         for s, other in [(1, poly.geometric_poly), (0, lambda m: poly.pdb_poly(m, 0))]:
-            left, [(_, _, right)] = checks._z_rows(n, s, other)
+            left, [(_, _, right)] = checks._z_rows(n, bool(s), other)
             assert at(z, left) == row
             direct = poly.weighted_sum(
                 (math.comb(n, r), poly.exponential_poly(r).scale_variable(z - s) * other(n - r))
@@ -646,18 +646,19 @@ def test_prop_3_6_rows_agree_at_every_n(check_id):
 
 
 def test_prop_3_6_degree_premise():
-    # Both sides have at most n + 1 rows in z, so degree at most n, and the
-    # grid holds at least n + 2 z: rows that differ differ in value at some
-    # grid z.  The right side has a row per H_k, and how many H_k there are
-    # depends on the degrees of exponential_poly alone, not on ``other``.
-    one = poly.IntPolynomial([1])
+    # The right side has a row in z per H_k, and the grid holds at least
+    # n + 2 z: with at most n + 1 rows a side, rows that differ differ in value
+    # at some grid z, so a fallback to evaluating each z always finds a failing
+    # one.  The premise carries no weight for the report: rows that agree agree
+    # at every z, and rows that differ are evaluated at every z.  How many H_k
+    # there are depends on the degrees of exponential_poly alone, not on
+    # ``other``.
     zs = {}
     for point in checks._prop_3_6_grid(SuiteConfig(max_n=100)).points():
         zs[point["n"]] = zs.get(point["n"], 0) + 1
     for n in range(101):
-        left, _ = checks._z_rows(n, 1, lambda m: one)
-        hs = checks._regrouped(n, lambda m: one)
-        assert len(left) <= n + 1 and len(hs) <= n + 1 and zs[n] >= n + 2, n
+        hs = checks._regrouped(n, lambda m: poly.IntPolynomial([1]))
+        assert len(hs) <= n + 1 and zs[n] >= n + 2, n
 
 
 @pytest.mark.parametrize("check_id", ["prop_3_6_a", "prop_3_6_b"])
@@ -706,8 +707,8 @@ def test_prop_3_6_witness_keeps_the_sign_of_z(monkeypatch, check_id):
 
 @pytest.mark.parametrize("check_id, shift", [("prop_3_6_a", 1), ("prop_3_6_b", 0)])
 def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
-    # One set of rows in z per n, shifted by the check's shift, one regrouping
-    # per n, and no weighted sum outside it: on a passing run the rows agree
+    # One set of rows in z per n, shifted (c = z - 1) for prop_3_6_a only,
+    # one regrouping per n, and no weighted sum outside it: on a passing run the rows agree
     # at every n, so no z is evaluated.
     regrouped, z_rows, weighted_sum = checks._regrouped, checks._z_rows, poly.weighted_sum
     calls = {"regrouped": [], "rows": [], "sums": 0, "inside": False}
@@ -733,7 +734,7 @@ def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
     monkeypatch.setattr(poly, "weighted_sum", counted_weighted_sum)
     assert checks.check(check_id, SMALL).status is Status.PASS
     assert calls["regrouped"] == list(range(SMALL.max_n + 1))
-    assert calls["rows"] == [(n, shift) for n in range(SMALL.max_n + 1)]
+    assert calls["rows"] == [(n, bool(shift)) for n in range(SMALL.max_n + 1)]
     assert calls["sums"] == 0
 
 

@@ -125,16 +125,6 @@ def test_single_partition_fixed_block_tally():
     assert tally[k - 1] == 0
 
 
-def test_fixed_point_tally_counts_each_permutation():
-    # The tally of the permutations of range(n) by fixed points, counted one
-    # permutation at a time by index, as a tuple with an entry for every r.
-    for n in range(8):
-        tally = [0] * (n + 1)
-        for perm in itertools.permutations(range(n)):
-            tally[sum(1 for i in range(n) if perm[i] == i)] += 1
-        assert oracle._fixed_point_tally(n) == tuple(tally), n
-
-
 def test_no_permutation_fixes_all_but_one_block():
     for n in range(1, 7):
         for part in enumerate_partitions(n):

@@ -165,10 +165,11 @@ CASES: dict[str, tuple[str, str, str]] = {
 }
 # The costliest checks, cold: grids, kernels, polynomial arithmetic and,
 # for oracle_all, enumeration.  The regrouped prop_3_6_*, the row- and
-# column-reading thm_2_9, cor_3_5_a and cor_3_5_b, and
-# r_ordered_bell_geometric are also timed on wider grids.  cor_3_2_corrected
-# runs to n = 12 at any max_n, so at 20 it reads its kernel sides past the
-# oracle cap.  egf_all at 32 evaluates pdb_poly at rational y.
+# column-reading thm_2_9, cor_3_5_a and cor_3_5_b, r_ordered_bell_geometric,
+# and thm_3_3 and cor_3_4, which reflect one weighted sum per point, are also
+# timed on wider grids.  cor_3_2_corrected runs to n = 12 at any max_n, so at
+# 20 it reads its kernel sides past the oracle cap.  egf_all at 32 evaluates
+# pdb_poly at rational y.
 CASES.update(
     (
         f"check_{check_id}_n{n}",
@@ -193,6 +194,7 @@ CASES.update(
         ),
         ("prop_3_6_a", 60),
         ("prop_3_6_b", 60),
+        *((check_id, n) for check_id in ("thm_3_3", "cor_3_4") for n in (40, 60)),
         ("thm_2_9", 40),
         ("cor_3_5_a", 40),
         ("cor_3_5_a", 60),

@@ -773,11 +773,10 @@ def _cor_3_2_corrected(cfg: SuiteConfig, n: int, m: int, r: int, j: int) -> Comp
 def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1)
     S = _kernel_row("stirling2_row", n)
-    E = _row("reflected exponential_poly", n, lambda m: poly.exponential_poly(m).reflected())
     rhs = poly.weighted_sum(
-        (math.comb(n, k) * S[k][r], E[n - k]) for k in range(r, n + 1)
-    ).times_y_power(r)
-    yield {}, lhs, rhs
+        (math.comb(n, k) * S[k][r], poly.exponential_poly(n - k)) for k in range(r, n + 1)
+    )
+    yield {}, lhs, rhs.reflected().times_y_power(r)
 
 
 @_check(
@@ -788,12 +787,10 @@ def _thm_3_3(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
 )
 def _cor_3_4(cfg: SuiteConfig, n: int, r: int) -> Comparisons:
     lhs = math.factorial(r) * (poly.pdb_poly(n, r) - (r + 1) * poly.pdb_poly(n, r + 1))
-    R = _latest("reflected r_exponential_poly", n, list)
-    R.extend(poly.r_exponential_poly(n, i).reflected() for i in range(len(R), r + 1))
     rhs = poly.weighted_sum(
-        ((-1) ** (r - i) * math.comb(r, i), R[i]) for i in range(r + 1)
-    ).times_y_power(r)
-    yield {}, lhs, rhs
+        ((-1) ** (r - i) * math.comb(r, i), poly.r_exponential_poly(n, i)) for i in range(r + 1)
+    )
+    yield {}, lhs, rhs.reflected().times_y_power(r)
 
 
 @_check(
@@ -862,32 +859,29 @@ def _prop_3_6_grid(cfg: SuiteConfig) -> Grid:
     return Grid(n=(0, cfg.max_n), z=("-zmax", "zmax", "zmax=max(3,(n+2)//2)"))
 
 
-def _regrouped(
-    n: int, other: Callable[[int], poly.IntPolynomial]
-) -> list[poly.IntPolynomial]:
-    """[H_0, H_1, ...] with H_k = y^k * sum_r C(n,r)*[y^k]exponential_poly(r)*other(n-r).
+def _z_rows(n: int, shifted: bool, other: Callable[[int], poly.IntPolynomial]) -> tuple[list, ...]:
+    """Both sides of prop_3_6_* as rows in z: (left, right, unread), left being
+    [pdb_poly(n, r) for r <= n].  ``unread`` is [({}, left, right)] if the rows
+    agree, else None.
 
-    Swapping the two finite sums of sum_r C(n,r) * exponential_poly(r) at
-    c*y times other(n-r) gives sum_k c^k * H_k, and no H_k depends on c.
-    Every coefficient of every exponential_poly(r) is read, so k runs to the
-    largest degree among them.
+    Swapping the two finite sums of sum_r C(n,r) * exponential_poly(r) at c*y
+    times other(n-r), c = z - 1 if ``shifted`` else z, gives sum_k c^k * H_k with
+    H_k = y^k * sum_r C(n,r)*[y^k]exponential_poly(r)*other(n-r).  Every
+    coefficient of every exponential_poly(r) is read, so k runs to the largest
+    degree among them.  The H_k are expanded in z by a Taylor shift (repeated
+    synthetic division by c + 1 on padded lists), which is exact, so
+    sum_j z^j * right[j] is sum_k c^k * H_k at every z.
     """
     terms = [
         (math.comb(n, r), poly.exponential_poly(r).coefficients, other(n - r))
         for r in range(n + 1)
     ]
-    return [
-        poly.weighted_sum((b * e[k], q) for b, e, q in terms if k < len(e)).times_y_power(k)
-        for k in range(max(len(e) for _, e, _ in terms))
-    ]
-
-
-def _z_rows(n: int, shifted: bool, other: Callable[[int], poly.IntPolynomial]) -> tuple[list, ...]:
-    """Both sides of prop_3_6_* as rows in z: (left, unread), left being [pdb_poly(n, r)
-    for r <= n].  The right side, sum_k c^k * H_k with c = z - 1 if ``shifted`` else z,
-    is expanded in z by a Taylor shift (repeated synthetic division by c + 1 on padded
-    lists).  ``unread`` is [({}, left, right)] if the rows agree, else None."""
-    rows = [list(h.coefficients) for h in _regrouped(n, other)]
+    # Only the coefficient lists of the H_k are kept: holding the H_k beside
+    # them through the shift raised the suite's peak memory.
+    rows = []
+    for k in range(max(len(e) for _, e, _ in terms)):
+        h_k = poly.weighted_sum((b * e[k], q) for b, e, q in terms if k < len(e)).times_y_power(k)
+        rows.append(list(h_k.coefficients))
     width = max(map(len, rows))
     rows = [row + [0] * (width - len(row)) for row in rows]
     for i in range(len(rows) - 1 if shifted else 0):
@@ -895,7 +889,7 @@ def _z_rows(n: int, shifted: bool, other: Callable[[int], poly.IntPolynomial]) -
             rows[j] = list(map(sub, rows[j], rows[j + 1]))
     left = [poly.pdb_poly(n, r) for r in range(n + 1)]
     right = list(map(poly.IntPolynomial._of, rows))
-    return left, [({}, left, right)] if left == right else None
+    return left, right, [({}, left, right)] if left == right else None
 
 
 def _prop_3_6(key: str, n: int, z: int, shifted: bool, other: Callable[..., object]) -> Comparisons:
@@ -903,12 +897,11 @@ def _prop_3_6(key: str, n: int, z: int, shifted: bool, other: Callable[..., obje
     rows, and there are 2*zmax+1 >= n+2 grid z, so they agree at every z of n
     exactly when their rows agree: the first z of n yields the row comparison
     (kept under ``key``), the others nothing.  Where the rows differ, every z
-    yields sum_r z^r*pdb_poly(n,r) and sum_k c^k*H_k, c = z - 1 if ``shifted``."""
-    left, unread = _latest(key, n, lambda: _z_rows(n, shifted, other))
+    yields sum_j z^j*row_j of the left and the right rows."""
+    left, right, unread = _latest(key, n, lambda: _z_rows(n, shifted, other))
     if unread is None:
-        c, hs = z - 1 if shifted else z, _latest(f"{key} H_k", n, lambda: _regrouped(n, other))
-        lhs = poly.weighted_sum((z**r, p) for r, p in enumerate(left))
-        yield {}, lhs, poly.weighted_sum((c**k, h) for k, h in enumerate(hs))
+        at_z = (poly.weighted_sum((z**j, p) for j, p in enumerate(rows)) for rows in (left, right))
+        yield {}, *at_z
     while unread:
         yield unread.pop()
 

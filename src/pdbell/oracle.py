@@ -69,10 +69,8 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 def is_valid_rgs(values: tuple[int, ...]) -> bool:
     """True when the tuple is a restricted growth string."""
     top = -1
-    for i, a in enumerate(values):
+    for a in values:
         if a < 0 or a > top + 1:
-            return False
-        if i == 0 and a != 0:
             return False
         top = max(top, a)
     return True

@@ -608,7 +608,7 @@ def test_both_signs_of_z_equal_direct_sums():
         n, z = point["n"], point["z"]
         row = poly.weighted_sum((z**r, poly.pdb_poly(n, r)) for r in range(n + 1))
         for s, other in [(1, poly.geometric_poly), (0, lambda m: poly.pdb_poly(m, 0))]:
-            left, [(_, _, right)] = checks._z_rows(n, bool(s), other)
+            left, right, _ = checks._z_rows(n, bool(s), other)
             assert at(z, left) == row
             direct = poly.weighted_sum(
                 (math.comb(n, r), poly.exponential_poly(r).scale_variable(z - s) * other(n - r))
@@ -657,8 +657,8 @@ def test_prop_3_6_degree_premise():
     for point in checks._prop_3_6_grid(SuiteConfig(max_n=100)).points():
         zs[point["n"]] = zs.get(point["n"], 0) + 1
     for n in range(101):
-        hs = checks._regrouped(n, lambda m: poly.IntPolynomial([1]))
-        assert len(hs) <= n + 1 and zs[n] >= n + 2, n
+        _, right, _ = checks._z_rows(n, False, lambda m: poly.IntPolynomial([1]))
+        assert len(right) <= n + 1 and zs[n] >= n + 2, n
 
 
 @pytest.mark.parametrize("check_id", ["prop_3_6_a", "prop_3_6_b"])
@@ -707,35 +707,72 @@ def test_prop_3_6_witness_keeps_the_sign_of_z(monkeypatch, check_id):
 
 @pytest.mark.parametrize("check_id, shift", [("prop_3_6_a", 1), ("prop_3_6_b", 0)])
 def test_prop_3_6_work_per_run(monkeypatch, check_id, shift):
-    # One set of rows in z per n, shifted (c = z - 1) for prop_3_6_a only,
-    # one regrouping per n, and no weighted sum outside it: on a passing run the rows agree
-    # at every n, so no z is evaluated.
-    regrouped, z_rows, weighted_sum = checks._regrouped, checks._z_rows, poly.weighted_sum
-    calls = {"regrouped": [], "rows": [], "sums": 0, "inside": False}
-
-    def counted_regrouped(n, other):
-        calls["regrouped"].append(n)
-        calls["inside"] = True
-        try:
-            return regrouped(n, other)
-        finally:
-            calls["inside"] = False
+    # One set of rows in z per n, shifted (c = z - 1) for prop_3_6_a only, and
+    # no weighted sum outside it: on a passing run the rows agree at every n,
+    # so no z is evaluated.
+    z_rows, weighted_sum = checks._z_rows, poly.weighted_sum
+    calls = {"rows": [], "sums": 0, "inside": False}
 
     def counted_z_rows(n, s, other):
         calls["rows"].append((n, s))
-        return z_rows(n, s, other)
+        calls["inside"] = True
+        try:
+            return z_rows(n, s, other)
+        finally:
+            calls["inside"] = False
 
     def counted_weighted_sum(pairs):
         calls["sums"] += not calls["inside"]
         return weighted_sum(pairs)
 
-    monkeypatch.setattr(checks, "_regrouped", counted_regrouped)
     monkeypatch.setattr(checks, "_z_rows", counted_z_rows)
     monkeypatch.setattr(poly, "weighted_sum", counted_weighted_sum)
     assert checks.check(check_id, SMALL).status is Status.PASS
-    assert calls["regrouped"] == list(range(SMALL.max_n + 1))
     assert calls["rows"] == [(n, bool(shift)) for n in range(SMALL.max_n + 1)]
     assert calls["sums"] == 0
+
+
+@pytest.mark.parametrize("check_id", ["prop_3_6_a", "prop_3_6_b"])
+def test_prop_3_6_builds_each_side_once_where_rows_differ(monkeypatch, check_id):
+    # With pdb_poly(5, 2) perturbed, the rows differ at n = 5 alone, and its
+    # z are evaluated off the rows already built: one _z_rows per n, each
+    # reading exponential_poly(r) once for every r <= n.  The witness text is
+    # the one that evaluating sum_k c^k * H_k directly at z = -3 prints.
+    pdb_poly, z_rows, exponential_poly = poly.pdb_poly, checks._z_rows, poly.exponential_poly
+    calls = {"rows": [], "exponential": 0}
+
+    def perturbed(n, r):
+        value = pdb_poly(n, r)
+        return value + poly.IntPolynomial([0] * 7 + [1]) if (n, r) == (5, 2) else value
+
+    def counted_z_rows(n, s, other):
+        calls["rows"].append(n)
+        return z_rows(n, s, other)
+
+    def counted_exponential_poly(m):
+        calls["exponential"] += 1
+        return exponential_poly(m)
+
+    monkeypatch.setattr(poly, "pdb_poly", perturbed)
+    monkeypatch.setattr(checks, "_z_rows", counted_z_rows)
+    monkeypatch.setattr(poly, "exponential_poly", counted_exponential_poly)
+    rep = checks.check(check_id, SMALL)
+    assert calls["rows"] == list(range(6))
+    assert calls["exponential"] == sum(n + 1 for n in range(6))
+    assert rep.witness == (
+        {"n": 5, "z": -3},
+        "-3*y + 150*y^2 - 850*y^3 + 1200*y^4 - 424*y^5 + 9*y^7",
+        "-3*y + 150*y^2 - 850*y^3 + 1200*y^4 - 424*y^5",
+    )
+
+
+@pytest.mark.parametrize("check_id", ["thm_3_3", "cor_3_4"])
+def test_reflected_sums_keep_no_per_run_copies(check_id):
+    # Each point reflects its weighted sum once, so a run keeps no reflected
+    # polynomial.
+    assert checks.check(check_id, SMALL).status is Status.PASS
+    assert [key for key in checks._tables if "reflected" in str(key)] == []
+    checks._tables.clear()
 
 
 @pytest.mark.parametrize(

@@ -440,6 +440,19 @@ def test_check_smallest_tolerance_is_inconclusive(capsys):
     assert "check thm_2_10_b: inconclusive" in out
 
 
+def test_check_prints_other_tolerances_as_fractions(capsys):
+    code, out, _ = run_cli(capsys, "check", "thm_2_10_a", "--tol", "2e-9")
+    assert code == 0
+    assert "tolerance=1/500000000)" in out.splitlines()[0]
+
+
+def test_table_bad_counts_are_usage_errors(capsys):
+    for value, message in (("abc", "not an integer: 'abc'"), ("-1", "must be nonnegative, got -1")):
+        code, out, err = run_cli(capsys, "table", "pdb", "--max-n", value)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"argument --max-n: {message}")
+
+
 def test_exit_code_priority():
     cfg = SuiteConfig()
 

@@ -228,6 +228,8 @@ def test_negative_arguments_raise():
         brute_partial_derangement(-1, 0)
     with pytest.raises(ValueError):
         brute_partial_derangement(0, -1)
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        brute_stirling2(3, -1)
 
 
 @given(n=st.integers(min_value=0, max_value=6))

@@ -84,6 +84,18 @@ def test_times_y_power_rejects_negative():
         IntPolynomial([1]).times_y_power(-1)
 
 
+def test_coeff_rejects_negative_index():
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        IntPolynomial([1, 2]).coeff(-1)
+
+
+def test_arithmetic_with_a_string_raises_type_error():
+    p = IntPolynomial([1, 2])
+    for operation in (lambda: p + "x", lambda: "x" + p, lambda: p * "x", lambda: "x" * p):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_evaluate_is_exact_on_fractions():
     p = IntPolynomial([1, -3, 2])
     x = Fraction(1, 3)

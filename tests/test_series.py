@@ -49,6 +49,27 @@ def test_coeff_outside_order_raises():
         s.coeff(-1)
 
 
+def test_constructor_rejects_missing_or_negative_orders():
+    with pytest.raises(ValueError, match="order is required for an empty coefficient list"):
+        TruncatedSeries([])
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        TruncatedSeries([1], -1)
+
+
+def test_repr_shows_at_most_eight_coefficients():
+    assert repr(TruncatedSeries([1, 2, 3])) == "TruncatedSeries([1, 2, 3], order=2)"
+    assert repr(TruncatedSeries(range(10))) == (
+        "TruncatedSeries([0, 1, 2, 3, 4, 5, 6, 7, ...], order=9)"
+    )
+
+
+def test_arithmetic_with_a_string_raises_type_error():
+    s = TruncatedSeries.one(3)
+    for operation in (lambda: s + "x", lambda: "x" + s, lambda: s * "x", lambda: "x" * s):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_results_carry_minimum_order():
     a = TruncatedSeries.one(10)
     b = TruncatedSeries.t(4)

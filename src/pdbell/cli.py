@@ -7,8 +7,10 @@ series coefficients.  Output formats are text, canonical JSON (sorted keys,
 two-space indent, rationals as strings, so parse + re-serialize is
 byte-identical), and CSV with a mandatory header row.
 
-A table is streamed as it is made: JSON and text are written a few cells at
-a time, and CSV a row at a time.
+A table is streamed as it is made, by one rule for every format
+(:func:`_writes`): each row is one write, written before the next row is
+made, and a row longer than ``_CHUNK`` (64 KiB) is cut into writes of about
+that size, so no row is held whole as text.
 The check, oracle and egf reports are small, so each command builds its
 results, CSV rows and text lines in one pass, and one writer
 (:func:`_report`) prints the form the invocation asks for.
@@ -18,8 +20,10 @@ once (:class:`Spec`) the flags they read and the cap on each flag that has
 one.  Any other flag is a usage error, and a value over its cap is refused
 before any work starts.
 
-Exit codes: 0 pass, 1 identity failure or unexpected error, 2 usage error,
-3 resource cap, 4 inconclusive series tolerance or a vacuous grid.
+Exit codes: 0 pass, 1 identity failure, unexpected error or a standard
+output whose reader closed the pipe, 2 usage error (an ``--out`` that cannot
+be opened too), 3 resource cap, 4 inconclusive series tolerance or a vacuous
+grid.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -57,14 +62,13 @@ MAX_ORDER = 256
 # row (--n) or r, all set so that a request at the cap stays within
 # TABLE_BUDGET even on a vCPU running at half speed.  CPU time and peak RSS,
 # shared 2-vCPU x86 host, Python 3.11 (a range is the spread of repeated
-# runs or of the three formats), with JSON and text tables written _BATCH
-# cells at a time and CSV tables row by row:
+# runs or of the three formats), with every table written a row, or for a
+# long row about _CHUNK characters, at a time:
 #   pdb       --max-n 1000: 17.0-20.2 s, 18-27 MB, mostly str(int)
 #             --n 1000:     0.5-0.7 s, 18-22 MB, rolling every row before n forward
 #   pdb_poly  --max-n 180: 3.8-4.9 s, 23-33 MB (--max-n 200 as text, with a
 #                          pdb_poly cache: 5.8 s, 88 MB)
-#             --n 550:     5.1-6.5 s, 102-406 MB (text and JSON 102-103 MB, CSV
-#                          406 MB: CSV joins the row into one string)
+#             --n 550:     3.7-4.3 s, 87-88 MB in each format, a 145 MB row
 #                          (--n 600 as text, from the Stirling memo: 8.5 s, 168 MB)
 #   truncated_ordered_bell --max-n 800: 15.3-17.9 s, 19-23 MB
 #                          (--max-n 900, from the Stirling memo: 28.8-33.0 s), mostly str(int)
@@ -73,14 +77,13 @@ MAX_ORDER = 256
 #   higher_bernoulli --max-n 1000 --r 1000: 3.6-3.9 s, 18 MB, one recurrence
 #                    for any r; a cell has at most 2,594 digits, where str(int)
 #                    stops at 4,300 (--r 10000: 3,705; --r 100000: 4,717)
-# For pdb_poly --n, memory, not time, is still the nearer edge of the budget.
+# For pdb_poly --n, memory and time now each take under a tenth of the budget.
 # With the soft limit only: partial_derangement --max-n 1000: 12.7-15.5 s,
 # 18-22 MB, mostly str(int); r_stirling2 --max-n 1000 --r 0: 8.9-10.6 s,
 # 18-22 MB, less for a larger r (rows n < r are zeros).
 TABLE_BUDGET = "60 s of CPU time and 1 GiB of memory"
-# Cells per chunk of a JSON or text row: a write to a write-through stream
-# (PYTHONUNBUFFERED) costs ~1 us however short, and 8 pdb_poly cells are MBs.
-_BATCH = 8
+# The characters a table write may collect before it is made (see _writes).
+_CHUNK = 1 << 16
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -293,8 +296,23 @@ def _table_rows(cfg: RunConfig) -> Iterator[tuple[int, list[tuple[int | None, An
         yield n, list(enumerate(row)) if isinstance(row, list) else [(None, row)]
 
 
-def _json_chunks(cfg: RunConfig) -> Iterator[str]:
-    """The canonical JSON of a table, one chunk per _BATCH cells of a row.
+def _writes(pieces: Iterable[str | None]) -> Iterator[str]:
+    """The table text in writes: one per row, a None piece ending each row,
+    and a new write as soon as _CHUNK characters are waiting, so that a write
+    holds at most _CHUNK characters and one cell more."""
+    parts: list[str] = []
+    size = 0
+    for piece in chain(pieces, [None]):
+        if piece is not None:
+            parts.append(piece)
+            size += len(piece)
+        if parts and (piece is None or size >= _CHUNK):
+            yield "".join(parts)
+            parts, size = [], 0
+
+
+def _json_chunks(cfg: RunConfig) -> Iterator[str | None]:
+    """The canonical JSON of a table, one piece per cell; None ends a row.
 
     The text around the results list is canonical_json's own; each result
     object is written at the indent and in the sorted key order that
@@ -308,64 +326,56 @@ def _json_chunks(cfg: RunConfig) -> Iterator[str]:
     yield head
     sep = "[\n"
     for n, cells in _table_rows(cfg):
-        for i in range(0, len(cells), _BATCH):
-            items = []
-            for k, value in cells[i : i + _BATCH]:
-                key = "" if k is None else f'      "k": {k},\n'
-                items.append(
-                    f'{sep}    {{\n      "family": {family},\n{key}      "n": {n},\n'
-                    f'      "value": {encode_basestring_ascii(str(value))}\n    }}'
-                )
-                sep = ",\n"
-            yield "".join(items)
+        for k, value in cells:
+            key = "" if k is None else f'      "k": {k},\n'
+            yield (
+                f'{sep}    {{\n      "family": {family},\n{key}      "n": {n},\n'
+                f'      "value": {encode_basestring_ascii(str(value))}\n    }}'
+            )
+            sep = ",\n"
+        yield None
     yield ("[]" if sep == "[\n" else "\n  ]") + tail
 
 
-def _csv_chunks(cfg: RunConfig) -> Iterator[str]:
-    """The CSV of a table, one chunk per row n, as csv.writer writes it.
+def _csv_chunks(cfg: RunConfig) -> Iterator[str | None]:
+    """The CSV of a table as csv.writer writes it, one piece per cell; None
+    ends a row.
 
     csv.writer quotes only a field holding a comma, a quote or a line break
-    (a carriage return too, on some Python versions); a row whose text holds
-    more commas or line breaks than its separators, or any quote or carriage
-    return, is handed to csv.writer instead.  Run per cell, this guard made
-    the write loop of ``stirling2 --max-n 300`` 30 % slower (0.074 to 0.096 s).
+    (a carriage return too, on some Python versions).  The family is an
+    argparse choice and n and k are ints, so only a value can need quoting,
+    and only such a value is handed to csv.writer.
     """
     family = cfg.family
     yield "family,n,k,value\n"
     for n, cells in _table_rows(cfg):
-        text = "".join([f"{family},{n},{'' if k is None else k},{v}\n" for k, v in cells])
-        if (
-            text.count(",") != 3 * len(cells)
-            or text.count("\n") != len(cells)
-            or '"' in text
-            or "\r" in text
-        ):
-            text = _csv_text([family, n, k, v] for k, v in cells)
-        yield text
+        for k, value in cells:
+            text = str(value)
+            if "," in text or '"' in text or "\n" in text or "\r" in text:
+                text = _csv_text([[text]])[:-1]
+            yield f"{family},{n},{'' if k is None else k},{text}\n"
+        yield None
 
 
-def _text_chunks(cfg: RunConfig) -> Iterator[str]:
-    """The text of a table, a chunk per _BATCH cells of a row; the last one
-    ends the line."""
+def _text_chunks(cfg: RunConfig) -> Iterator[str | None]:
+    """The text of a table, one piece per cell and one for the line break;
+    None ends a row."""
     family = cfg.family
     # Polynomial cells contain spaces, so their row uses a wider separator.
     sep = " | " if family == "pdb_poly" else " "
     yield f"table {family}\n"
     for n, cells in _table_rows(cfg):
         head = f"n={n}: "
-        if not cells:
-            yield f"{head}\n"
-        for i in range(0, len(cells), _BATCH):
-            batch = enumerate(cells[i : i + _BATCH], i)
-            parts = [f"{sep if j else head}{value}" for j, (_, value) in batch]
-            if i + _BATCH >= len(cells):
-                parts.append("\n")
-            yield "".join(parts)
+        for _, value in cells:
+            yield f"{head}{value}"
+            head = sep
+        yield "\n"
+        yield None
 
 
 def _cmd_table(cfg: RunConfig) -> tuple[int, Iterator[str]]:
     chunks = {"json": _json_chunks, "csv": _csv_chunks}.get(cfg.fmt, _text_chunks)
-    return _EXIT_PASS, chunks(cfg)
+    return _EXIT_PASS, _writes(chunks(cfg))
 
 
 # ----------------------------------------------------------------------
@@ -546,16 +556,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     if refusal:
         sys.stderr.write(refusal)
         return _EXIT_RESOURCE
-    run = {"table": _cmd_table, "check": _cmd_check, "oracle": _cmd_oracle, "egf": _cmd_egf}
+    # Opened before the command runs, so that a path that cannot be written
+    # is a usage error with nothing run.
     try:
-        code, output = run[cfg.command](cfg)
-    except oracle.CapExceededError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
-    # A table arrives in chunks, and each is written as it is made.
-    chunks = (output,) if isinstance(output, str) else output
-    with open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext(sys.stdout) as handle:
-        handle.writelines(chunks)
+        target = open(cfg.out, "w", encoding="utf-8") if cfg.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        sys.stderr.write(f"pdbell: cannot write --out {cfg.out}: {exc.strerror}\n")
+        return _EXIT_USAGE
+    run = {"table": _cmd_table, "check": _cmd_check, "oracle": _cmd_oracle, "egf": _cmd_egf}
+    with target as handle:
+        try:
+            code, output = run[cfg.command](cfg)
+        except oracle.CapExceededError as exc:
+            print(f"resource cap: {exc}", file=sys.stderr)
+            return _EXIT_RESOURCE
+        # A table arrives in writes, and each is written as it is made.
+        try:
+            handle.writelines((output,) if isinstance(output, str) else output)
+            handle.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe: make no more rows, and send what
+            # the interpreter still flushes at exit to the null device.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return _EXIT_FAIL
     return code
 
 

@@ -115,8 +115,11 @@ class IntPolynomial:
 
         The rule runs on integers, sum_k c_k * a^k * b^(d-k) at x = a/b (b = 1
         at an int), and one Fraction is built at the end, over b^d: an int at
-        an int and for the zero polynomial, a Fraction otherwise.
+        an int and for the zero polynomial, a Fraction otherwise.  Any other
+        argument raises TypeError.
         """
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"int or Fraction expected, got {type(x).__name__}")
         a, b = x.numerator, x.denominator
         acc, power = 0, 1
         for c in reversed(self._coeffs):

@@ -813,6 +813,32 @@ def test_table_rows_are_written_before_the_next_is_made(capsys, monkeypatch, tmp
     assert files[0].getvalue() == stdout.getvalue()
 
 
+def _table_writes(monkeypatch, *argv):
+    events = []
+    monkeypatch.setattr(sys, "stdout", _LoggedWrites(events))
+    assert main(["table", *argv]) == 0
+    return [text for _, text in events]
+
+
+@pytest.mark.parametrize("fmt", sorted(ROW_MARKERS))
+def test_a_long_row_is_cut_into_writes_of_at_most_a_chunk_and_a_cell(monkeypatch, fmt):
+    # The row of pdb_poly --n 120 is about 1.2 MB of text in every format.
+    writes = _table_writes(monkeypatch, "pdb_poly", "--n", "120", "--format", fmt)
+    cell = max(len(str(p)) for p in next(poly.pdb_poly_rows(120, 120))) + 100
+    assert len("".join(writes)) > 1_000_000
+    assert len(writes) > 1_000_000 // (cli._CHUNK + cell)
+    assert max(map(len, writes)) <= cli._CHUNK + cell
+
+
+@pytest.mark.parametrize("fmt", sorted(ROW_MARKERS))
+def test_a_small_table_makes_one_write_per_row(monkeypatch, fmt):
+    writes = _table_writes(monkeypatch, "pdb", "--max-n", "4", "--format", fmt)
+    for n in range(5):
+        assert ROW_MARKERS[fmt].format(n=n) in writes[n]
+    # The header rides with row 0; JSON closes its results list in a last write.
+    assert writes[5:] == (["\n  ]\n}\n"] if fmt == "json" else [])
+
+
 @pytest.mark.parametrize("fmt", sorted(ROW_MARKERS))
 def test_out_file_gets_the_bytes_of_stdout(capsys, tmp_path, fmt):
     target = tmp_path / "table.out"
@@ -839,11 +865,11 @@ sys.exit(code)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fmt", sorted(ROW_MARKERS))
 def test_pdb_poly_row_holds_no_copies_of_itself(tmp_path, fmt):
-    # Written a few cells at a time, this row of 351 polynomials peaks at
-    # about 47 MB.  A copy of the row as strings took it to 75 MB as text, and
-    # that copy joined into one string to 174 MB as JSON.
+    # Written in writes of about 64 KiB, this row of 351 polynomials peaks at
+    # about 34 MB in every format.  A copy of the row as strings took it to
+    # 75 MB as text, and that copy joined into one string to 174 MB as JSON.
     argv = ["table", "pdb_poly", "--n", "350", "--format", fmt, "--out", str(tmp_path / "row")]
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True, text=True
@@ -1118,6 +1144,33 @@ def test_out_flag_preserves_exit_code(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "inconclusive" in target.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [["table", "pdb", "--max-n", "3"], ["check", "thm_2_4"]])
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_unwritable_out_is_a_usage_error_with_nothing_run(capsys, monkeypatch, tmp_path, argv, where):
+    def not_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(checks, "run_all", not_run)
+    monkeypatch.setattr(cli, "_table_rows", not_run)
+    target = str(tmp_path / where)
+    code, out, err = run_cli(capsys, *argv, "--out", target)
+    assert (code, out) == (2, "")
+    reason = "No such file or directory" if where != "." else "Is a directory"
+    assert err == f"pdbell: cannot write --out {target}: {reason}\n"
+
+
+def test_a_closed_stdout_pipe_ends_quietly_with_exit_1():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdbell", "table", "stirling2", "--max-n", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"table stirling2\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_module_execution_round_trip():

@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,13 @@ def test_arithmetic_with_a_string_raises_type_error():
     for operation in (lambda: p + "x", lambda: "x" + p, lambda: p * "x", lambda: "x" * p):
         with pytest.raises(TypeError):
             operation()
+
+
+def test_evaluate_rejects_other_number_types():
+    p = IntPolynomial([1, 2])
+    for x, name in ((0.5, "float"), (Decimal("0.5"), "Decimal"), ("1", "str")):
+        with pytest.raises(TypeError, match=f"^int or Fraction expected, got {name}$"):
+            p.evaluate(x)
 
 
 def test_evaluate_is_exact_on_fractions():

@@ -26,7 +26,7 @@ from itertools import accumulate, count, repeat
 from operator import mul
 from typing import Iterator
 
-from .sequences import _Memo
+from .sequences import _Memo, _require_nonnegative
 
 __all__ = ["bernoulli", "higher_bernoulli"]
 
@@ -56,8 +56,7 @@ def higher_bernoulli(n: int, r: int) -> Fraction:
     ``higher_bernoulli(n, 0)`` is 1 for n = 0 and 0 otherwise;
     ``higher_bernoulli(n, 1)`` is the classical ``bernoulli(n)``.
     """
-    if n < 0 or r < 0:
-        raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
+    _require_nonnegative(n=n, r=r)
     memo = _cache.get(r)
     if memo is None:
         # setdefault is one atomic dict operation: racing callers all get

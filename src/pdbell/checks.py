@@ -393,11 +393,12 @@ def _tol_str(x: Fraction) -> str:
 # What a check reads at many grid points (kernel rows, columns and streams,
 # Bernoulli rows, the polynomials of prop_3_6_*, the series of egf_all) is
 # made once and kept here, for the latest index alone where it needs fewer
-# indices than the grid.  Every cell comes from the public kernel, looked up in
-# ``seq`` when needed; the Stirling columns are the run's stirling2_row rows,
-# transposed.  check() empties these tables before every run (not the
-# lru_caches of ``polynomials``, which outlive it).  A row reader returns the
-# kept row at once when long enough (``()`` never is), else builds its grower.
+# indices than the grid.  Every cell comes from the public kernel, looked up
+# in ``seq`` when needed; the Stirling columns are the run's stirling2_row
+# rows, transposed.  Each check empties these tables, and check() and
+# run_all() the ``polynomials`` caches, before they run, so nothing a check
+# reads outlives its public run.  A row reader returns the kept row at once
+# when long enough (``()`` never is), else builds its grower.
 
 _tables: dict[object, object] = {}
 
@@ -1232,8 +1233,11 @@ def check(check_id: str, config: SuiteConfig | None = None) -> CheckReport:
     uncertified tail propagate; :func:`run_all` converts them to error
     reports instead.
     """
-    defn = _lookup(check_id)
-    cfg = config if config is not None else SuiteConfig()
+    poly._clear_caches()
+    return _run(_lookup(check_id), config if config is not None else SuiteConfig())
+
+
+def _run(defn: _CheckDef, cfg: SuiteConfig) -> CheckReport:
     start = time.perf_counter()
     _tables.clear()
     grids = defn.grids(cfg)
@@ -1258,7 +1262,7 @@ def check(check_id: str, config: SuiteConfig | None = None) -> CheckReport:
         else:
             status = Status.KNOWN_FAILING if defn.known_failing else Status.FAIL
     ms = int(round((time.perf_counter() - start) * 1000))
-    return CheckReport(check_id, status, bounds, ms, witness, points=points)
+    return CheckReport(defn.check_id, status, bounds, ms, witness, points=points)
 
 
 def run_all(
@@ -1272,17 +1276,16 @@ def run_all(
     """
     cfg = config if config is not None else SuiteConfig()
     selected = set(_REGISTRY) if ids is None else {_lookup(cid).check_id for cid in ids}
+    poly._clear_caches()
     results = []
-    for cid in _REGISTRY:
+    for cid, defn in _REGISTRY.items():
         if cid not in selected:
             continue
         try:
-            results.append(check(cid, cfg))
+            results.append(_run(defn, cfg))
         except Exception as exc:
-            if isinstance(exc, oracle.CapExceededError):
-                kind = "resource-cap"
-            else:
-                kind = type(exc).__name__
+            capped = isinstance(exc, oracle.CapExceededError)
+            kind = "resource-cap" if capped else type(exc).__name__
             results.append(
                 CheckReport(
                     check_id=cid, status=Status.ERROR, bounds={}, ms=0, error=f"{kind}: {exc}"

@@ -27,6 +27,8 @@ from functools import lru_cache
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
+from .sequences import _require_nonnegative
+
 __all__ = [
     "DEFAULT_CAP",
     "CapExceededError",
@@ -55,9 +57,8 @@ class CapExceededError(RuntimeError):
     """Requested enumeration is larger than the configured cap allows."""
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+def _check_cap(n: int, cap: int, what: str, **indices: int) -> None:
+    _require_nonnegative(n=n, cap=cap, **indices)
     if cap > DEFAULT_CAP:
         raise CapExceededError(
             f"cap {cap} exceeds the hard limit {DEFAULT_CAP}; {_COST_HINT}"
@@ -174,29 +175,19 @@ def brute_pdb_row(n: int, cap: int = DEFAULT_CAP) -> list[int]:
 
 def brute_pdb(n: int, r: int, cap: int = DEFAULT_CAP) -> int:
     """Count ordered partitions of [n] with exactly r blocks left in place."""
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    _check_cap(n, cap, "brute_pdb")
-    if r > n:
-        return 0
-    return _tallies(n)[1][r]
+    _check_cap(n, cap, "brute_pdb", r=r)
+    return _tallies(n)[1][r] if r <= n else 0
 
 
 def brute_partial_derangement(n: int, r: int, cap: int = DEFAULT_CAP) -> int:
     """Count permutations of [n] with exactly r fixed points, one by one."""
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    _check_cap(n, cap, "brute_partial_derangement")
-    if r > n:
-        return 0
-    return _fixed_point_tally(n)[r]
+    _check_cap(n, cap, "brute_partial_derangement", r=r)
+    return _fixed_point_tally(n)[r] if r <= n else 0
 
 
 def brute_stirling2(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     """Count partitions of [n] with exactly k blocks by enumeration."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    _check_cap(n, cap, "brute_stirling2")
+    _check_cap(n, cap, "brute_stirling2", k=k)
     return _tallies(n)[0][k] if k <= n else 0
 
 

@@ -71,8 +71,7 @@ class IntPolynomial:
 
     def coeff(self, k: int) -> int:
         """Coefficient of y**k (0 beyond the degree)."""
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
+        seq._require_nonnegative(k=k)
         return self._coeffs[k] if k < len(self._coeffs) else 0
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -95,8 +94,7 @@ class IntPolynomial:
             return self._of([other * c for c in self._coeffs] if other else [])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self._of([])
+        # With a zero factor, out is too short (or empty) and stays all zeros.
         out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if a == 0:
@@ -144,8 +142,7 @@ class IntPolynomial:
 
     def times_y_power(self, r: int) -> "IntPolynomial":
         """Multiply by y**r."""
-        if r < 0:
-            raise ValueError(f"r must be nonnegative, got {r}")
+        seq._require_nonnegative(r=r)
         if self.is_zero():
             return self
         return self._of([0] * r + list(self._coeffs))
@@ -203,15 +200,14 @@ def weighted_sum(pairs: Iterable[tuple[int, IntPolynomial]]) -> IntPolynomial:
     return IntPolynomial._of(out)
 
 
-# Constructors are cached: IntPolynomial is immutable, so instances can be
-# shared freely, and the identity suite requests the same rows repeatedly.
+# Constructors stay cached for library callers, who ask for rows repeatedly
+# (IntPolynomial is immutable), and for perfbench's cache_info() counters.
 
 
 @lru_cache(maxsize=4096)
 def exponential_poly(n: int) -> IntPolynomial:
     """Partition polynomial: coefficient of y**k is stirling2(n, k)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    seq._require_nonnegative(n=n)
     return IntPolynomial(seq.stirling2_row(n))
 
 
@@ -222,16 +218,14 @@ def r_exponential_poly(n: int, r: int) -> IntPolynomial:
     Coefficient of y**k is ``r_stirling2(n + r, k + r, r)``, so the constant
     term counts partitions where the r seed elements absorb everything.
     """
-    if n < 0 or r < 0:
-        raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
+    seq._require_nonnegative(n=n, r=r)
     return IntPolynomial([seq.r_stirling2(n + r, k + r, r) for k in range(n + 1)])
 
 
 @lru_cache(maxsize=4096)
 def geometric_poly(n: int) -> IntPolynomial:
     """Ordered partition polynomial: coefficient of y**k is stirling2(n, k)*k!."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    seq._require_nonnegative(n=n)
     factorials = accumulate(range(1, n + 1), mul, initial=1)
     return IntPolynomial(map(mul, seq.stirling2_row(n), factorials))
 
@@ -244,11 +238,20 @@ def pdb_poly(n: int, r: int) -> IntPolynomial:
     evaluating at y = 1 gives ``pdb_number(n, r)`` and summing over r gives
     ``geometric_poly(n)``.
     """
-    if n < 0 or r < 0:
-        raise ValueError(f"n and r must be nonnegative, got n={n}, r={r}")
+    seq._require_nonnegative(n=n, r=r)
     if r > n:
         return IntPolynomial([])
     return _pdb_poly_of(seq.stirling2_row(n), r)
+
+
+_CACHED = (exponential_poly, r_exponential_poly, geometric_poly, pdb_poly)
+
+
+def _clear_caches() -> None:
+    """Empty the four caches above, as checks.check() and run_all() do first.
+    ``_CACHED`` holds them as defined, so rebinding a name hides no cache."""
+    for constructor in _CACHED:
+        constructor.cache_clear()
 
 
 def pdb_poly_rows(max_n: int, first: int = 0) -> Iterator[list[IntPolynomial]]:

@@ -32,6 +32,8 @@ from itertools import islice
 from operator import add, mul
 from typing import Iterable, Iterator, Union
 
+from .sequences import _require_nonnegative
+
 __all__ = [
     "TruncatedSeries",
     "SeriesDivisionError",
@@ -51,6 +53,13 @@ class SeriesDivisionError(ArithmeticError):
 
 class SeriesExpError(ArithmeticError):
     """exp() applied to a series whose constant term is nonzero."""
+
+
+def _rational(c: object) -> Fraction:
+    """c as a Fraction; anything but an int or a Fraction raises TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"int or Fraction expected, got {type(c).__name__}")
+    return Fraction(c)
 
 
 def _exact(num: int, den: int) -> Rational:
@@ -88,13 +97,12 @@ class TruncatedSeries:
     __slots__ = ("_num", "_den", "_order")
 
     def __init__(self, coefficients: Iterable[Rational], order: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = list(map(_rational, coefficients))
         if order is None:
             if not coeffs:
                 raise ValueError("order is required for an empty coefficient list")
             order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
+        _require_nonnegative(order=order)
         egf = [c * math.factorial(n) for n, c in enumerate(coeffs[: order + 1])]
         # The lcm of reduced denominators is already the smallest common one.
         den = math.lcm(*(a.denominator for a in egf))
@@ -143,7 +151,8 @@ class TruncatedSeries:
         return tuple(Fraction(a, den * math.factorial(n)) for n, a in enumerate(self._num))
 
     def _check_index(self, n: int) -> None:
-        if n < 0 or n > self._order:
+        _require_nonnegative(n=n)
+        if n > self._order:
             raise ValueError(
                 f"coefficient index {n} outside truncation order {self._order}"
             )
@@ -182,14 +191,13 @@ class TruncatedSeries:
         return self._from_egf([-x for x in self._num], self._den, self._order)
 
     def scale(self, c: Rational) -> "TruncatedSeries":
-        c = Fraction(c)
+        c = _rational(c)
         k = c.numerator
         return self._from_egf([k * x for x in self._num], self._den * c.denominator, self._order)
 
     def shift(self, r: int) -> "TruncatedSeries":
         """Multiply by t**r, truncating at the same order."""
-        if r < 0:
-            raise ValueError(f"r must be nonnegative, got {r}")
+        _require_nonnegative(r=r)
         n = self._order
         shifted = [math.perm(m, r) * self._num[m - r] for m in range(r, n + 1)]
         return self._from_egf([0] * min(r, n + 1) + shifted, self._den, n)
@@ -243,8 +251,7 @@ class TruncatedSeries:
 
     def pow(self, k: int) -> "TruncatedSeries":
         """Integer power by binary exponentiation, truncated at this order."""
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
+        _require_nonnegative(k=k)
         result = None
         base = self
         while k:
@@ -273,8 +280,7 @@ class TruncatedSeries:
 def expm1(order: int) -> TruncatedSeries:
     """The series exp(t) - 1 to the given order: every EGF value past the
     first is 1."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    _require_nonnegative(order=order)
     return TruncatedSeries._from_egf([0] + [1] * order, 1, order)
 
 
@@ -290,8 +296,7 @@ def egf_pdb(r: int, y: Rational, order: int) -> TruncatedSeries:
     With u = exp(t) - 1 the series is (y*u)**r / r! * exp(-y*u) / (1 - y*u);
     n! times coefficient n equals ``pdb_poly(n, r)`` evaluated at y.
     """
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    _require_nonnegative(r=r)
     return _deranged(expm1(order).scale(y), r)
 
 
@@ -319,8 +324,7 @@ def egf_family(family: str, order: int, param: int | None = None) -> TruncatedSe
     take an integer ``param`` (the fixed-point count r, the column k, and the
     power r respectively); the other families take none.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    _require_nonnegative(order=order)
     if family == "partial_derangement":
         r = _required_param(family, param)
         return _deranged(TruncatedSeries.t(order)).shift(r).scale(Fraction(1, math.factorial(r)))
@@ -341,6 +345,5 @@ def egf_family(family: str, order: int, param: int | None = None) -> TruncatedSe
 def _required_param(family: str, param: int | None) -> int:
     if param is None:
         raise ValueError(f"family {family!r} requires an integer parameter")
-    if param < 0:
-        raise ValueError(f"parameter for {family!r} must be nonnegative, got {param}")
+    _require_nonnegative(param=param)
     return param

@@ -458,6 +458,37 @@ def test_every_check_run_reads_the_kernels_afresh(monkeypatch):
     pdb_number = seq.pdb_number
     monkeypatch.setattr(seq, "pdb_number", lambda n, r: pdb_number(n, r) + ((n, r) == (2, 0)))
     assert checks.check("thm_2_9", cfg).status is Status.FAIL
+    # The same for the polynomial layer's caches: eq_14_corrected reads its
+    # Stirling rows through exponential_poly alone.
+    cfg = SuiteConfig(max_n=5)
+    assert checks.check("eq_14_corrected", cfg).status is Status.PASS
+    stirling2_row = seq.stirling2_row
+    monkeypatch.setattr(
+        seq,
+        "stirling2_row",
+        lambda n: [v + ((n, k) == (5, 2)) for k, v in enumerate(stirling2_row(n))],
+    )
+    rep = checks.check("eq_14_corrected", cfg)
+    poly._clear_caches()
+    assert (rep.status, rep.witness.params) == (Status.FAIL, {"n": 4})
+
+
+def test_a_restored_kernel_is_read_by_the_next_check(monkeypatch):
+    # Runs on cold polynomial caches with one Stirling cell changed fill
+    # them with rows built from that cell; once the kernel is restored, the
+    # next check() of each must read it again and pass.
+    for name in ("exponential_poly", "r_exponential_poly", "geometric_poly", "pdb_poly"):
+        getattr(poly, name).cache_clear()
+    ids = ("thm_3_1", "thm_3_3", "cor_3_7")
+    stirling2_row = seq.stirling2_row
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            seq,
+            "stirling2_row",
+            lambda n: [v + ((n, k) == (5, 2)) for k, v in enumerate(stirling2_row(n))],
+        )
+        assert [checks.check(cid, SMALL).status for cid in ids] == [Status.FAIL] * 3
+    assert [checks.check(cid, SMALL).status for cid in ids] == [Status.PASS] * 3
 
 
 # ----------------------------------------------------------------------
@@ -780,19 +811,14 @@ def test_reflected_sums_keep_no_per_run_copies(check_id):
     [
         ("thm_2_3", {"n": 5, "r": 2}),
         ("thm_2_7", {"n": 5, "r": 2}),
-        ("thm_3_1", {"n": 5, "m": 0, "r": 0}),
-        ("thm_3_3", {"n": 5, "r": 2}),
+        ("thm_3_1", {"n": 5, "m": 1, "r": 1}),
+        ("thm_3_3", {"n": 5, "r": 1}),
         ("cor_3_5_a", {"n": 5, "r": 2, "j": 2}),
         ("cor_3_11", {"n": 4, "r": 1, "j": 1, "scale": 6}),
         ("cor_3_2_corrected", {"n": 7, "m": 0, "r": 1, "j": 2}),
     ],
 )
 def test_stirling_row_fault_injection(monkeypatch, check_id, params):
-    # The polynomial layer keeps its rows across runs (lru_cache), while a
-    # run reads its Stirling rows afresh.  One run before the perturbation
-    # puts the rows that the polynomials read in those caches unperturbed,
-    # whatever ran before, so only the per-run reads see the changed cell.
-    assert checks.check(check_id, SMALL).status is Status.PASS
     stirling2_row = seq.stirling2_row
     monkeypatch.setattr(
         seq,
@@ -800,6 +826,9 @@ def test_stirling_row_fault_injection(monkeypatch, check_id, params):
         lambda n: [v + ((n, k) == (5, 2)) for k, v in enumerate(stirling2_row(n))],
     )
     rep = checks.check(check_id, SMALL)
+    # The run left rows of the changed kernel in the polynomial caches; a
+    # later direct caller must not read them.
+    poly._clear_caches()
     assert rep.status is Status.FAIL
     assert list(rep.witness.params.items()) == list(params.items())
 

@@ -11,6 +11,9 @@ import pytest
 
 import pdbell
 from pdbell import checks, cli, oracle
+from pdbell import polynomials as poly
+from pdbell import series as ser
+from pdbell.bernoulli import bernoulli as bernoulli_number, higher_bernoulli
 from pdbell.checks import Status
 
 SUBMODULES = ("bernoulli", "checks", "cli", "oracle", "polynomials", "sequences", "series")
@@ -37,6 +40,85 @@ def test_package_exports_every_layer_name():
             assert getattr(pdbell, name) is getattr(module, name), (m, name)
     assert pdbell.bernoulli is layers["bernoulli"].bernoulli
     assert pdbell.pdb_rows is layers["sequences"].pdb_rows
+
+
+def enumerate_partitions(*args):
+    """oracle.enumerate_partitions run to its end: as a generator, it checks
+    its arguments on the first next()."""
+    return list(oracle.enumerate_partitions(*args))
+
+
+P = poly.IntPolynomial([1, 2])
+S = ser.TruncatedSeries.one(3)
+INDEX_ENTRY_POINTS = [
+    ("k", P.coeff, (-1,)),
+    ("r", P.times_y_power, (-1,)),
+    ("n", poly.exponential_poly, (-1,)),
+    ("n", poly.r_exponential_poly, (-1, 0)),
+    ("r", poly.r_exponential_poly, (0, -1)),
+    ("n", poly.geometric_poly, (-1,)),
+    ("n", poly.pdb_poly, (-1, 0)),
+    ("r", poly.pdb_poly, (0, -1)),
+    ("max_n", poly.pdb_poly_rows, (-1,)),
+    ("first", poly.pdb_poly_rows, (3, -1)),
+    ("n", higher_bernoulli, (-1, 1)),
+    ("r", higher_bernoulli, (0, -1)),
+    ("n", bernoulli_number, (-1,)),
+    ("order", ser.TruncatedSeries, ([1], -1)),
+    ("order", ser.TruncatedSeries.zero, (-1,)),
+    ("order", ser.TruncatedSeries.one, (-1,)),
+    ("order", ser.TruncatedSeries.t, (-1,)),
+    ("order", ser.TruncatedSeries.from_constant, (1, -1)),
+    ("n", S.coeff, (-1,)),
+    ("n", S.egf_coeff, (-1,)),
+    ("r", S.shift, (-1,)),
+    ("k", S.pow, (-1,)),
+    ("order", ser.expm1, (-1,)),
+    ("r", ser.egf_pdb, (-1, 1, 3)),
+    ("order", ser.egf_pdb, (0, 1, -1)),
+    ("order", ser.bernoulli_base_series, (-1,)),
+    ("order", ser.egf_family, ("ordered_bell", -1)),
+    ("param", ser.egf_family, ("partial_derangement", 3, -1)),
+    ("param", ser.egf_family, ("stirling_column", 3, -1)),
+    ("param", ser.egf_family, ("higher_bernoulli", 3, -1)),
+    ("n", enumerate_partitions, (-1,)),
+    ("cap", enumerate_partitions, (3, -1)),
+    ("n", oracle.brute_pdb_row, (-1,)),
+    ("cap", oracle.brute_pdb_row, (3, -1)),
+    ("n", oracle.brute_pdb, (-1, 0)),
+    ("r", oracle.brute_pdb, (3, -1)),
+    ("cap", oracle.brute_pdb, (3, 0, -1)),
+    ("n", oracle.brute_partial_derangement, (-1, 0)),
+    ("r", oracle.brute_partial_derangement, (3, -1)),
+    ("cap", oracle.brute_partial_derangement, (3, 0, -1)),
+    ("n", oracle.brute_stirling2, (-1, 0)),
+    ("k", oracle.brute_stirling2, (3, -1)),
+    ("cap", oracle.brute_stirling2, (3, 0, -1)),
+    ("n", oracle.brute_bell, (-1,)),
+    ("cap", oracle.brute_bell, (3, -1)),
+    ("n", oracle.brute_complementary_bell, (-1,)),
+    ("cap", oracle.brute_complementary_bell, (3, -1)),
+    ("n", oracle.brute_ordered_bell, (-1,)),
+    ("cap", oracle.brute_ordered_bell, (3, -1)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fn, args",
+    INDEX_ENTRY_POINTS,
+    ids=[
+        f"{fn.__qualname__}-{args[0]}-{name}"
+        if fn is ser.egf_family
+        else f"{fn.__qualname__}-{name}"
+        for name, fn, args in INDEX_ENTRY_POINTS
+    ],
+)
+def test_a_negative_index_reads_the_same_in_every_layer(name, fn, args):
+    # Every layer checks its indices with sequences._require_nonnegative, the
+    # oracle its cap too: a negative cap is a ValueError, not a
+    # CapExceededError (a RuntimeError).
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+        fn(*args)
 
 
 def test_cli_start_up_imports_no_dataclasses():

@@ -1,6 +1,7 @@
 """Truncated exact-rational power series and the named generating series."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,25 @@ def test_constructor_rejects_missing_or_negative_orders():
         TruncatedSeries([])
     with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
         TruncatedSeries([1], -1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: TruncatedSeries([x], 3),
+        lambda x: TruncatedSeries([1, x], 3),
+        lambda x: TruncatedSeries.from_constant(x, 3),
+        lambda x: TruncatedSeries.one(3).scale(x),
+        lambda x: egf_pdb(0, x, 3),
+    ],
+    ids=["init", "init-later-coefficient", "from_constant", "scale", "egf_pdb"],
+)
+def test_series_take_exact_scalars_only(make):
+    # A float, a Decimal or a str would be converted to some nearby rational.
+    for x, name in ((0.1, "float"), (Decimal("0.1"), "Decimal"), ("1/3", "str")):
+        with pytest.raises(TypeError, match=f"^int or Fraction expected, got {name}$"):
+            make(x)
+    assert make(Fraction(1, 3)) == make(Fraction(2, 6))
 
 
 def test_repr_shows_at_most_eight_coefficients():
